@@ -26,6 +26,7 @@ from .cohring import (
     PresentationMismatch,
     RingPresentation,
     exp_nilpotent,
+    root_square_sum,
 )
 from .qseries import HalfQSeries
 from .theta import ThetaKind
@@ -65,11 +66,7 @@ class ProjBundle:
 
     def pontryagin_shift_class(self, order: int) -> CohElement:
         """The first rational twisted Pontryagin class: sum (y_j + b)^2."""
-        out = CohElement.zero(self.presentation, order)
-        for w in self.shifted_roots():
-            e = w.as_element(order)
-            out = out + e * e
-        return out
+        return root_square_sum(self.shifted_roots(), order, self.presentation)
 
     def describe(self) -> str:
         roots = ", ".join(str(r) for r in self.roots)
@@ -87,10 +84,7 @@ def ch(e: ProjBundle, order: int, weight: int = 1) -> CohElement:
     For the natural weight m = 1 this is sum_j exp(y_j + b).
     """
     twist = exp_class(e.twist_b.scale(weight), order)
-    total = CohElement.zero(e.presentation, order)
-    for root in e.roots:
-        total = total + exp_class(root, order)
-    return twist * total
+    return twist * adams_power_sum(e.roots, 1, order, e.presentation)
 
 
 def adams_power_sum(roots, k: int, order: int, presentation: RingPresentation) -> CohElement:
@@ -264,7 +258,7 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
         if elem.is_zero():
             continue
         if m not in twists:
-            twists[m] = exp_nilpotent(e.twist_b.scale(m).as_element(0))
+            twists[m] = exp_class(e.twist_b.scale(m), 0)
         for upow in range(0, order + 1, upow_step):
             piece = elem.u_slice(upow)
             if piece.is_zero():
@@ -307,10 +301,8 @@ def gch_closed_form(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
 def det_sqrt_ch(e: ProjBundle, order: int) -> CohElement:
     """sqrt of the twisted determinant character of the conjugate bundle:
     exp(-(1/2) sum_j (y_j + b)), the branch with constant term 1."""
-    half_sum = LinearClass.zero(e.presentation)
-    for w in e.shifted_roots():
-        half_sum = half_sum + w
-    return exp_nilpotent(half_sum.scale(Fraction(-1, 2)).as_element(order))
+    total = sum(e.shifted_roots(), LinearClass.zero(e.presentation))
+    return exp_class(total.scale(Fraction(-1, 2)), order)
 
 
 # ---------------------------------------------------------------------------

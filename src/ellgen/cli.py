@@ -29,7 +29,6 @@ from .bundleops import (
     tensor_exterior_identity_check,
 )
 from .cohring import (
-    CohElement,
     LinearClass,
     Manifold,
     PresentationMismatch,
@@ -37,9 +36,11 @@ from .cohring import (
     UnknownManifold,
     builtin_manifold,
     parse_linear_class,
+    root_square_sum,
 )
 from .genera import (
     DEFINITION,
+    GENUS_GROUP,
     THETA_PRODUCT,
     GenusKind,
     UnsupportedRank,
@@ -75,9 +76,12 @@ def default_order() -> int:
     if raw is None:
         return 20
     try:
-        return int(raw)
+        order = int(raw)
     except ValueError as exc:
         raise ManifestError(f"ELLGEN_ORDER_DEFAULT must be an integer, got {raw!r}") from exc
+    if order < 0:
+        raise ManifestError(f"ELLGEN_ORDER_DEFAULT must be non-negative, got {order}")
+    return order
 
 
 def _monomial_from_dict(pres: RingPresentation, data: dict) -> tuple[int, ...]:
@@ -162,9 +166,9 @@ def load_manifest(path: str) -> Manifest:
     bundle = None
     if data.get("bundle") is not None:
         bundle = _load_bundle(data["bundle"], manifold)
-    order = int(data.get("order", default_order()))
-    if order < 0:
-        raise ManifestError("order must be non-negative")
+    order = data.get("order", default_order())
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+        raise ManifestError(f"order must be a non-negative integer, got {order!r}")
     return Manifest(manifold=manifold, bundle=bundle, order=order)
 
 
@@ -228,72 +232,42 @@ def _series_json(series: HalfQSeries) -> list[dict]:
     ]
 
 
-def _print_series_table(series: HalfQSeries, out):
-    for k, c in enumerate(series.coeffs):
-        print(f"{power_label(k)}: {c}", file=out)
-
-
 def cmd_compute(args, out) -> int:
     manifest = load_manifest(args.input)
     order = args.order if args.order is not None else manifest.order
     kind = _GENUS_BY_NAME[args.genus]
     method = _METHOD_BY_NAME[args.method]
+    m = manifest.manifold
+    payload = {
+        "kind": kind.value, "method": method, "weight": m.weight, "group": GENUS_GROUP[kind],
+    }
 
+    header = None
     if kind is GenusKind.AHAT:
-        value = a_hat_integral(manifest.manifold)
-        if args.json:
-            payload = {
-                "kind": "ahat",
-                "method": method,
-                "weight": manifest.manifold.weight,
-                "group": "none",
-                "coefficients": [{"power": "0", "value": format_rational(value)}],
-                "checks": [],
-            }
-            print(json.dumps(payload, indent=2), file=out)
-        else:
-            print(value, file=out)
-        return EXIT_OK
-
-    if kind is GenusKind.WITTEN:
-        series = witten_genus(manifest.manifold, order)
-        if args.json:
-            payload = {
-                "kind": "witten",
-                "method": method,
-                "weight": manifest.manifold.weight,
-                "group": "SL2Z",
-                "coefficients": _series_json(series),
-                "checks": [],
-            }
-            print(json.dumps(payload, indent=2), file=out)
-        else:
-            print(f"witten genus of {manifest.manifold.name}, order {order}", file=out)
-            _print_series_table(series, out)
-        return EXIT_OK
-
-    if manifest.bundle is None:
-        raise ManifestError("this genus needs a 'bundle' entry in the manifest")
-    report = pell(manifest.manifold, manifest.bundle, kind, method, order)
-    if args.json:
-        payload = {
-            "kind": report.kind.value,
-            "method": report.method,
-            "weight": report.weight,
-            "group": report.group,
-            "manifold": report.manifold,
-            "bundle": report.bundle,
-            "coefficients": _series_json(report.series),
-            "checks": [],
-        }
-        print(json.dumps(payload, indent=2), file=out)
+        series = HalfQSeries.constant(a_hat_integral(m), 0)
+    elif kind is GenusKind.WITTEN:
+        series = witten_genus(m, order)
+        header = f"witten genus of {m.name}, order {order}"
     else:
-        print(
-            f"{report.kind.value} of {report.manifold} with {report.bundle} "
-            f"[method {report.method}, weight {report.weight}, group {report.group}]",
-            file=out,
+        if manifest.bundle is None:
+            raise ManifestError("this genus needs a 'bundle' entry in the manifest")
+        report = pell(m, manifest.bundle, kind, method, order)
+        series = report.series
+        payload.update(manifold=report.manifold, bundle=report.bundle)
+        header = (
+            f"{kind.value} of {report.manifold} with {report.bundle} "
+            f"[method {method}, weight {report.weight}, group {report.group}]"
         )
-        _print_series_table(report.series, out)
+    payload.update(coefficients=_series_json(series), checks=[])
+
+    if args.json:
+        print(json.dumps(payload, indent=2), file=out)
+    elif header is None:
+        print(series.coefficient(0), file=out)
+    else:
+        print(header, file=out)
+        for k, c in enumerate(series.coeffs):
+            print(f"{power_label(k)}: {c}", file=out)
     return EXIT_OK
 
 
@@ -326,8 +300,9 @@ def _suite_theta_laws(args, out) -> bool:
 
 
 def _suite_jacobi(args, out) -> bool:
-    ok = theta.jacobi_identity_exact(args.order)
-    print(f"{'pass' if ok else 'FAIL'} jacobi product identity to order {args.order}", file=out)
+    order = args.order if args.order is not None else default_order()
+    ok = theta.jacobi_identity_exact(order)
+    print(f"{'pass' if ok else 'FAIL'} jacobi product identity to order {order}", file=out)
     return ok
 
 
@@ -365,18 +340,19 @@ def _suite_s_transform(args, out) -> bool:
     manifest = _manifest_with_bundle(args)
     order = args.order if args.order is not None else max(manifest.order, 40)
     taus = _parse_tau_list(args.tau)
-    tangent_sq = _sum_of_root_squares(manifest.manifold.tangent_roots, manifest.manifold)
+    m = manifest.manifold
+    tangent_sq = root_square_sum(m.tangent_roots, 0, m.presentation)
     bundle_sq = manifest.bundle.pontryagin_shift_class(0)
     print(
         "curvature squares match (sum of shifted root squares vs tangent): "
         f"{'yes' if tangent_sq == bundle_sq else 'no'}",
         file=out,
     )
-    p1 = pell(manifest.manifold, manifest.bundle, GenusKind.PELL1, THETA_PRODUCT, order).series
-    p2 = pell(manifest.manifold, manifest.bundle, GenusKind.PELL2, THETA_PRODUCT, order).series
+    p1 = pell(m, manifest.bundle, GenusKind.PELL1, THETA_PRODUCT, order).series
+    p2 = pell(m, manifest.bundle, GenusKind.PELL2, THETA_PRODUCT, order).series
     multiplier = 2**manifest.bundle.rank
     report = modcheck.cross_transform(
-        p1, p2, weight=manifest.manifold.weight, multiplier=multiplier,
+        p1, p2, weight=m.weight, multiplier=multiplier,
         tau_samples=taus, tol=args.tol,
     )
     ratios = ", ".join(f"{r:.6f}" for r in report.measured_ratios)
@@ -404,14 +380,6 @@ def _suite_schur(args, out) -> bool:
                     file=out,
                 )
     return ok
-
-
-def _sum_of_root_squares(roots, manifold):
-    total = CohElement.zero(manifold.presentation, 0)
-    for root in roots:
-        e = root.as_element(0)
-        total = total + e * e
-    return total
 
 
 def _manifest_with_bundle(args) -> Manifest:
@@ -532,6 +500,8 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "order", None) is not None and args.order < 0:
+            raise ManifestError(f"--order must be non-negative, got {args.order}")
         return args.func(args, out)
     except (ManifestError, UnknownManifold, PresentationMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)

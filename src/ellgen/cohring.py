@@ -203,11 +203,6 @@ class CohElement:
         if self.presentation != other.presentation:
             raise PresentationMismatch("elements live in different rings")
 
-    def copy(self) -> "CohElement":
-        out = CohElement(self.presentation, self.order)
-        out.coeffs = dict(self.coeffs)
-        return out
-
     def coefficient(self, mono: Monomial) -> HalfQSeries:
         return self.coeffs.get(mono, HalfQSeries.zero(self.order))
 
@@ -270,17 +265,22 @@ class CohElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "CohElement":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined on ring elements")
-        result = CohElement.one(self.presentation, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+    def invert(self) -> "CohElement":
+        """Inverse of a unit: an invertible scalar series plus a nilpotent rest.
+
+        With s the scalar part, a = s (1 - r) where r = 1 - a/s has no unit
+        monomial, so a^-1 = s^-1 (1 + r + r^2 + ...) and every power of r
+        gains polynomial degree: the sum stops at the top degree.  Raises
+        ZeroConstantTerm when the scalar u^0 coefficient vanishes.
+        """
+        inv0 = self.scalar_part().invert()
+        rest = -(self * inv0 - 1)
+        result = term = CohElement.scalar(self.presentation, self.order, inv0)
+        for _ in range(self.presentation.top_degree // 2):
+            term = term * rest
+            if term.is_zero():
+                break
+            result = result + term
         return result
 
     def degree_component(self, degree: int) -> "CohElement":
@@ -352,6 +352,16 @@ class CohElement:
         return f"CohElement({self})"
 
 
+def root_square_sum(roots, order: int, presentation: RingPresentation) -> CohElement:
+    """sum_j root_j^2 for degree-2 classes in the given presentation."""
+    total = CohElement.zero(presentation, order)
+    for root in roots:
+        e = root.as_element(order)
+        total = total + e * e
+    return total
+
+
+# kept as a module-level name: perfbench/tracer.py wraps it by name
 def ring_mul(a: CohElement, b: CohElement) -> CohElement:
     return a * b
 

@@ -24,7 +24,7 @@ than assume it away.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import qseries
@@ -58,7 +58,7 @@ class GenusKind(enum.Enum):
 THETA_PRODUCT = "theta_product"
 DEFINITION = "definition"
 
-_GENUS_GROUP = {
+GENUS_GROUP = {
     GenusKind.AHAT: "none",
     GenusKind.WITTEN: "SL2Z",
     GenusKind.PELL: "SL2Z",
@@ -67,11 +67,13 @@ _GENUS_GROUP = {
     GenusKind.PELL3: "GammaTheta",
 }
 
+# graded kind of the bundle character; (sign, half_shift) of the bundle's
+# eta-like prefactor, which enters to the power -2*rank
 _GENUS_GRADED = {
-    GenusKind.PELL: GradedKind.W,
-    GenusKind.PELL1: GradedKind.A,
-    GenusKind.PELL2: GradedKind.B,
-    GenusKind.PELL3: GradedKind.C,
+    GenusKind.PELL: (GradedKind.W, -1, False),
+    GenusKind.PELL1: (GradedKind.A, 1, False),
+    GenusKind.PELL2: (GradedKind.B, -1, True),
+    GenusKind.PELL3: (GradedKind.C, 1, True),
 }
 
 
@@ -91,22 +93,23 @@ def _z_degree(m: Manifold) -> int:
     return d + (d % 2)
 
 
+def _times_root_factors(out: CohElement, factor: FactorSeries, roots) -> CohElement:
+    """out times the factor evaluated at each root."""
+    for root in roots:
+        out = out * factor.at_class(root)
+    return out
+
+
 def _tangent_core(m: Manifold, order: int) -> CohElement:
     """Product of the normalized odd theta factors over the stable roots."""
     factor = elliptic_factor(ThetaKind.THETA, _z_degree(m), order)
-    out = CohElement.one(m.presentation, order)
-    for root in m.tangent_roots:
-        out = out * factor.at_class(root)
-    return out
+    return _times_root_factors(CohElement.one(m.presentation, order), factor, m.tangent_roots)
 
 
 def a_hat_class(m: Manifold, order: int = 0) -> CohElement:
     """prod_i x_i / (e^(x_i/2) - e^(-x_i/2)) over the stable roots."""
     factor = a_hat_factor_series(_z_degree(m), order)
-    out = CohElement.one(m.presentation, order)
-    for root in m.tangent_roots:
-        out = out * factor.at_class(root)
-    return out
+    return _times_root_factors(CohElement.one(m.presentation, order), factor, m.tangent_roots)
 
 
 def a_hat_integral(m: Manifold) -> Fraction:
@@ -143,10 +146,8 @@ def bundle_root_factor(kind: GenusKind, z_degree: int, order: int) -> FactorSeri
 
 
 def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
-    integrand = _tangent_core(m, order)
     factor = bundle_root_factor(kind, _z_degree(m), order)
-    for w in e.shifted_roots():
-        integrand = integrand * factor.at_class(w)
+    integrand = _times_root_factors(_tangent_core(m, order), factor, e.shifted_roots())
     return integrate(integrand, m)
 
 
@@ -167,28 +168,15 @@ def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
 
 
 def _pell_definition(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
-    graded_kind = _GENUS_GRADED[kind]
+    graded_kind, sign, half_shift = _GENUS_GRADED[kind]
     integrand = a_hat_class(m, order) * exp_nilpotent(_tangent_symmetric_log(m, order))
     if kind in (GenusKind.PELL, GenusKind.PELL1):
         integrand = integrand * det_sqrt_ch(e, order)
     integrand = integrand * gch(graded_kind, e, order)
 
-    dim, two_l = m.dimension, 2 * e.rank
-    if kind is GenusKind.PELL:
-        prefactor = qseries.eta_like_product(-1, False, dim - two_l, order)
-    elif kind is GenusKind.PELL1:
-        prefactor = qseries.eta_like_product(-1, False, dim, order) * qseries.eta_like_product(
-            1, False, -two_l, order
-        )
-    elif kind is GenusKind.PELL2:
-        prefactor = qseries.eta_like_product(-1, False, dim, order) * qseries.eta_like_product(
-            -1, True, -two_l, order
-        )
-    else:
-        prefactor = qseries.eta_like_product(-1, False, dim, order) * qseries.eta_like_product(
-            1, True, -two_l, order
-        )
-    return integrate(integrand, m) * prefactor
+    tangent_eta = qseries.eta_like_product(-1, False, m.dimension, order)
+    bundle_eta = qseries.eta_like_product(sign, half_shift, -2 * e.rank, order)
+    return integrate(integrand, m) * tangent_eta * bundle_eta
 
 
 def pell(
@@ -216,7 +204,7 @@ def pell(
         method=method,
         series=series,
         weight=m.weight,
-        group=_GENUS_GROUP[kind],
+        group=GENUS_GROUP[kind],
     )
 
 
@@ -237,15 +225,7 @@ def pseudodiff_genus(
     spec: PseudoDiffSpec, kind: GenusKind, order: int = 20, method: str = THETA_PRODUCT
 ) -> GenusReport:
     report = pell(spec.manifold, spec.bundle, kind, method, order)
-    return GenusReport(
-        kind=report.kind,
-        manifold=report.manifold,
-        bundle=f"operator {spec.operator_name}: {report.bundle}",
-        method=report.method,
-        series=report.series,
-        weight=report.weight,
-        group=report.group,
-    )
+    return replace(report, bundle=f"operator {spec.operator_name}: {report.bundle}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +333,7 @@ def classical_recovery_check(m: Manifold, v: ProjBundle, order: int) -> Classica
     twisted = pell(m, v, GenusKind.PELL, THETA_PRODUCT, order).series
     # classical orientation: (e^(w/2) - e^(-w/2)) per root
     factor = elliptic_factor(ThetaKind.THETA, _z_degree(m), order).invert().z_shift(1)
-    integrand = _tangent_core(m, order)
-    for w in v.shifted_roots():
-        integrand = integrand * factor.at_class(w)
+    integrand = _times_root_factors(_tangent_core(m, order), factor, v.shifted_roots())
     classical = integrate(integrand, m)
     sign = (-1) ** v.rank
     return ClassicalRecovery(

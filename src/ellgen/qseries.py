@@ -26,10 +26,13 @@ class DivergentTail(ValueError):
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" (or a bare integer) into a Fraction."""
+    """Parse "p/q" (or a bare integer) into a Fraction; ValueError if malformed."""
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -240,6 +243,7 @@ class HalfQSeries:
         return f"HalfQSeries(order={self.order}, {self})"
 
 
+# module-level aliases kept because perfbench/tracer.py wraps them by name
 def add(a: HalfQSeries, b: HalfQSeries) -> HalfQSeries:
     return a + b
 
@@ -250,10 +254,6 @@ def mul(a: HalfQSeries, b: HalfQSeries) -> HalfQSeries:
 
 def invert(a: HalfQSeries) -> HalfQSeries:
     return a.invert()
-
-
-def tau_plus_one(a: HalfQSeries) -> HalfQSeries:
-    return a.tau_plus_one()
 
 
 def eval_numeric(a: HalfQSeries, u: complex) -> tuple[complex, float]:

@@ -1,11 +1,12 @@
 """The four Jacobi theta functions, in two representations.
 
-Exact representation: each theta quotient becomes a "factor series" in a
-nilpotent slot z with HalfQSeries coefficients, normalized so its value at
-z = 0 is the constant series 1 (and the odd kind is divided by its simple
-zero).  These use the substitution e^(2*pi*i*v) = e^z, which clears every
-pi and keeps all coefficients rational; they are what genus integrands are
-built from.
+Exact representation: each theta quotient becomes a "factor series", an
+element of Q[z]/(z^(d+1)) with HalfQSeries coefficients (a CohElement over
+the one-generator ring `z_ring(d)`), normalized so its value at z = 0 is the
+constant series 1 (and the odd kind is divided by its simple zero).  These
+use the substitution e^(2*pi*i*v) = e^z, which clears every pi and keeps all
+coefficients rational.  Genus integrands are built from them by `at_class`,
+the substitution z -> a Chern root class.
 
 Numeric representation: the literal truncated infinite products in (v, tau),
 used to test transformation laws and closed forms.  The bridge between the
@@ -16,12 +17,13 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qseries
-from .cohring import CohElement, LinearClass
+from .cohring import CohElement, LinearClass, RingPresentation, exp_nilpotent
 from .qseries import HalfQSeries
 
 
@@ -36,67 +38,63 @@ class ThetaKind(enum.Enum):
     THETA3 = "theta3"
 
 
+@functools.lru_cache(maxsize=None)
+def z_ring(z_degree: int) -> RingPresentation:
+    """Q[z]/(z^(d+1)): one degree-2 generator z, top degree 2d."""
+    return RingPresentation(generators=(("z", 2),), top_degree=2 * z_degree)
+
+
 @dataclass(frozen=True)
 class FactorSeries:
-    """Polynomial in the nilpotent slot z, with HalfQSeries coefficients."""
+    """An element of Q[z]/(z^(d+1)) with HalfQSeries coefficients.
 
-    z_degree: int
-    order: int
-    coeffs: tuple[HalfQSeries, ...]
+    The arithmetic is that of the CohElement it holds; `coeffs` lists the
+    coefficient of each power z^0 .. z^d.
+    """
+
+    elem: CohElement
 
     @classmethod
     def build(cls, z_degree: int, order: int, coeffs) -> "FactorSeries":
-        cs = list(coeffs)[: z_degree + 1]
-        cs.extend(HalfQSeries.zero(order) for _ in range(z_degree + 1 - len(cs)))
-        return cls(z_degree, order, tuple(c.truncate(order) for c in cs))
-
-    @classmethod
-    def zero(cls, z_degree: int, order: int) -> "FactorSeries":
-        return cls.build(z_degree, order, [])
+        terms = {(k,): c for k, c in enumerate(coeffs) if k <= z_degree}
+        return cls(CohElement(z_ring(z_degree), order, terms))
 
     @classmethod
     def one(cls, z_degree: int, order: int) -> "FactorSeries":
-        return cls.build(z_degree, order, [HalfQSeries.one(order)])
+        return cls(CohElement.one(z_ring(z_degree), order))
+
+    @property
+    def z_degree(self) -> int:
+        return self.elem.presentation.top_degree // 2
+
+    @property
+    def order(self) -> int:
+        return self.elem.order
+
+    @property
+    def coeffs(self) -> tuple[HalfQSeries, ...]:
+        return tuple(self.elem.coefficient((k,)) for k in range(self.z_degree + 1))
+
+    def __hash__(self) -> int:
+        # CohElement defines __eq__ without __hash__; hash what equality sees
+        return hash((self.z_degree, self.order, self.coeffs))
 
     def __add__(self, other: "FactorSeries") -> "FactorSeries":
-        d = min(self.z_degree, other.z_degree)
-        n = min(self.order, other.order)
-        return FactorSeries.build(
-            d, n, [a.truncate(n) + b.truncate(n) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return FactorSeries(self.elem + other.elem)
 
     def __neg__(self) -> "FactorSeries":
-        return FactorSeries.build(self.z_degree, self.order, [-c for c in self.coeffs])
+        return FactorSeries(-self.elem)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, HalfQSeries)):
-            return FactorSeries.build(
-                self.z_degree, self.order, [c * other for c in self.coeffs]
-            )
-        d = min(self.z_degree, other.z_degree)
-        n = min(self.order, other.order)
-        out = [HalfQSeries.zero(n) for _ in range(d + 1)]
-        for i, a in enumerate(self.coeffs[: d + 1]):
-            if a.is_zero():
-                continue
-            for j in range(d + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a.truncate(n) * b.truncate(n)
-        return FactorSeries.build(d, n, out)
+        if isinstance(other, FactorSeries):
+            other = other.elem
+        return FactorSeries(self.elem * other)
 
     __rmul__ = __mul__
 
     def invert(self) -> "FactorSeries":
         """Inverse when the z^0 coefficient is an invertible series."""
-        inv0 = self.coeffs[0].invert()
-        out = [inv0] + [HalfQSeries.zero(self.order)] * self.z_degree
-        for k in range(1, self.z_degree + 1):
-            acc = HalfQSeries.zero(self.order)
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out[k] = -(inv0 * acc)
-        return FactorSeries.build(self.z_degree, self.order, out)
+        return FactorSeries(self.elem.invert())
 
     def z_shift(self, power: int) -> "FactorSeries":
         """Multiply by z^power, truncating above the tracked z-degree."""
@@ -105,30 +103,24 @@ class FactorSeries:
 
     def exp(self) -> "FactorSeries":
         """exp of a series with vanishing z^0 coefficient (terminates)."""
-        if not self.coeffs[0].is_zero():
+        if not self.elem.scalar_part().is_zero():
             raise ValueError("exp on factor series needs a vanishing z^0 term")
-        result = FactorSeries.one(self.z_degree, self.order)
-        term = FactorSeries.one(self.z_degree, self.order)
-        for k in range(1, self.z_degree + 1):
-            term = term * self * Fraction(1, k)
-            if all(c.is_zero() for c in term.coeffs):
-                break
-            result = result + term
-        return result
+        return FactorSeries(exp_nilpotent(self.elem))
 
     def is_even_in_z(self) -> bool:
         return all(c.is_zero() for c in self.coeffs[1::2])
 
     def at_class(self, lc: LinearClass) -> CohElement:
-        """Substitute the nilpotent slot by a degree-2 class."""
-        out = CohElement.scalar(lc.presentation, self.order, self.coeffs[0])
+        """Substitute the nilpotent slot by a degree-2 class: z -> lc."""
+        coeffs = self.coeffs
+        out = CohElement.scalar(lc.presentation, self.order, coeffs[0])
         power = CohElement.one(lc.presentation, self.order)
         base = lc.as_element(self.order)
         for k in range(1, self.z_degree + 1):
             power = power * base
             if power.is_zero():
                 break
-            out = out + power * self.coeffs[k]
+            out = out + power * coeffs[k]
         return out
 
     def eval_complex(self, z0: complex, u0: complex) -> complex:
@@ -138,29 +130,24 @@ class FactorSeries:
         return acc
 
 
-def _series_two_sinh_half_over_z(z_degree: int, order: int) -> FactorSeries:
-    # 2*sinh(z/2)/z = sum_k z^(2k) / (4^k (2k+1)!)
-    coeffs = [HalfQSeries.zero(order) for _ in range(z_degree + 1)]
-    for k in range(0, z_degree // 2 + 1):
-        coeffs[2 * k] = HalfQSeries.constant(
-            Fraction(1, 4**k * math.factorial(2 * k + 1)), order
-        )
-    return FactorSeries.build(z_degree, order, coeffs)
+def _half_argument_series(z_degree: int, order: int, shift: int) -> FactorSeries:
+    # sum_k z^(2k) / (4^k (2k + shift)!): cosh(z/2) for shift 0,
+    # 2*sinh(z/2)/z for shift 1
+    terms = {
+        (2 * k,): HalfQSeries.constant(Fraction(1, 4**k * math.factorial(2 * k + shift)), order)
+        for k in range(z_degree // 2 + 1)
+    }
+    return FactorSeries(CohElement(z_ring(z_degree), order, terms))
 
 
 def cosh_half_series(z_degree: int, order: int) -> FactorSeries:
     """cosh(z/2) as an exact factor series."""
-    coeffs = [HalfQSeries.zero(order) for _ in range(z_degree + 1)]
-    for k in range(0, z_degree // 2 + 1):
-        coeffs[2 * k] = HalfQSeries.constant(
-            Fraction(1, 4**k * math.factorial(2 * k)), order
-        )
-    return FactorSeries.build(z_degree, order, coeffs)
+    return _half_argument_series(z_degree, order, 0)
 
 
 def a_hat_factor_series(z_degree: int, order: int) -> FactorSeries:
     """z / (e^(z/2) - e^(-z/2)): the q -> 0 degeneration of the odd factor."""
-    return _series_two_sinh_half_over_z(z_degree, order).invert()
+    return _half_argument_series(z_degree, order, 1).invert()
 
 
 def log_product_series(sign: int, half_shift: bool, z_degree: int, order: int) -> FactorSeries:
@@ -183,10 +170,8 @@ def log_product_series(sign: int, half_shift: bool, z_degree: int, order: int) -
                 # z^(2m) coefficient of e^(kz) + e^(-kz) - 2
                 weights[m][level * k] += c * Fraction(2 * k ** (2 * m), math.factorial(2 * m))
             k += 1
-    coeffs = [HalfQSeries.zero(order) for _ in range(z_degree + 1)]
-    for m in range(1, half_max + 1):
-        coeffs[2 * m] = HalfQSeries(order, weights[m])
-    return FactorSeries.build(z_degree, order, coeffs)
+    terms = {(2 * m,): HalfQSeries(order, weights[m]) for m in range(1, half_max + 1)}
+    return FactorSeries(CohElement(z_ring(z_degree), order, terms))
 
 
 def elliptic_factor(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:

@@ -225,3 +225,45 @@ def test_env_default_order(tmp_path, monkeypatch):
     assert code == 0
     rows = [line for line in text.splitlines() if line.startswith("q^")]
     assert len(rows) == 7
+
+
+def _bad_input(capsys, argv):
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["abc", 12.7, True], ids=["string", "float", "bool"])
+def test_non_integer_manifest_order_is_input_error(tmp_path, capsys, order):
+    data = {"manifold": "CP2", "bundle": {"rank": 1, "roots": [{"x": "1"}]}, "order": order}
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(data))
+    _bad_input(capsys, ["compute", "--input", str(path), "--genus", "pell2"])
+
+
+def test_negative_order_flag_is_input_error(capsys):
+    _bad_input(
+        capsys,
+        ["compute", "--input", manifest("cp2_o1.json"), "--genus", "pell2", "--order", "-3"],
+    )
+
+
+def test_zero_denominator_root_is_input_error(tmp_path, capsys):
+    data = {"manifold": "CP2", "bundle": {"rank": 1, "roots": [{"x": "1/0"}]}, "order": 4}
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(data))
+    _bad_input(capsys, ["compute", "--input", str(path), "--genus", "pell2"])
+
+
+def test_negative_env_default_order_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("ELLGEN_ORDER_DEFAULT", "-1")
+    _bad_input(capsys, ["verify", "--suite", "jacobi"])
+
+
+def test_verify_jacobi_default_order(monkeypatch):
+    monkeypatch.setenv("ELLGEN_ORDER_DEFAULT", "6")
+    code, text = run(["verify", "--suite", "jacobi"])
+    assert code == 0
+    assert "pass jacobi product identity to order 6" in text

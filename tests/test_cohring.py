@@ -15,7 +15,7 @@ from ellgen.cohring import (
     exp_nilpotent,
     integrate,
 )
-from ellgen.qseries import HalfQSeries
+from ellgen.qseries import HalfQSeries, ZeroConstantTerm
 
 ORDER = 6
 
@@ -174,3 +174,43 @@ def test_remap_generator():
     elem = CohElement(pres, 0, {(2, 1): HalfQSeries.one(0)})
     moved = elem.remap_generator(0, 1)
     assert moved == CohElement(pres, 0, {(0, 3): HalfQSeries.one(0)})
+
+
+def _unit_round_trip(pres, order, terms):
+    a = CohElement(pres, order, {m: HalfQSeries(order, cs) for m, cs in terms.items()})
+    inv = a.invert()
+    one = CohElement.one(pres, order)
+    assert a * inv == one
+    assert inv * a == one
+
+
+def test_invert_unit_on_cp4(cp4):
+    # nonconstant scalar series, terms in every degree up to the top
+    _unit_round_trip(
+        cp4.presentation,
+        5,
+        {(0,): (2, 1, 0, -3), (1,): (1, 0, 5), (2,): (-1,), (3,): (0, 1), (4,): (Fraction(1, 2),)},
+    )
+
+
+def test_invert_unit_with_vanishing_monomial():
+    # the README's custom presentation: a^3 = 0 below the top degree
+    pres = RingPresentation(
+        generators=(("a", 2), ("p", 4)), top_degree=8, vanishing_monomials=((3, 0),)
+    )
+    _unit_round_trip(
+        pres,
+        4,
+        {(0, 0): (3, -1, 2), (1, 0): (1, 1), (2, 0): (-1,), (0, 1): (0, 2), (2, 1): (5,),
+         (0, 2): (1, 0, 1)},
+    )
+
+
+def test_invert_needs_an_invertible_scalar_u0(cp2):
+    u_plus_x = CohElement(
+        cp2.presentation, 4, {(0,): HalfQSeries.u_power(1, 4), (1,): HalfQSeries.one(4)}
+    )
+    with pytest.raises(ZeroConstantTerm):
+        u_plus_x.invert()
+    with pytest.raises(ZeroConstantTerm):
+        x_elem(cp2).invert()

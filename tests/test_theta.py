@@ -182,6 +182,15 @@ def test_factor_series_invert_round_trip():
         assert prod == FactorSeries.one(6, 6)
 
 
+def test_factor_series_hash_follows_equality():
+    a = elliptic_factor(ThetaKind.THETA1, 4, 4)
+    b = elliptic_factor(ThetaKind.THETA1, 4, 4) * elliptic_factor(ThetaKind.THETA2, 4, 4).invert()
+    b = b * elliptic_factor(ThetaKind.THETA2, 4, 4)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, elliptic_factor(ThetaKind.THETA3, 4, 4)}) == 2
+
+
 def test_factor_series_z_shift_truncates():
     fs = elliptic_factor(ThetaKind.THETA, 4, 2)
     shifted = fs.z_shift(1)
