@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Time the exact kernels of ellgen and print one JSON line.
+
+    python3 scripts/bench_kernels.py
+
+ellgen is imported from the ``src`` directory next to this script, so the
+same file times any checkout it is copied into.  Cases:
+
+- ``HalfQSeries`` multiply and invert at N = 20, 80, 320, on dense operands
+  (every coefficient a random nonzero rational) and on sparse ones (random
+  rationals at u^0, u^1, u^(N/2) and u^N only; a product takes one sparse
+  and one dense operand, and a sparse series has a dense inverse);
+- ``CohElement`` multiply on CP2 and CP4 (every surviving monomial, N = 20)
+  and on the free ring (every monomial up to degree 12, N = 0);
+- ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24.
+
+Each case reports the median over REPEATS timed batches of the time per call,
+in microseconds; a batch repeats the call until it has run for BATCH_S
+seconds.  ``exponents`` holds the least-squares slope of log(time) against
+log(N) for each series case.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ellgen.bundleops import GradedKind, ProjBundle, graded_decompose  # noqa: E402
+from ellgen.cohring import CohElement, LinearClass, builtin_manifold  # noqa: E402
+from ellgen.qseries import HalfQSeries  # noqa: E402
+
+ORDERS = (20, 80, 320)
+REPEATS = 5
+BATCH_S = 0.2
+SEED = 1
+
+
+def time_call(fn) -> float:
+    """Median seconds per call of ``fn`` over REPEATS batches."""
+    fn()
+    per_call = []
+    for _ in range(REPEATS):
+        calls = 0
+        t0 = time.perf_counter()
+        while True:
+            fn()
+            calls += 1
+            elapsed = time.perf_counter() - t0
+            if elapsed >= BATCH_S:
+                break
+        per_call.append(elapsed / calls)
+    return statistics.median(per_call)
+
+
+def rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+
+def dense_series(rng: random.Random, order: int) -> HalfQSeries:
+    return HalfQSeries(order, [rational(rng) for _ in range(order + 1)])
+
+
+def sparse_series(rng: random.Random, order: int) -> HalfQSeries:
+    cs = [Fraction(0)] * (order + 1)
+    for k in (0, 1, order // 2, order):
+        cs[k] = rational(rng)
+    return HalfQSeries(order, cs)
+
+
+def full_element(rng: random.Random, manifold, order: int) -> CohElement:
+    """An element with a random series on every monomial of degree <= top."""
+    pres = manifold.presentation
+    bounds = [pres.top_degree // deg for _, deg in pres.generators]
+    coeffs = {
+        mono: dense_series(rng, order)
+        for mono in product(*(range(b + 1) for b in bounds))
+        if not pres.is_zero_monomial(mono)
+    }
+    return CohElement(pres, order, coeffs)
+
+
+def slope(points: dict[int, float]) -> float:
+    xs = [math.log(n) for n in points]
+    ys = [math.log(t) for t in points.values()]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def main() -> int:
+    rng = random.Random(SEED)
+    series_cases = {"mul.dense": {}, "mul.sparse": {}, "invert.dense": {}, "invert.sparse": {}}
+    for n in ORDERS:
+        a, b, s = dense_series(rng, n), dense_series(rng, n), sparse_series(rng, n)
+        series_cases["mul.dense"][n] = time_call(lambda: a * b)
+        series_cases["mul.sparse"][n] = time_call(lambda: s * a)
+        series_cases["invert.dense"][n] = time_call(a.invert)
+        series_cases["invert.sparse"][n] = time_call(s.invert)
+
+    kernels = {
+        f"qseries.{case}.N{n}": round(t * 1e6, 2)
+        for case, points in series_cases.items()
+        for n, t in points.items()
+    }
+    for name, order in (("CP2", 20), ("CP4", 20), ("free", 0)):
+        manifold = builtin_manifold(name)
+        x, y = full_element(rng, manifold, order), full_element(rng, manifold, order)
+        kernels[f"cohring.mul.{name}.N{order}"] = round(time_call(lambda: x * y) * 1e6, 2)
+
+    cp2 = builtin_manifold("CP2")
+    gen = LinearClass.generator(cp2.presentation, "x")
+    bundle = ProjBundle(
+        rank=3,
+        roots=(gen, gen.scale(-1), gen.scale(Fraction(1, 2))),
+        twist_b=gen.scale(Fraction(1, 3)),
+    )
+    kernels["bundleops.graded_decompose.W.rank3.N24"] = round(
+        time_call(lambda: graded_decompose(GradedKind.W, bundle, 24)) * 1e6, 2
+    )
+
+    print(json.dumps({
+        "unit": "us per call, median of batches",
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "kernels": kernels,
+        "exponents": {f"qseries.{case}": round(slope(p), 3) for case, p in series_cases.items()},
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

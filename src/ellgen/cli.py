@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 verification failed, 2 input error, 3 guard violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -459,7 +460,9 @@ def cmd_cancel12(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once: it holds no defaults read from the environment."""
     parser = argparse.ArgumentParser(
         prog="ellgen",
         description="Exact q-series computations of twisted elliptic genera.",

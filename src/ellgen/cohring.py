@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .qseries import HalfQSeries, parse_rational
 
@@ -218,13 +219,25 @@ class CohElement:
         self._check(other)
         n = min(self.order, other.order)
         out = CohElement(self.presentation, n)
-        for mono in set(self.coeffs) | set(other.coeffs):
-            s = self.coefficient(mono).truncate(n) + other.coefficient(mono).truncate(n)
-            if not s.is_zero():
-                out.coeffs[mono] = s
+        terms = self._truncated_terms(n)
+        for mono, s in other._truncated_terms(n).items():
+            mine = terms.get(mono)
+            if mine is None:
+                terms[mono] = s
+                continue
+            total = mine + s
+            if total.is_zero():
+                del terms[mono]
+            else:
+                terms[mono] = total
+        out.coeffs = terms
         return out
 
     __radd__ = __add__
+
+    def _truncated_terms(self, n: int) -> dict[Monomial, HalfQSeries]:
+        """monomial -> series truncated to order n, dropping series that vanish there."""
+        return {m: t for m, s in self.coeffs.items() if not (t := s.truncate(n)).is_zero()}
 
     def __neg__(self):
         out = CohElement(self.presentation, self.order)
@@ -249,18 +262,29 @@ class CohElement:
         n = min(self.order, other.order)
         out = CohElement(self.presentation, n)
         pres = self.presentation
+        degree = pres.monomial_degree
+        top = pres.top_degree
+        # a relation of degree above the top is already enforced by the degree test
+        relations = [v for v in pres.vanishing_monomials if degree(v) <= top]
+        right = sorted(((degree(m), m, s) for m, s in other.coeffs.items()), key=itemgetter(0))
+        terms = out.coeffs
         for m1, s1 in self.coeffs.items():
+            room = top - degree(m1)
             t1 = s1.truncate(n)
-            for m2, s2 in other.coeffs.items():
-                prod_mono = tuple(a + b for a, b in zip(m1, m2))
-                if pres.is_zero_monomial(prod_mono):
+            for d2, m2, s2 in right:
+                if d2 > room:
+                    break
+                prod_mono = tuple(map(add, m1, m2))
+                if relations and any(
+                    all(m >= v for m, v in zip(prod_mono, van)) for van in relations
+                ):
                     continue
-                term = t1 * s2.truncate(n)
+                term = t1 * s2
                 if term.is_zero():
                     continue
-                existing = out.coeffs.get(prod_mono)
-                out.coeffs[prod_mono] = term if existing is None else existing + term
-        out.coeffs = {m: s for m, s in out.coeffs.items() if not s.is_zero()}
+                existing = terms.get(prod_mono)
+                terms[prod_mono] = term if existing is None else existing + term
+        out.coeffs = {m: s for m, s in terms.items() if not s.is_zero()}
         return out
 
     __rmul__ = __mul__

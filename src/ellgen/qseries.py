@@ -8,6 +8,13 @@ odd-index coefficients vanish; `is_integral` tests that.
 Binary operations truncate to the minimum of the two orders.  We never pad
 a shorter series with assumed zeros: coefficients beyond a series' stated
 order are unknown, not zero.
+
+The product kernel is sparse: it lists the nonzero (index, coefficient)
+entries of both operands and stops each row once the index sum passes the
+order, so multiplying by a monomial or by a factor 1 + s*u^k costs O(N)
+rather than O(N^2).  `invert` skips zero coefficients the same way.
+Arithmetic results are built by `_series`, which trusts its caller to pass
+order + 1 Fractions; only the public constructor converts and validates.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 
 class ZeroConstantTerm(ZeroDivisionError):
@@ -58,7 +67,7 @@ class HalfQSeries:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the truncation order tracks")
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        cs.extend([_ZERO] * (order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
 
@@ -79,11 +88,14 @@ class HalfQSeries:
     @classmethod
     def u_power(cls, k: int, order: int, value=1) -> "HalfQSeries":
         """The monomial value * u^k (zero if k exceeds the order)."""
+        if k < 0:
+            raise ValueError("u-power exponent must be >= 0")
+        zero = cls(order)
         if k > order:
-            return cls(order)
-        cs = [Fraction(0)] * (k + 1)
+            return zero
+        cs = list(zero.coeffs)
         cs[k] = Fraction(value)
-        return cls(order, cs)
+        return _series(order, tuple(cs))
 
     # -- basic queries -----------------------------------------------------
 
@@ -93,64 +105,62 @@ class HalfQSeries:
         return self.coeffs[k]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_integral(self) -> bool:
         """True iff the series lies in Q[[q]] (odd u-coefficients vanish)."""
-        return all(c == 0 for c in self.coeffs[1::2])
+        return not any(self.coeffs[1::2])
 
     def truncate(self, order: int) -> "HalfQSeries":
         if order >= self.order:
             return self
-        return HalfQSeries(order, self.coeffs[: order + 1])
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        return _series(order, self.coeffs[: order + 1])
 
     # -- ring structure ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, HalfQSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return HalfQSeries.constant(other, self.order)
-        return None
-
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        n = min(self.order, rhs.order)
-        return HalfQSeries(n, [a + b for a, b in zip(self.coeffs, rhs.coeffs)][: n + 1])
+        if isinstance(other, HalfQSeries):
+            # zip stops at the shorter tuple: the sum has the smaller order
+            pairs = zip(self.coeffs, other.coeffs)
+            return _series(
+                min(self.order, other.order),
+                tuple([(a + b if b else a) if a else b for a, b in pairs]),
+            )
+        if isinstance(other, (int, Fraction)):
+            return _series(self.order, (self.coeffs[0] + other,) + self.coeffs[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HalfQSeries(self.order, [-c for c in self.coeffs])
+        return _series(self.order, tuple([-c if c else c for c in self.coeffs]))
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        if isinstance(other, (HalfQSeries, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+        if isinstance(other, HalfQSeries):
+            n = min(self.order, other.order)
+            right = _nonzero_terms(other.coeffs[: n + 1])
+            out = [None] * (n + 1)
+            for i, a in _nonzero_terms(self.coeffs[: n + 1]):
+                room = n - i
+                for j, b in right:
+                    if j > room:
+                        break
+                    acc = out[i + j]
+                    out[i + j] = a * b if acc is None else acc + a * b
+            return _series(n, tuple([_ZERO if c is None else c for c in out]))
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return HalfQSeries(self.order, [c * f for c in self.coeffs])
-        n = min(self.order, rhs.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = rhs.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return HalfQSeries(n, out)
+            return _series(self.order, tuple([c * other if c else c for c in self.coeffs]))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -163,29 +173,35 @@ class HalfQSeries:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def invert(self) -> "HalfQSeries":
         """Multiplicative inverse to the truncation order."""
         c0 = self.coeffs[0]
-        if c0 == 0:
+        if not c0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        inv0 = Fraction(1) / c0
-        out = [inv0] + [Fraction(0)] * self.order
+        inv0 = 1 / c0
+        neg_inv0 = -inv0
+        rest = _nonzero_terms(self.coeffs)[1:]
+        out = [inv0]
         for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i] != 0:
-                    acc += self.coeffs[i] * out[k - i]
-            out[k] = -inv0 * acc
-        return HalfQSeries(self.order, out)
+            acc = None
+            for i, c in rest:
+                if i > k:
+                    break
+                prev = out[k - i]
+                if prev:
+                    acc = c * prev if acc is None else acc + c * prev
+            out.append(_ZERO if acc is None else neg_inv0 * acc)
+        return _series(self.order, tuple(out))
 
     def tau_plus_one(self) -> "HalfQSeries":
         """Pullback under tau -> tau + 1, i.e. u -> -u (sign on odd powers)."""
-        return HalfQSeries(
-            self.order, [c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)]
+        return _series(
+            self.order, tuple([-c if k & 1 and c else c for k, c in enumerate(self.coeffs)])
         )
 
     def __eq__(self, other) -> bool:
@@ -201,8 +217,9 @@ class HalfQSeries:
     def eval_numeric(self, u: complex) -> tuple[complex, float]:
         """Horner evaluation at a complex u with |u| < 1.
 
-        Returns (value, tail_bound) where the bound is
+        Returns (value, tail_estimate) where the estimate is
         |u|^(N+1) * max|c_k| over the last five tracked terms / (1 - |u|).
+        It is a heuristic estimate, not certified; see ROADMAP item 5.
         """
         r = abs(u)
         if r >= 1.0:
@@ -212,8 +229,8 @@ class HalfQSeries:
             acc = acc * u + complex(c)
         last = self.coeffs[-5:] if self.order >= 4 else self.coeffs
         peak = max((abs(float(c)) for c in last), default=0.0)
-        bound = r ** (self.order + 1) * peak / (1.0 - r)
-        return acc, bound
+        estimate = r ** (self.order + 1) * peak / (1.0 - r)
+        return acc, estimate
 
     # -- rendering ---------------------------------------------------------
 
@@ -241,6 +258,19 @@ class HalfQSeries:
 
     def __repr__(self) -> str:
         return f"HalfQSeries(order={self.order}, {self})"
+
+
+def _series(order: int, coeffs: tuple) -> HalfQSeries:
+    """A HalfQSeries from exactly order + 1 Fractions, taken as they are."""
+    out = object.__new__(HalfQSeries)
+    out.order = order
+    out.coeffs = coeffs
+    return out
+
+
+def _nonzero_terms(coeffs) -> list:
+    """The (index, coefficient) pairs of the nonzero coefficients, by index."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
 # module-level aliases kept because perfbench/tracer.py wraps them by name

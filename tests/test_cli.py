@@ -267,3 +267,13 @@ def test_verify_jacobi_default_order(monkeypatch):
     code, text = run(["verify", "--suite", "jacobi"])
     assert code == 0
     assert "pass jacobi product identity to order 6" in text
+
+
+def test_default_order_is_read_per_call(monkeypatch):
+    # the parser is built once; each call must still read its own environment
+    for order in ("6", "4"):
+        monkeypatch.setenv("ELLGEN_ORDER_DEFAULT", order)
+        code, text = run(["verify", "--suite", "jacobi"])
+        assert code == 0
+        assert f"pass jacobi product identity to order {order}" in text
+    assert cli.build_parser() is cli.build_parser()

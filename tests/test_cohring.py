@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,112 @@ def test_invert_needs_an_invertible_scalar_u0(cp2):
         u_plus_x.invert()
     with pytest.raises(ZeroConstantTerm):
         x_elem(cp2).invert()
+
+
+# -- the degree-pruned product and the sum against a brute-force pair loop ---
+
+KERNEL_RINGS = {
+    "CP2": builtin_manifold("CP2").presentation,
+    "CP4": builtin_manifold("CP4").presentation,
+    "free": builtin_manifold("free").presentation,
+    # the README's custom presentation: a^3 = 0 below the top degree
+    "a_p": RingPresentation(
+        generators=(("a", 2), ("p", 4)), top_degree=8, vanishing_monomials=((3, 0),)
+    ),
+    # a relation of exactly the top degree is not implied by the degree test
+    "a_p_top_relation": RingPresentation(
+        generators=(("a", 2), ("p", 4)), top_degree=8, vanishing_monomials=((3, 0), (0, 2))
+    ),
+}
+
+kernel_coeff = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2)])
+
+
+def _monomials_up_to_top(pres):
+    bounds = [pres.top_degree // deg for _, deg in pres.generators]
+    return [
+        mono
+        for mono in itertools.product(*(range(b + 1) for b in bounds))
+        if pres.monomial_degree(mono) <= pres.top_degree
+    ]
+
+
+def _naive_series_product(a, b, n):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1)]
+
+
+def _brute_product(a, b):
+    """Every monomial pair, killed only afterwards by is_zero_monomial."""
+    n = min(a.order, b.order)
+    out = {}
+    for m1, s1 in a.coeffs.items():
+        for m2, s2 in b.coeffs.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            if a.presentation.is_zero_monomial(mono):
+                continue
+            term = _naive_series_product(s1.coeffs, s2.coeffs, n)
+            acc = out.get(mono, [Fraction(0)] * (n + 1))
+            out[mono] = [x + y for x, y in zip(acc, term)]
+    return n, out
+
+
+def _brute_sum(a, b):
+    n = min(a.order, b.order)
+    zero = [Fraction(0)] * (n + 1)
+    out = {}
+    for mono in set(a.coeffs) | set(b.coeffs):
+        lhs = a.coeffs[mono].coeffs if mono in a.coeffs else zero
+        rhs = b.coeffs[mono].coeffs if mono in b.coeffs else zero
+        out[mono] = [x + y for x, y in zip(lhs[: n + 1], rhs[: n + 1])]
+    return n, out
+
+
+def _assert_terms(result, expected):
+    n, terms = expected
+    assert result.order == n
+    live = {m: HalfQSeries(n, cs) for m, cs in terms.items() if any(cs)}
+    assert result.coeffs == live
+
+
+@st.composite
+def kernel_element(draw, pres):
+    order = draw(st.integers(min_value=0, max_value=3))
+    monos = draw(st.lists(st.sampled_from(_monomials_up_to_top(pres)), max_size=6, unique=True))
+    return CohElement(
+        pres,
+        order,
+        {
+            m: HalfQSeries(order, draw(st.lists(kernel_coeff, min_size=order + 1,
+                                                max_size=order + 1)))
+            for m in monos
+        },
+    )
+
+
+@pytest.mark.parametrize("ring", sorted(KERNEL_RINGS))
+@given(data=st.data())
+def test_product_and_sum_match_brute_force(ring, data):
+    pres = KERNEL_RINGS[ring]
+    a = data.draw(kernel_element(pres))
+    b = data.draw(kernel_element(pres))
+    _assert_terms(a * b, _brute_product(a, b))
+    _assert_terms(a + b, _brute_sum(a, b))
+    _assert_terms(a + -a, (a.order, {}))
+
+
+@pytest.mark.parametrize("ring", sorted(KERNEL_RINGS))
+def test_full_product_matches_brute_force(ring):
+    # every monomial up to the top degree, so every degree pair occurs, at two orders
+    pres = KERNEL_RINGS[ring]
+    monos = _monomials_up_to_top(pres)
+
+    def full(order, shift):
+        return CohElement(pres, order, {
+            m: HalfQSeries(order, [Fraction(i + k + shift, 2) for k in range(order + 1)])
+            for i, m in enumerate(monos)
+        })
+
+    a, b = full(2, 1), full(1, -3)
+    _assert_terms(a * b, _brute_product(a, b))
+    _assert_terms(b * a, _brute_product(b, a))
+    _assert_terms(a + b, _brute_sum(a, b))

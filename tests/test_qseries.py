@@ -180,3 +180,86 @@ def test_rendering_uses_exact_fractions():
     s = S(Fraction(-1, 8), -1)
     assert ("q^0", "-1/8") in s.term_strings()
     assert ("q^{1/2}", "-1/1") in s.term_strings()
+
+
+# -- the sparse kernel against a naive Fraction reference -------------------
+
+nonzero_fractions_st = fractions_st.filter(lambda c: c != 0)
+
+
+@st.composite
+def kernel_series(draw):
+    """Dense, sparse or zero coefficients at an independently drawn order."""
+    order = draw(st.integers(min_value=0, max_value=10))
+    shape = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    cs = [Fraction(0)] * (order + 1)
+    if shape == "dense":
+        cs = draw(st.lists(nonzero_fractions_st, min_size=order + 1, max_size=order + 1))
+    elif shape == "sparse":
+        for k in draw(st.sets(st.integers(min_value=0, max_value=order), max_size=3)):
+            cs[k] = draw(nonzero_fractions_st)
+    return HalfQSeries(order, cs)
+
+
+def naive_product(a, b, n):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1)]
+
+
+def naive_inverse(a):
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        out.append(-sum((a[i] * out[k - i] for i in range(1, k + 1)), Fraction(0)) / a[0])
+    return out
+
+
+def assert_canonical(result, order, values):
+    """Same order, coefficients all Fractions, equal and hashing like the public build."""
+    assert result.order == order
+    assert len(result.coeffs) == order + 1
+    assert all(type(c) is Fraction for c in result.coeffs)
+    rebuilt = HalfQSeries(order, values)
+    assert result == rebuilt
+    assert hash(result) == hash(rebuilt)
+
+
+@given(kernel_series(), kernel_series(), st.integers(min_value=-5, max_value=5), fractions_st)
+def test_sum_and_difference_match_naive_reference(a, b, k, f):
+    n = min(a.order, b.order)
+    pairs = list(zip(a.coeffs, b.coeffs))
+    assert_canonical(a + b, n, [x + y for x, y in pairs])
+    assert_canonical(a - b, n, [x - y for x, y in pairs])
+    assert_canonical(-a, a.order, [-x for x in a.coeffs])
+    for scalar in (k, f):
+        shifted = [a.coeffs[0] + scalar, *a.coeffs[1:]]
+        assert_canonical(a + scalar, a.order, shifted)
+        assert_canonical(scalar + a, a.order, shifted)
+        assert_canonical(a - scalar, a.order, [a.coeffs[0] - scalar, *a.coeffs[1:]])
+        assert_canonical(scalar - a, a.order, [scalar - a.coeffs[0], *(-x for x in a.coeffs[1:])])
+
+
+@given(kernel_series(), kernel_series(), st.integers(min_value=-5, max_value=5), fractions_st)
+def test_products_match_naive_reference(a, b, k, f):
+    n = min(a.order, b.order)
+    assert_canonical(a * b, n, naive_product(a.coeffs, b.coeffs, n))
+    assert_canonical(b * a, n, naive_product(a.coeffs, b.coeffs, n))
+    for scalar in (k, f):
+        assert_canonical(a * scalar, a.order, [x * scalar for x in a.coeffs])
+        assert_canonical(scalar * a, a.order, [x * scalar for x in a.coeffs])
+
+
+@given(kernel_series(), st.integers(min_value=-3, max_value=3))
+def test_power_invert_truncate_match_naive_reference(a, exponent):
+    for m in range(a.order + 1):
+        assert_canonical(a.truncate(m), m, a.coeffs[: m + 1])
+    if a.coeffs[0] == 0:
+        with pytest.raises(ZeroConstantTerm):
+            a.invert()
+        base = a.coeffs
+        exponent = abs(exponent)
+    else:
+        assert_canonical(a.invert(), a.order, naive_inverse(a.coeffs))
+        base = a.coeffs if exponent >= 0 else naive_inverse(a.coeffs)
+    expected = [Fraction(1)] + [Fraction(0)] * a.order
+    for _ in range(abs(exponent)):
+        expected = naive_product(expected, base, a.order)
+    assert_canonical(a**exponent, a.order, expected)
