@@ -12,7 +12,11 @@ same file times any checkout it is copied into.  Cases:
   and one dense operand, and a sparse series has a dense inverse);
 - ``CohElement`` multiply on CP2 and CP4 (every surviving monomial, N = 20)
   and on the free ring (every monomial up to degree 12, N = 0);
-- ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24.
+- ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24;
+- ``schur_character`` of the shape (3, 2, 1) for a twisted rank-3 bundle on
+  CP4 at N = 8;
+- ``tensor_exterior_identity_check(3, 3, 4)``, the largest case of
+  ``verify --suite schur``.
 
 Each case reports the median over REPEATS timed batches of the time per call,
 in microseconds; a batch repeats the call until it has run for BATCH_S
@@ -36,7 +40,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ellgen.bundleops import GradedKind, ProjBundle, graded_decompose  # noqa: E402
+from ellgen.bundleops import (  # noqa: E402
+    GradedKind,
+    ProjBundle,
+    graded_decompose,
+    schur_character,
+    tensor_exterior_identity_check,
+)
 from ellgen.cohring import CohElement, LinearClass, builtin_manifold  # noqa: E402
 from ellgen.qseries import HalfQSeries  # noqa: E402
 
@@ -126,6 +136,18 @@ def main() -> int:
     )
     kernels["bundleops.graded_decompose.W.rank3.N24"] = round(
         time_call(lambda: graded_decompose(GradedKind.W, bundle, 24)) * 1e6, 2
+    )
+    x4 = LinearClass.generator(builtin_manifold("CP4").presentation, "x")
+    bundle4 = ProjBundle(
+        rank=3,
+        roots=(x4, x4.scale(-1), x4.scale(Fraction(1, 2))),
+        twist_b=x4.scale(Fraction(1, 3)),
+    )
+    kernels["bundleops.schur_character.321.CP4.rank3.N8"] = round(
+        time_call(lambda: schur_character((3, 2, 1), bundle4, 8)) * 1e6, 2
+    )
+    kernels["bundleops.tensor_exterior_identity_check.3x3.n4"] = round(
+        time_call(lambda: tensor_exterior_identity_check(3, 3, 4)) * 1e6, 2
     )
 
     print(json.dumps({

@@ -310,59 +310,36 @@ def det_sqrt_ch(e: ProjBundle, order: int) -> CohElement:
 # ---------------------------------------------------------------------------
 
 
-def _complete_homogeneous(roots, count: int, order: int, pres: RingPresentation):
-    """h_0..h_count from power sums by Newton's identities."""
-    p = [None] + [adams_power_sum(roots, k, order, pres) for k in range(1, count + 1)]
-    h = [CohElement.one(pres, order)]
-    for k in range(1, count + 1):
-        acc = CohElement.zero(pres, order)
-        for i in range(1, k + 1):
-            acc = acc + p[i] * h[k - i]
-        h.append(acc * Fraction(1, k))
-    return h
+def schur_polynomial(lam, nvars: int) -> dict[tuple[int, ...], int]:
+    """s_lam(x_1..x_nvars) as {exponent vector: Kostka number}.
+
+    Branching rule (Macdonald I.5): s_lam(x_1..x_r) is the sum over mu
+    interlacing lam (lam_1 >= mu_1 >= lam_2 >= ... >= mu_(r-1) >= lam_r) of
+    s_mu(x_1..x_(r-1)) * x_r^(|lam| - |mu|).  Empty when lam is too tall.
+    """
+    if len(lam) > nvars:
+        return {}
+    if nvars == 0:
+        return {(): 1}
+    padded = tuple(lam) + (0,) * (nvars - len(lam))
+    size = sum(padded)
+    out: dict[tuple[int, ...], int] = {}
+    ranges = (range(padded[i + 1], padded[i] + 1) for i in range(nvars - 1))
+    for mu in itertools.product(*ranges):
+        last = size - sum(mu)
+        for exps, kostka in schur_polynomial(tuple(p for p in mu if p), nvars - 1).items():
+            key = exps + (last,)
+            out[key] = out.get(key, 0) + kostka
+    return out
 
 
 def _schur_from_roots(roots, lam, order: int, pres: RingPresentation) -> CohElement:
-    """Jacobi-Trudi: s_lam = det(h_(lam_i - i + j)) over exponential roots."""
-    rows = len(lam)
-    if rows == 0:
-        return CohElement.one(pres, order)
-    hmax = max(lam[i] - i + j for i in range(rows) for j in range(rows))
-    h = _complete_homogeneous(roots, max(hmax, 0), order, pres)
-
-    def entry(i: int, j: int) -> CohElement:
-        k = lam[i] - (i + 1) + (j + 1)
-        if k < 0:
-            return CohElement.zero(pres, order)
-        return h[k]
-
+    """s_lam at X_i = exp(root_i): sum over exponent vectors a of K_a exp(a . roots)."""
     total = CohElement.zero(pres, order)
-    for perm in itertools.permutations(range(rows)):
-        sign = _perm_sign(perm)
-        term = CohElement.one(pres, order)
-        for i in range(rows):
-            term = term * entry(i, perm[i])
-            if term.is_zero():
-                break
-        total = total + term * sign
+    for exps, kostka in schur_polynomial(lam, len(roots)).items():
+        weight = sum((r.scale(a) for r, a in zip(roots, exps) if a), LinearClass.zero(pres))
+        total = total + exp_class(weight, order) * kostka
     return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def normalize_partition(lam) -> tuple[int, ...]:

@@ -5,15 +5,18 @@ suites), decompose (determinant-weight tables), cancel12 (the degree-12
 identity).  Manifests are JSON documents with keys "manifold", "bundle",
 "order"; every rational is a string "p/q" so no floats ever enter.
 
-Exit codes: 0 ok, 1 verification failed, 2 input error, 3 guard violation,
-4 unsupported rank.
+Exit codes: 0 ok, 1 verification failed, 2 input error, 3 guard violation
+(an expansion guard, or a truncation tail too large for --tol), 4 unsupported
+rank.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -85,10 +88,19 @@ def default_order() -> int:
     return order
 
 
-def _monomial_from_dict(pres: RingPresentation, data: dict) -> tuple[int, ...]:
-    mono = [0] * len(pres.generators)
+def _json_int(value, what: str, minimum: int = 0) -> int:
+    """A JSON integer (not a bool) >= minimum, else an input error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ManifestError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _monomial_from_dict(index: dict[str, int], data: dict) -> tuple[int, ...]:
+    if not isinstance(data, dict):
+        raise ManifestError(f"a monomial must be an object, got {data!r}")
+    mono = [0] * len(index)
     for name, exponent in data.items():
-        mono[pres.generator_index(name)] = int(exponent)
+        mono[index[name]] = _json_int(exponent, f"exponent of {name}")
     return tuple(mono)
 
 
@@ -112,31 +124,27 @@ def _load_manifold(spec) -> Manifold:
     if not isinstance(spec, dict):
         raise ManifestError("manifold must be a builtin name or an object")
     try:
-        generators = tuple((str(n), int(d)) for n, d in spec["generators"])
+        generators = tuple(
+            (str(n), _json_int(d, f"degree of {n}")) for n, d in spec["generators"]
+        )
+        top = _json_int(spec["top_degree"], "top_degree")
+        index = {name: i for i, (name, _) in enumerate(generators)}
         pres = RingPresentation(
             generators=generators,
-            top_degree=int(spec["top_degree"]),
-            vanishing_monomials=(),
-            integration_table=(),
-        )
-        vanishing = tuple(
-            _monomial_from_dict(pres, item) for item in spec.get("vanishing_monomials", [])
-        )
-        table = tuple(
-            (_monomial_from_dict(pres, mono), qseries.parse_rational(value))
-            for mono, value in spec.get("integration_table", [])
-        )
-        pres = RingPresentation(
-            generators=generators,
-            top_degree=int(spec["top_degree"]),
-            vanishing_monomials=vanishing,
-            integration_table=table,
+            top_degree=top,
+            vanishing_monomials=tuple(
+                _monomial_from_dict(index, item) for item in spec.get("vanishing_monomials", [])
+            ),
+            integration_table=tuple(
+                (_monomial_from_dict(index, mono), qseries.parse_rational(value))
+                for mono, value in spec.get("integration_table", [])
+            ),
         )
         roots = tuple(parse_linear_class(pres, r) for r in spec.get("tangent_roots", []))
         return Manifold(
             name=str(spec.get("name", "custom")),
             presentation=pres,
-            dimension=int(spec["top_degree"]),
+            dimension=top,
             tangent_roots=roots,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -145,7 +153,7 @@ def _load_manifold(spec) -> Manifold:
 
 def _load_bundle(spec, manifold: Manifold) -> ProjBundle:
     try:
-        rank = int(spec["rank"])
+        rank = _json_int(spec["rank"], "rank", 1)
         roots = tuple(
             parse_linear_class(manifold.presentation, r) for r in spec["roots"]
         )
@@ -167,9 +175,7 @@ def load_manifest(path: str) -> Manifest:
     bundle = None
     if data.get("bundle") is not None:
         bundle = _load_bundle(data["bundle"], manifold)
-    order = data.get("order", default_order())
-    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-        raise ManifestError(f"order must be a non-negative integer, got {order!r}")
+    order = _json_int(data.get("order", default_order()), "order")
     return Manifest(manifold=manifold, bundle=bundle, order=order)
 
 
@@ -281,9 +287,13 @@ def _parse_tau_list(raw: str | None):
     if not raw:
         return modcheck.DEFAULT_TAU_SAMPLES
     try:
-        return tuple(complex(part) for part in raw.split(","))
+        taus = tuple(complex(part) for part in raw.split(","))
     except ValueError as exc:
         raise ManifestError(f"bad tau list {raw!r}: {exc}") from exc
+    for tau in taus:
+        if not (cmath.isfinite(tau) and tau.imag > 0):
+            raise ManifestError(f"tau = {tau} must be finite with Im(tau) > 0")
+    return taus
 
 
 def _suite_theta_laws(args, out) -> bool:
@@ -403,6 +413,8 @@ _SUITES = {
 
 
 def cmd_verify(args, out) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ManifestError(f"--tol must be finite and positive, got {args.tol}")
     ok = _SUITES[args.suite](args, out)
     print("all checks passed" if ok else "verification failed", file=out)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -509,7 +521,7 @@ def main(argv=None, out=None) -> int:
     except (ManifestError, UnknownManifold, PresentationMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except GuardExceeded as exc:
+    except (GuardExceeded, modcheck.TailTooLarge) as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except UnsupportedRank as exc:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ellgen import bundleops
 from ellgen.bundleops import (
     GradedKind,
     GuardExceeded,
@@ -21,6 +22,7 @@ from ellgen.bundleops import (
     log_lambda_sum,
     partitions_in_box,
     schur_character,
+    schur_polynomial,
     tensor_exterior_identity_check,
     witten_bundle_ch,
 )
@@ -277,6 +279,30 @@ def test_schur_hook_cases_brute_force(n):
     assert schur_character((n,), e, 0) == _brute_symmetric(roots, n, 0, pres)
 
 
+def test_kostka_number_of_21_at_111():
+    poly = schur_polynomial((2, 1), 3)
+    assert poly[(1, 1, 1)] == 2
+    assert poly[(2, 1, 0)] == 1
+    assert sum(poly.values()) == 8  # dim of the (2,1) representation of GL(3)
+
+
+@pytest.mark.parametrize("lam", [(2, 1), (2, 2), (3, 1)])
+def test_schur_two_row_shapes_match_jacobi_trudi(lam):
+    # s_(a,b) = h_a h_b - h_(a+1) h_(b-1) on a twisted rank-3 bundle, order 4
+    pres = RingPresentation(generators=(("a", 2), ("b", 2), ("c", 2)), top_degree=10)
+    a, b, c = (LinearClass.generator(pres, g) for g in "abc")
+    e = ProjBundle(
+        rank=3, roots=(a, b.scale(2), c - a), twist_b=a.scale(Fraction(1, 2)) - c
+    )
+    order = 4
+    h = [_brute_symmetric(e.shifted_roots(), k, order, pres) for k in range(lam[0] + 2)]
+    first, second = lam
+    expected = h[first] * h[second] - h[first + 1] * h[second - 1]
+    got = schur_character(lam, e, order)
+    assert got.order == order
+    assert got == expected
+
+
 def test_adams_power_sum(rank2_bundle):
     a, b = rank2_bundle.roots
     got = adams_power_sum([a, b], 2, 0, rank2_bundle.presentation)
@@ -293,6 +319,12 @@ def test_tensor_exterior_identity_small():
     assert tensor_exterior_identity_check(1, 1, 1)
     assert tensor_exterior_identity_check(2, 2, 2)
     assert tensor_exterior_identity_check(2, 2, 3)
+
+
+def test_tensor_exterior_identity_fails_without_conjugation(monkeypatch):
+    # negative control: pairing s_lam(U) with s_lam(V) breaks the identity
+    monkeypatch.setattr(bundleops, "conjugate_partition", lambda lam: tuple(lam))
+    assert not tensor_exterior_identity_check(2, 2, 2)
 
 
 def test_tensor_exterior_guards():

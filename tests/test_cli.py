@@ -277,3 +277,86 @@ def test_default_order_is_read_per_call(monkeypatch):
         assert code == 0
         assert f"pass jacobi product identity to order {order}" in text
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "theta-laws", "--tau", "0.5-1j"],
+        ["verify", "--suite", "s-transform", "--input", manifest("cp2_matched.json"),
+         "--tau", "0.5-1j"],
+        ["verify", "--suite", "theta-laws", "--tau", "0.3"],
+        ["verify", "--suite", "theta-laws", "--tol", "-1"],
+        ["verify", "--suite", "theta-laws", "--tol", "0"],
+        ["verify", "--suite", "theta-laws", "--tol", "nan"],
+        ["verify", "--suite", "theta-laws", "--tol", "inf"],
+    ],
+    ids=["tau-lower-half-plane", "tau-lower-half-plane-s", "tau-real", "tol-negative",
+         "tol-zero", "tol-nan", "tol-inf"],
+)
+def test_bad_verify_numeric_input_is_input_error(capsys, argv):
+    _bad_input(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--tau", "0.1j"], ["--order", "4"]],
+    ids=["tau-near-real-axis", "order-too-short"],
+)
+def test_truncation_tail_too_large_is_guard_violation(capsys, extra):
+    argv = ["verify", "--suite", "s-transform", "--input", manifest("cp2_matched.json")]
+    code, _ = run(argv + extra)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_GUARD
+    assert err.startswith("guard violation: truncation tail")
+    assert "Traceback" not in err
+
+
+def _custom_manifest(**changes):
+    manifold = {
+        "name": "custom",
+        "generators": [["a", 2], ["p", 4]],
+        "top_degree": 8,
+        "vanishing_monomials": [{"a": 3}],
+        "integration_table": [[{"a": 2, "p": 1}, "1/2"]],
+        "tangent_roots": [{"a": "1"}, {"a": "1"}],
+    }
+    bundle = {"rank": 1, "roots": [{"a": "1"}], "twist_b": {}}
+    for key, value in changes.items():
+        (bundle if key == "rank" else manifold)[key] = value
+    return {"manifold": manifold, "bundle": bundle, "order": 2}
+
+
+def test_custom_manifest_reference_is_accepted(tmp_path):
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(_custom_manifest()))
+    code, _ = run(["compute", "--input", str(path), "--genus", "pell2"])
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"vanishing_monomials": [{"a": -1}]},
+        {"vanishing_monomials": [{"a": 2.9}]},
+        {"vanishing_monomials": [{"a": True}]},
+        {"vanishing_monomials": [5]},
+        {"integration_table": [[{"a": 2, "p": 1.0}, "1/2"]]},
+        {"generators": [["a", 2.0], ["p", 4]]},
+        {"generators": [["a", True], ["p", 4]]},
+        {"top_degree": 8.0},
+        {"top_degree": True},
+        {"rank": 1.5},
+        {"rank": True},
+        {"rank": "1"},
+    ],
+    ids=[
+        "exponent-negative", "exponent-float", "exponent-bool", "monomial-not-object",
+        "table-exponent-float", "degree-float", "degree-bool", "top-degree-float",
+        "top-degree-bool", "rank-float", "rank-bool", "rank-string",
+    ],
+)
+def test_non_integer_custom_manifest_field_is_input_error(tmp_path, capsys, changes):
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(_custom_manifest(**changes)))
+    _bad_input(capsys, ["compute", "--input", str(path), "--genus", "pell2"])

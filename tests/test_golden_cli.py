@@ -4,8 +4,7 @@
 stdout byte for byte.  Commands marked `mask_floats` print rounding-level
 float residuals that depend on libm and the CPU; for them every decimal
 number is masked before the comparison, so the pass/fail lines and the
-rest of the text still match exactly.  `verify --suite schur` is left out
-for its run time; criterion 11 covers the same 27 cases.
+rest of the text still match exactly.
 """
 
 import io
