@@ -10,6 +10,10 @@ same file times any checkout it is copied into.  Cases:
   (every coefficient a random nonzero rational) and on sparse ones (random
   rationals at u^0, u^1, u^(N/2) and u^N only; a product takes one sparse
   and one dense operand, and a sparse series has a dense inverse);
+- one ``HalfQSeries`` product of dense operands with 256-bit numerators at
+  N = 80 (``qseries.mul.dense_big.N80``);
+- ``elliptic_factor`` of the kinds THETA and THETA2 at z-degree 4 and
+  N = 80, 320;
 - ``CohElement`` multiply on CP2 and CP4 (every surviving monomial, N = 20)
   and on the free ring (every monomial up to degree 12, N = 0);
 - ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24;
@@ -49,6 +53,7 @@ from ellgen.bundleops import (  # noqa: E402
 )
 from ellgen.cohring import CohElement, LinearClass, builtin_manifold  # noqa: E402
 from ellgen.qseries import HalfQSeries  # noqa: E402
+from ellgen.theta import ThetaKind, elliptic_factor  # noqa: E402
 
 ORDERS = (20, 80, 320)
 REPEATS = 5
@@ -73,12 +78,12 @@ def time_call(fn) -> float:
     return statistics.median(per_call)
 
 
-def rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+def rational(rng: random.Random, top: int = 9) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, 6))
 
 
-def dense_series(rng: random.Random, order: int) -> HalfQSeries:
-    return HalfQSeries(order, [rational(rng) for _ in range(order + 1)])
+def dense_series(rng: random.Random, order: int, top: int = 9) -> HalfQSeries:
+    return HalfQSeries(order, [rational(rng, top) for _ in range(order + 1)])
 
 
 def sparse_series(rng: random.Random, order: int) -> HalfQSeries:
@@ -122,6 +127,13 @@ def main() -> int:
         for case, points in series_cases.items()
         for n, t in points.items()
     }
+    big_a, big_b = dense_series(rng, 80, 2**256), dense_series(rng, 80, 2**256)
+    kernels["qseries.mul.dense_big.N80"] = round(time_call(lambda: big_a * big_b) * 1e6, 2)
+    for kind in (ThetaKind.THETA, ThetaKind.THETA2):
+        for n in (80, 320):
+            kernels[f"theta.elliptic_factor.{kind.name}.z4.N{n}"] = round(
+                time_call(lambda: elliptic_factor(kind, 4, n)) * 1e6, 2
+            )
     for name, order in (("CP2", 20), ("CP4", 20), ("free", 0)):
         manifold = builtin_manifold(name)
         x, y = full_element(rng, manifold, order), full_element(rng, manifold, order)

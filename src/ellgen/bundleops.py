@@ -28,7 +28,7 @@ from .cohring import (
     exp_nilpotent,
     root_square_sum,
 )
-from .qseries import HalfQSeries
+from .qseries import HalfQSeries, from_numerators
 from .theta import ThetaKind
 
 
@@ -271,7 +271,10 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
 def _lift_to_order(elem: CohElement, order: int) -> CohElement:
     out = CohElement(elem.presentation, order)
     for mono, s in elem.coeffs.items():
-        out.coeffs[mono] = HalfQSeries(order, s.coeffs[: min(s.order, order) + 1])
+        # an entry is the exact coefficient of one power of u, so padding it
+        # with zeros up to the order is right here (series are never padded)
+        padded = [*s.nums[: order + 1], *[0] * (order - s.order)]
+        out.coeffs[mono] = from_numerators(order, tuple(padded), s.den)
     return out
 
 

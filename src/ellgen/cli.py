@@ -354,17 +354,18 @@ def _suite_s_transform(args, out) -> bool:
     m = manifest.manifold
     tangent_sq = root_square_sum(m.tangent_roots, 0, m.presentation)
     bundle_sq = manifest.bundle.pontryagin_shift_class(0)
+    p1 = pell(m, manifest.bundle, GenusKind.PELL1, THETA_PRODUCT, order).series
+    p2 = pell(m, manifest.bundle, GenusKind.PELL2, THETA_PRODUCT, order).series
+    multiplier = 2**manifest.bundle.rank
+    # compute before printing: a TailTooLarge refusal must leave stdout empty
+    report = modcheck.cross_transform(
+        p1, p2, weight=m.weight, multiplier=multiplier,
+        tau_samples=taus, tol=args.tol,
+    )
     print(
         "curvature squares match (sum of shifted root squares vs tangent): "
         f"{'yes' if tangent_sq == bundle_sq else 'no'}",
         file=out,
-    )
-    p1 = pell(m, manifest.bundle, GenusKind.PELL1, THETA_PRODUCT, order).series
-    p2 = pell(m, manifest.bundle, GenusKind.PELL2, THETA_PRODUCT, order).series
-    multiplier = 2**manifest.bundle.rank
-    report = modcheck.cross_transform(
-        p1, p2, weight=m.weight, multiplier=multiplier,
-        tau_samples=taus, tol=args.tol,
     )
     ratios = ", ".join(f"{r:.6f}" for r in report.measured_ratios)
     print(f"measured multiplier (first genus vs second under S): {ratios}", file=out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter
 
-from .qseries import HalfQSeries, parse_rational
+from .qseries import HalfQSeries, from_numerators, parse_rational
 
 Monomial = tuple[int, ...]
 
@@ -320,8 +320,8 @@ class CohElement:
         """The coefficient of u^k, as an order-0 element."""
         out = CohElement(self.presentation, 0)
         for mono, s in self.coeffs.items():
-            if k <= s.order and s.coefficient(k) != 0:
-                out.coeffs[mono] = HalfQSeries.constant(s.coefficient(k), 0)
+            if k <= s.order and s.nums[k]:
+                out.coeffs[mono] = from_numerators(0, (s.nums[k],), s.den)
         return out
 
     def scalar_part(self) -> HalfQSeries:

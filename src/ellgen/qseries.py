@@ -9,21 +9,48 @@ Binary operations truncate to the minimum of the two orders.  We never pad
 a shorter series with assumed zeros: coefficients beyond a series' stated
 order are unknown, not zero.
 
-The product kernel is sparse: it lists the nonzero (index, coefficient)
-entries of both operands and stops each row once the index sum passes the
-order, so multiplying by a monomial or by a factor 1 + s*u^k costs O(N)
-rather than O(N^2).  `invert` skips zero coefficients the same way.
-Arithmetic results are built by `_series`, which trusts its caller to pass
-order + 1 Fractions; only the public constructor converts and validates.
+A series is stored as FLINT's fmpq_poly stores a polynomial: a tuple `nums`
+of order + 1 integer numerators over one positive integer denominator `den`,
+kept canonical (gcd(den, nums) = 1, and the zero series has den = 1), so
+equality and hashing compare the fields.  `coeffs` is the Fraction view
+nums[k] / den, built on first use and cached; no kernel reads it.
+
+- A sum works over the lcm of the two denominators; a scalar product
+  multiplies the numerators and the denominator.
+- A series product multiplies the denominators and the integer numerator
+  polynomials.  When both operands have more than _SPARSE_TERMS nonzero
+  coefficients, that is one big-int product by Kronecker substitution
+  (Harvey, J. Symbolic Comput. 44, 2009): each operand becomes one signed
+  integer with w-bit digits, w wide enough for every product coefficient,
+  and the product's digits are read back with a bias of 2^(w-1) each.
+  Otherwise it is a plain convolution over the nonzero entries of the
+  sparser operand, so a monomial or a factor 1 + s*u^k costs O(N).
+- `invert` solves the inverse's recurrence over integers scaled by powers of
+  the constant term, skipping zero coefficients.
+
+Results are built by `from_numerators`, which divides out the gcd; `_series`
+trusts a triple that is already canonical.  Only the public constructor
+converts and validates.
+
+Numerator tuples are made as tuple(list), never from an iterator: CPython
+(3.11) builds such a tuple at a guessed size and resizes it, so on release
+it joins the tuple free list of its final size without having been taken
+from it, and up to 2000 tuples per size then stay parked there.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
 _ZERO = Fraction(0)
+
+# a product takes the sparse convolution when one operand has at most this
+# many nonzero coefficients, and Kronecker substitution otherwise
+_SPARSE_TERMS = 4
 
 
 class ZeroConstantTerm(ZeroDivisionError):
@@ -57,9 +84,9 @@ def power_label(k: int) -> str:
 
 
 class HalfQSeries:
-    """A series sum_{k=0}^{N} c_k u^k with Fraction coefficients."""
+    """A series sum_{k=0}^{N} (nums[k] / den) u^k, stored canonically."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den", "_coeffs")
 
     def __init__(self, order: int, coeffs=()) -> None:
         if order < 0:
@@ -67,9 +94,14 @@ class HalfQSeries:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the truncation order tracks")
-        cs.extend([_ZERO] * (order + 1 - len(cs)))
+        # over the lcm of reduced denominators the gcd with the numerators is 1
+        den = lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        nums.extend([0] * (order + 1 - len(nums)))
         self.order = order
-        self.coeffs = tuple(cs)
+        self.nums = tuple(nums)
+        self.den = den
+        self._coeffs = None
 
     # -- constructors ------------------------------------------------------
 
@@ -79,25 +111,36 @@ class HalfQSeries:
 
     @classmethod
     def one(cls, order: int) -> "HalfQSeries":
-        return cls(order, (Fraction(1),))
+        return cls.u_power(0, order)
 
     @classmethod
     def constant(cls, value, order: int) -> "HalfQSeries":
-        return cls(order, (Fraction(value),))
+        return cls.u_power(0, order, value)
 
     @classmethod
     def u_power(cls, k: int, order: int, value=1) -> "HalfQSeries":
         """The monomial value * u^k (zero if k exceeds the order)."""
         if k < 0:
             raise ValueError("u-power exponent must be >= 0")
-        zero = cls(order)
-        if k > order:
-            return zero
-        cs = list(zero.coeffs)
-        cs[k] = Fraction(value)
-        return _series(order, tuple(cs))
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        value = Fraction(value)
+        nums = [0] * (order + 1)
+        if k > order or not value:
+            return _series(order, tuple(nums), 1)
+        nums[k] = value.numerator
+        return _series(order, tuple(nums), value.denominator)
 
     # -- basic queries -----------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions: built on first use, then cached."""
+        view = self._coeffs
+        if view is None:
+            den = self.den
+            view = self._coeffs = tuple([Fraction(c, den) if c else _ZERO for c in self.nums])
+        return view
 
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -105,37 +148,47 @@ class HalfQSeries:
         return self.coeffs[k]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_integral(self) -> bool:
         """True iff the series lies in Q[[q]] (odd u-coefficients vanish)."""
-        return not any(self.coeffs[1::2])
+        return not any(self.nums[1::2])
 
     def truncate(self, order: int) -> "HalfQSeries":
         if order >= self.order:
             return self
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        return _series(order, self.coeffs[: order + 1])
+        return from_numerators(order, self.nums[: order + 1], self.den)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, HalfQSeries):
-            # zip stops at the shorter tuple: the sum has the smaller order
-            pairs = zip(self.coeffs, other.coeffs)
-            return _series(
-                min(self.order, other.order),
-                tuple([(a + b if b else a) if a else b for a, b in pairs]),
+            # zip and map stop at the shorter tuple: the sum has the smaller order
+            n = min(self.order, other.order)
+            da, db = self.den, other.den
+            if da == db:
+                nums = list(map(operator.add, self.nums, other.nums))
+                return from_numerators(n, tuple(nums), da)
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            return from_numerators(
+                n, tuple([a * fa + b * fb for a, b in zip(self.nums, other.nums)]), den
             )
         if isinstance(other, (int, Fraction)):
-            return _series(self.order, (self.coeffs[0] + other,) + self.coeffs[1:])
+            p, q = other.numerator, other.denominator
+            den = lcm(self.den, q)
+            f = den // self.den
+            nums = [c * f for c in self.nums] if f != 1 else list(self.nums)
+            nums[0] += p * (den // q)
+            return from_numerators(self.order, tuple(nums), den)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _series(self.order, tuple([-c if c else c for c in self.coeffs]))
+        return _series(self.order, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other):
         if isinstance(other, (HalfQSeries, int, Fraction)):
@@ -148,18 +201,13 @@ class HalfQSeries:
     def __mul__(self, other):
         if isinstance(other, HalfQSeries):
             n = min(self.order, other.order)
-            right = _nonzero_terms(other.coeffs[: n + 1])
-            out = [None] * (n + 1)
-            for i, a in _nonzero_terms(self.coeffs[: n + 1]):
-                room = n - i
-                for j, b in right:
-                    if j > room:
-                        break
-                    acc = out[i + j]
-                    out[i + j] = a * b if acc is None else acc + a * b
-            return _series(n, tuple([_ZERO if c is None else c for c in out]))
+            nums = _int_product(self.nums[: n + 1], other.nums[: n + 1])
+            return from_numerators(n, nums, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return _series(self.order, tuple([c * other if c else c for c in self.coeffs]))
+            p = other.numerator
+            return from_numerators(
+                self.order, tuple([c * p for c in self.nums]), self.den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -179,38 +227,55 @@ class HalfQSeries:
         return result
 
     def invert(self) -> "HalfQSeries":
-        """Multiplicative inverse to the truncation order."""
-        c0 = self.coeffs[0]
-        if not c0:
+        """Multiplicative inverse to the truncation order.
+
+        With A = den * self and a0 = A_0, the inverse of A is
+        sum_k beta_k u^k / a0^(k+1) for the integers beta_0 = 1 and
+        beta_k = -sum_{i=1..k} A_i a0^(i-1) beta_(k-i).
+        """
+        nums = self.nums
+        a0 = nums[0]
+        if not a0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        inv0 = 1 / c0
-        neg_inv0 = -inv0
-        rest = _nonzero_terms(self.coeffs)[1:]
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = None
+        n = self.order
+        rest = []
+        scale = 1
+        for i in range(1, n + 1):
+            if nums[i]:
+                rest.append((i, nums[i] * scale))
+            scale *= a0
+        beta = [1]
+        for k in range(1, n + 1):
+            acc = 0
             for i, c in rest:
                 if i > k:
                     break
-                prev = out[k - i]
+                prev = beta[k - i]
                 if prev:
-                    acc = c * prev if acc is None else acc + c * prev
-            out.append(_ZERO if acc is None else neg_inv0 * acc)
-        return _series(self.order, tuple(out))
+                    acc += c * prev
+            beta.append(-acc)
+        # over the common denominator a0^(n+1), made positive
+        sign = -1 if a0 < 0 and not n & 1 else 1
+        lift = self.den * sign
+        out = [0] * (n + 1)
+        for k in range(n, -1, -1):
+            out[k] = beta[k] * lift
+            lift *= a0
+        return from_numerators(n, tuple(out), abs(a0) ** (n + 1))
 
     def tau_plus_one(self) -> "HalfQSeries":
         """Pullback under tau -> tau + 1, i.e. u -> -u (sign on odd powers)."""
         return _series(
-            self.order, tuple([-c if k & 1 and c else c for k, c in enumerate(self.coeffs)])
+            self.order, tuple([-c if k & 1 else c for k, c in enumerate(self.nums)]), self.den
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HalfQSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.den, self.nums))
 
     # -- numerics ----------------------------------------------------------
 
@@ -260,17 +325,78 @@ class HalfQSeries:
         return f"HalfQSeries(order={self.order}, {self})"
 
 
-def _series(order: int, coeffs: tuple) -> HalfQSeries:
-    """A HalfQSeries from exactly order + 1 Fractions, taken as they are."""
+def _series(order: int, nums: tuple, den: int) -> HalfQSeries:
+    """A HalfQSeries from a canonical triple, taken as it is."""
     out = object.__new__(HalfQSeries)
     out.order = order
-    out.coeffs = coeffs
+    out.nums = nums
+    out.den = den
+    out._coeffs = None
     return out
 
 
-def _nonzero_terms(coeffs) -> list:
-    """The (index, coefficient) pairs of the nonzero coefficients, by index."""
-    return [(i, c) for i, c in enumerate(coeffs) if c]
+def from_numerators(order: int, nums: tuple, den: int) -> HalfQSeries:
+    """The series nums[k] / den from order + 1 ints and den > 0, gcd divided out."""
+    if den != 1:
+        g = gcd(den, gcd(*nums))
+        if g != 1:
+            den //= g
+            nums = tuple([c // g for c in nums])
+    return _series(order, nums, den)
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per Kronecker digit holding any integer of absolute value <= bound."""
+    # 8 * bytes - 1 >= bound.bit_length(): |digit| < 2^(w-1) for w = 8 * bytes
+    return bound.bit_length() // 8 + 1
+
+
+def _int_product(a: tuple, b: tuple) -> tuple:
+    """The first len(a) coefficients of the product of two integer polynomials.
+
+    Both tuples have the same length.
+    """
+    size = len(a)
+    terms_a = size - a.count(0)
+    terms_b = size - b.count(0)
+    if not terms_a or not terms_b:
+        return tuple([0] * size)
+    if terms_a > _SPARSE_TERMS and terms_b > _SPARSE_TERMS:
+        bound = min(terms_a, terms_b) * max(map(abs, a)) * max(map(abs, b))
+        return _kronecker_product(a, b, _digit_bytes(bound))
+    if terms_a > terms_b:
+        a, b = b, a
+    out = [0] * size
+    for i, c in enumerate(a):
+        if c:
+            # map stops at the end of out[i:], so b needs no slicing
+            out[i:] = map(operator.add, out[i:], b if c == 1 else map(c.__mul__, b))
+    return tuple(out)
+
+
+def _kronecker_product(a: tuple, b: tuple, nbytes: int) -> tuple:
+    """_int_product by one big-int product, with digits of 8 * nbytes bits.
+
+    Every coefficient of the product must lie strictly between -2^(w-1) and
+    2^(w-1) for w = 8 * nbytes.  An operand sum_i a_i 2^(w i) is packed as
+    the bytes of the biased digits a_i + 2^(w-1) minus the bias
+    H = sum_i 2^(w-1) 2^(w i); the low len(a) digits of the product plus H
+    are the product coefficients plus 2^(w-1) each.
+    """
+    size = len(a)
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+
+    def pack(nums):
+        raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in nums])
+        return int.from_bytes(raw, "little") - bias
+
+    width = nbytes * size
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * width)) - 1)
+    raw = low.to_bytes(width, "little")
+    return tuple([
+        int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, width, nbytes)
+    ])
 
 
 # module-level aliases kept because perfbench/tracer.py wraps them by name

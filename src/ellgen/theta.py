@@ -159,18 +159,20 @@ def log_product_series(sign: int, half_shift: bool, z_degree: int, order: int) -
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     half_max = z_degree // 2
-    # scalar weight of u^p for each z^(2m): accumulate over levels and k
-    weights = [[Fraction(0)] * (order + 1) for _ in range(half_max + 1)]
+    # the z^(2m) coefficient of (-1)^(k+1) s^k / k * (e^(kz) + e^(-kz) - 2) is
+    # 2 (-1)^(k+1) s^k k^(2m-1) / (2m)!: integer numerators over (2m)!
+    weights = [[0] * (order + 1) for _ in range(half_max + 1)]
     start = 1 if half_shift else 2
     for level in range(start, order + 1, 2):
-        k = 1
-        while level * k <= order:
-            c = Fraction((-1) ** (k + 1) * sign**k, k)
+        for k in range(1, order // level + 1):
+            term = 2 * (-1) ** (k + 1) * sign**k * k
             for m in range(1, half_max + 1):
-                # z^(2m) coefficient of e^(kz) + e^(-kz) - 2
-                weights[m][level * k] += c * Fraction(2 * k ** (2 * m), math.factorial(2 * m))
-            k += 1
-    terms = {(2 * m,): HalfQSeries(order, weights[m]) for m in range(1, half_max + 1)}
+                weights[m][level * k] += term
+                term *= k * k
+    terms = {
+        (2 * m,): qseries.from_numerators(order, tuple(weights[m]), math.factorial(2 * m))
+        for m in range(1, half_max + 1)
+    }
     return FactorSeries(CohElement(z_ring(z_degree), order, terms))
 
 

@@ -360,3 +360,18 @@ def test_non_integer_custom_manifest_field_is_input_error(tmp_path, capsys, chan
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(_custom_manifest(**changes)))
     _bad_input(capsys, ["compute", "--input", str(path), "--genus", "pell2"])
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--tau", "0.1j"], ["--order", "4"]],
+    ids=["tau-near-real-axis", "order-too-short"],
+)
+def test_guard_violation_leaves_stdout_empty(capsys, extra):
+    # the s-transform report is printed only once the numeric check has run
+    argv = ["verify", "--suite", "s-transform", "--input", manifest("cp2_matched.json")]
+    code, text = run(argv + extra)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_GUARD
+    assert text == ""
+    assert captured.out == ""

@@ -1,0 +1,237 @@
+"""The integer-numerator representation of HalfQSeries and its kernels.
+
+A series is a tuple of integer numerators over one positive denominator,
+kept canonical.  These tests check the canonical form after every kernel,
+the Kronecker product at the edge of its digit range, both sides of the
+sparse/Kronecker switch, integer inversion, and the integer weights of
+`theta.log_product_series` against the Fraction loop they replaced.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ellgen import qseries
+from ellgen.qseries import HalfQSeries, ZeroConstantTerm
+from ellgen.theta import log_product_series
+
+SWITCH = qseries._SPARSE_TERMS
+
+
+def assert_canonical(s):
+    assert len(s.nums) == s.order + 1
+    assert all(type(c) is int for c in s.nums)
+    assert type(s.den) is int and s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+    if s.is_zero():
+        assert s.den == 1
+    assert s.coeffs == tuple(Fraction(c, s.den) for c in s.nums)
+
+
+def naive_product(a, b, n):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1)]
+
+
+def naive_inverse(a):
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        out.append(-sum((a[i] * out[k - i] for i in range(1, k + 1)), Fraction(0)) / a[0])
+    return out
+
+
+big_ints = st.integers(min_value=-(2**80), max_value=2**80)
+fractions = st.builds(Fraction, big_ints, st.integers(min_value=1, max_value=2**70))
+
+
+@st.composite
+def series(draw):
+    order = draw(st.integers(min_value=0, max_value=12))
+    terms = draw(st.integers(min_value=0, max_value=order + 1))
+    cs = [Fraction(0)] * (order + 1)
+    for k in draw(st.permutations(range(order + 1)))[:terms]:
+        cs[k] = draw(fractions)
+    return HalfQSeries(order, cs)
+
+
+# -- canonical form -----------------------------------------------------------
+
+
+def test_cancellation_to_zero_has_denominator_one():
+    a = HalfQSeries(4, [Fraction(1, 2), Fraction(-5, 3), 0, Fraction(7, 12)])
+    for zero in (a - a, a + (-a), a * 0, a * HalfQSeries.zero(4), (a - a).truncate(2)):
+        assert_canonical(zero)
+        assert zero.is_zero() and zero.den == 1
+        assert zero == HalfQSeries.zero(zero.order)
+
+
+def test_common_factor_is_divided_out():
+    half = HalfQSeries(3, [Fraction(1, 2), Fraction(1, 4)])
+    assert (half.nums, half.den) == ((2, 1, 0, 0), 4)
+    assert ((half + half).nums, (half + half).den) == ((2, 1, 0, 0), 2)
+    assert (half * 4).den == 1 and (half * 4).nums == (2, 1, 0, 0)
+    assert half.truncate(0).den == 2
+    assert (half + Fraction(1, 2)).den == 4 and (half + Fraction(1, 2)).nums == (4, 1, 0, 0)
+    assert HalfQSeries(2, [Fraction(3, 2)]).invert().den == 3
+
+
+@given(series(), series(), fractions, st.integers(min_value=-3, max_value=3))
+def test_every_kernel_returns_canonical_form(a, b, f, k):
+    for result in (a + b, a - b, b - a, -a, a * b, a * f, a + f, f - a, a.tau_plus_one()):
+        assert_canonical(result)
+    for m in range(a.order + 1):
+        assert_canonical(a.truncate(m))
+    if a.nums[0]:
+        assert_canonical(a.invert())
+        assert_canonical(a**k)
+
+
+@given(series(), series())
+def test_equality_and_hash_are_structural(a, b):
+    rebuilt = HalfQSeries(a.order, a.coeffs)
+    assert (rebuilt.nums, rebuilt.den) == (a.nums, a.den)
+    assert hash(rebuilt) == hash(a)
+    assert (a == b) == (a.order == b.order and a.coeffs == b.coeffs)
+
+
+def test_fraction_view_is_built_once():
+    a = HalfQSeries(3, [1, Fraction(1, 3)])
+    assert a * a is not None and a._coeffs is None  # arithmetic does not build it
+    assert a.coeffs is a.coeffs
+    assert a.coefficient(1) is a.coeffs[1]
+
+
+# -- Kronecker products -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("top", "terms", "ma", "mb"),
+    [
+        # 2^135 - 1 = 7 * ma * mb: digits of w = 136 bits, and the top
+        # coefficient +-(2^(w-1) - 1) sits at the edge of the digit range
+        (2**135 - 1, 7, (2**45 - 1) // 7, 2**90 + 2**45 + 1),
+        # 2^136 - 1 = 5 * ma * mb: a bit length that is a multiple of 8
+        # needs one more byte per digit
+        (2**136 - 1, 5, (2**68 - 1) // 5, 2**68 + 1),
+    ],
+    ids=["top-of-digit", "whole-bytes"],
+)
+def test_kronecker_digits_at_the_edge_of_the_digit_range(top, terms, ma, mb):
+    # equal coefficients: the top coefficient of the product is terms * ma * mb
+    assert terms * ma * mb == top and mb > 2**64 and terms > SWITCH
+    assert 8 * qseries._digit_bytes(top) - 1 >= top.bit_length()
+    n = terms - 1
+    for sign in (1, -1):
+        a = HalfQSeries(n, [ma] * terms)
+        b = HalfQSeries(n, [sign * mb] * terms)
+        got = a * b
+        assert got.coefficient(n) == sign * top
+        assert list(got.coeffs) == naive_product(a.coeffs, b.coeffs, n)
+    alternating = HalfQSeries(n, [(-1) ** i * ma for i in range(terms)])
+    got = alternating * HalfQSeries(n, [mb] * terms)
+    assert list(got.coeffs) == naive_product(alternating.coeffs, [Fraction(mb)] * terms, n)
+
+
+@given(
+    st.lists(big_ints.filter(bool), min_size=SWITCH + 1, max_size=24),
+    st.lists(big_ints.filter(bool), min_size=SWITCH + 1, max_size=24),
+    st.integers(min_value=1, max_value=2**70),
+    st.integers(min_value=1, max_value=2**70),
+)
+def test_dense_products_with_large_mixed_sign_coefficients(xs, ys, da, db):
+    n = min(len(xs), len(ys)) - 1
+    a = HalfQSeries(len(xs) - 1, [Fraction(x, da) for x in xs])
+    b = HalfQSeries(len(ys) - 1, [Fraction(y, db) for y in ys])
+    got = a * b
+    assert got == HalfQSeries(n, naive_product(a.coeffs, b.coeffs, n))
+    assert_canonical(got)
+
+
+# -- the sparse/Kronecker switch ----------------------------------------------
+
+
+def _with_terms(order, count, value):
+    cs = [Fraction(0)] * (order + 1)
+    for i in range(count):
+        cs[(i * 5) % (order + 1)] = Fraction(value * (i + 2), i + 1) * (-1) ** i
+    return HalfQSeries(order, cs)
+
+
+@pytest.mark.parametrize(
+    ("terms_a", "terms_b", "kronecker"),
+    [
+        (SWITCH, SWITCH, False),
+        (SWITCH, 17, False),
+        (17, SWITCH, False),
+        (SWITCH + 1, 17, True),
+        (17, SWITCH + 1, True),
+        (SWITCH + 1, SWITCH + 1, True),
+        (0, 17, False),
+    ],
+)
+def test_switch_between_sparse_and_kronecker_products(monkeypatch, terms_a, terms_b, kronecker):
+    calls = []
+    kernel = qseries._kronecker_product
+
+    def spy(a, b, nbytes):
+        calls.append(nbytes)
+        return kernel(a, b, nbytes)
+
+    monkeypatch.setattr(qseries, "_kronecker_product", spy)
+    order = 16
+    a = _with_terms(order, terms_a, 2**70 + 3)
+    b = _with_terms(order, terms_b, -(2**66) - 1)
+    assert a * b == HalfQSeries(order, naive_product(a.coeffs, b.coeffs, order))
+    assert bool(calls) is kronecker
+
+
+# -- integer inversion --------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1, 6, 7])
+@pytest.mark.parametrize("c0", [Fraction(3), Fraction(-2), Fraction(-5, 7), Fraction(4, 9)])
+def test_invert_with_a_constant_term_other_than_unit(order, c0):
+    cs = [c0, Fraction(-1, 2), 0, Fraction(5, 3), Fraction(2**70, 3), 0, -7, Fraction(1, 11)]
+    a = HalfQSeries(order, cs[: order + 1])
+    inv = a.invert()
+    assert_canonical(inv)
+    assert list(inv.coeffs) == naive_inverse(a.coeffs)
+    assert a * inv == HalfQSeries.one(order)
+
+
+def test_invert_of_zero_constant_term_still_raises():
+    with pytest.raises(ZeroConstantTerm):
+        HalfQSeries(3, [0, Fraction(1, 2)]).invert()
+
+
+# -- integer theta weights ----------------------------------------------------
+
+
+def fraction_log_product_weights(sign, half_shift, z_degree, order):
+    """The Fraction loop that `log_product_series` used before integer weights."""
+    half_max = z_degree // 2
+    weights = [[Fraction(0)] * (order + 1) for _ in range(half_max + 1)]
+    start = 1 if half_shift else 2
+    for level in range(start, order + 1, 2):
+        k = 1
+        while level * k <= order:
+            c = Fraction((-1) ** (k + 1) * sign**k, k)
+            for m in range(1, half_max + 1):
+                weights[m][level * k] += c * Fraction(2 * k ** (2 * m), math.factorial(2 * m))
+            k += 1
+    return weights
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("half_shift", [False, True])
+@pytest.mark.parametrize(("z_degree", "order"), [(0, 8), (4, 30), (6, 41)])
+def test_integer_log_weights_match_fraction_loop(sign, half_shift, z_degree, order):
+    got = log_product_series(sign, half_shift, z_degree, order).coeffs
+    weights = fraction_log_product_weights(sign, half_shift, z_degree, order)
+    assert len(got) == z_degree + 1
+    for power, series in enumerate(got):
+        expected = weights[power // 2] if power % 2 == 0 and power else [0] * (order + 1)
+        assert series == HalfQSeries(order, expected)
+        assert_canonical(series)
