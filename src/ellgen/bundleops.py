@@ -278,14 +278,19 @@ def _lift_to_order(elem: CohElement, order: int) -> CohElement:
     return out
 
 
-def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
-    """Graded twisted character: resum the decomposition table over (m, n)."""
-    table = graded_decompose(kind, e, order)
-    total = CohElement.zero(e.presentation, order)
+def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohElement:
+    """Resum a decomposition table over (m, n) into its graded character."""
+    order = table.order
+    total = CohElement.zero(presentation, order)
     for (m, n), entry in table.entries.items():
         upow = table.upower(n)
         total = total + _lift_to_order(entry, order) * HalfQSeries.u_power(upow, order)
     return total
+
+
+def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
+    """Graded twisted character: resum the decomposition table over (m, n)."""
+    return resum_graded(graded_decompose(kind, e, order), e.presentation)
 
 
 def gch_closed_form(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:

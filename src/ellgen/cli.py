@@ -7,7 +7,8 @@ identity).  Manifests are JSON documents with keys "manifold", "bundle",
 
 Exit codes: 0 ok, 1 verification failed, 2 input error, 3 guard violation
 (an expansion guard, or a truncation tail too large for --tol), 4 unsupported
-rank.
+rank; the entry point exits 141 (128 + SIGPIPE), with nothing on stderr, when
+the reader of standard output closes it early.
 """
 
 from __future__ import annotations
@@ -20,16 +21,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import modcheck, qseries, theta
 from .bundleops import (
     GradedKind,
     GuardExceeded,
     ProjBundle,
-    gch,
     gch_closed_form,
     graded_decompose,
+    resum_graded,
     tensor_exterior_identity_check,
 )
 from .cohring import (
@@ -60,6 +60,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_UNSUPPORTED = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process SIGPIPE ends
 
 BUILTIN_NAMES = ("CP2", "CP4", "free")
 
@@ -232,18 +233,48 @@ _GENUS_BY_NAME = {
 _METHOD_BY_NAME = {"theta": THETA_PRODUCT, "definition": DEFINITION}
 
 
-def _series_json(series: HalfQSeries) -> list[dict]:
-    return [
-        {"power": str(Fraction(k, 2)), "value": format_rational(c)}
-        for k, c in enumerate(series.coeffs)
-    ]
+def _coefficients_json(series: HalfQSeries) -> str:
+    """The list of {"power": "k/2", "value": "p/q"} objects, as
+    json.dumps(..., indent=2) writes it one level deep in an object, built
+    from the integer numerators: one gcd per coefficient, no Fraction."""
+    den = series.den
+    entries = []
+    for k, num in enumerate(series.nums):
+        g = math.gcd(num, den)
+        power = f"{k}/2" if k & 1 else str(k >> 1)
+        entries.append(
+            f'{{\n      "power": "{power}",\n      "value": "{num // g}/{den // g}"\n    }}'
+        )
+    return "[\n    " + ",\n    ".join(entries) + "\n  ]"
+
+
+def compute_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2), byte for byte, where a HalfQSeries value
+    stands for its coefficient list and is written by _coefficients_json.
+
+    Every other value goes through json.dumps; re-indenting its lines by two
+    spaces is what the encoder does one level deep.
+    """
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, HalfQSeries):
+            text = _coefficients_json(value)
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 def cmd_compute(args, out) -> int:
-    manifest = load_manifest(args.input)
-    order = args.order if args.order is not None else manifest.order
     kind = _GENUS_BY_NAME[args.genus]
     method = _METHOD_BY_NAME[args.method]
+    if method == DEFINITION and kind in (GenusKind.AHAT, GenusKind.WITTEN):
+        raise ManifestError(
+            f"--method definition is not available for --genus {args.genus}: "
+            "only the twisted genera have a definition engine"
+        )
+    manifest = load_manifest(args.input)
+    order = args.order if args.order is not None else manifest.order
     m = manifest.manifold
     payload = {
         "kind": kind.value, "method": method, "weight": m.weight, "group": GENUS_GROUP[kind],
@@ -265,10 +296,10 @@ def cmd_compute(args, out) -> int:
             f"{kind.value} of {report.manifold} with {report.bundle} "
             f"[method {method}, weight {report.weight}, group {report.group}]"
         )
-    payload.update(coefficients=_series_json(series), checks=[])
+    payload.update(coefficients=series, checks=[])
 
     if args.json:
-        print(json.dumps(payload, indent=2), file=out)
+        print(compute_json(payload), file=out)
     elif header is None:
         print(series.coefficient(0), file=out)
     else:
@@ -446,7 +477,7 @@ def cmd_decompose(args, out) -> int:
             entry = table.entries[(m, n)]
             rank = entry.scalar_part().coefficient(0)
             print(f"  m = {m:3d}  virtual rank {rank}  {entry}", file=out)
-    resummed = gch(kind, manifest.bundle, order)
+    resummed = resum_graded(table, manifest.bundle.presentation)
     closed = gch_closed_form(kind, manifest.bundle, order)
     agree = resummed == closed
     print(f"gch == closed form: {'yes' if agree else 'NO'}", file=out)
@@ -531,7 +562,18 @@ def main(argv=None, out=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        status = main()
+        # flush here, so that a closed pipe shows up inside this try block
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`ellgen ... | head`); as the Python `signal`
+        # docs advise, point stdout at devnull so that the flush at shutdown
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        status = EXIT_BROKEN_PIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ than assume it away.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -100,6 +101,16 @@ def _times_root_factors(out: CohElement, factor: FactorSeries, roots) -> CohElem
     return out
 
 
+# The manifold- and order-only factors of both engines are memoized by value
+# (Manifold is frozen and hashable), so a job pays only for its bundle.  32
+# entries hold a few manifolds at a few orders; the bound keeps a long-lived
+# process from pinning every integrand.  The theta-product and definition
+# caches hold no object in common, so the engines still cross-check
+# independently.  Cached values are shared: never mutate them.
+_MANIFOLD_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
 def _tangent_core(m: Manifold, order: int) -> CohElement:
     """Product of the normalized odd theta factors over the stable roots."""
     factor = elliptic_factor(ThetaKind.THETA, _z_degree(m), order)
@@ -126,6 +137,8 @@ def witten_genus(m: Manifold, order: int) -> HalfQSeries:
     return integrate(_tangent_core(m, order), m)
 
 
+# keyed like theta.elliptic_factor: 4 kinds x (z-degrees x orders)
+@functools.lru_cache(maxsize=64)
 def bundle_root_factor(kind: GenusKind, z_degree: int, order: int) -> FactorSeries:
     """Per-shifted-root bundle factor of each genus integrand.
 
@@ -133,6 +146,8 @@ def bundle_root_factor(kind: GenusKind, z_degree: int, order: int) -> FactorSeri
     PELL1 : (e^(w/2) + e^(-w/2)) prod (1+q^u e^w)(1+q^u e^-w)/(1+q^u)^2
     PELL2 : prod (1-q^(u-1/2) e^w)(1-q^(u-1/2) e^-w)/(1-q^(u-1/2))^2
     PELL3 : prod (1+q^(u-1/2) e^w)(1+q^(u-1/2) e^-w)/(1+q^(u-1/2))^2
+
+    The result is cached and shared: treat it as read-only.
     """
     if kind is GenusKind.PELL:
         return -(elliptic_factor(ThetaKind.THETA, z_degree, order).invert().z_shift(1))
@@ -167,9 +182,16 @@ def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
     return total
 
 
+@functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
+def _definition_tangent_part(m: Manifold, order: int) -> CohElement:
+    """A-hat class times the symmetric-power tangent character: the part of
+    the definition integrand that does not depend on the bundle."""
+    return a_hat_class(m, order) * exp_nilpotent(_tangent_symmetric_log(m, order))
+
+
 def _pell_definition(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
     graded_kind, sign, half_shift = _GENUS_GRADED[kind]
-    integrand = a_hat_class(m, order) * exp_nilpotent(_tangent_symmetric_log(m, order))
+    integrand = _definition_tangent_part(m, order)
     if kind in (GenusKind.PELL, GenusKind.PELL1):
         integrand = integrand * det_sqrt_ch(e, order)
     integrand = integrand * gch(graded_kind, e, order)

@@ -40,6 +40,7 @@ from it, and up to 2000 tuples per size then stay parked there.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from math import gcd, lcm
@@ -284,7 +285,7 @@ class HalfQSeries:
 
         Returns (value, tail_estimate) where the estimate is
         |u|^(N+1) * max|c_k| over the last five tracked terms / (1 - |u|).
-        It is a heuristic estimate, not certified; see ROADMAP item 5.
+        It is a heuristic estimate, not certified; see ROADMAP item 2.
         """
         r = abs(u)
         if r >= 1.0:
@@ -416,6 +417,11 @@ def eval_numeric(a: HalfQSeries, u: complex) -> tuple[complex, float]:
     return a.eval_numeric(u)
 
 
+# Memoized by value (sign, half shift, exponent, order): the definition engine
+# asks for the same prefactors in every job of one manifold and order.  128
+# entries hold 4 kinds x a few ranks and orders plus the tangent prefactors;
+# the bound keeps a long-lived process from pinning every order it saw.
+@functools.lru_cache(maxsize=128)
 def eta_like_product(sign: int, half_shift: bool, exponent: int, order: int) -> HalfQSeries:
     """prod_{j>=1} (1 + sign * q^(j - half_shift/2))^exponent, truncated.
 

@@ -176,6 +176,11 @@ def log_product_series(sign: int, half_shift: bool, z_degree: int, order: int) -
     return FactorSeries(CohElement(z_ring(z_degree), order, terms))
 
 
+# Memoized by value (kind, z-degree, order): every genus of one manifold and
+# order shares the factor.  64 entries hold 4 kinds over the z-degrees and
+# orders of a sweep; the bound keeps a long-lived process from pinning every
+# long-order factor it ever built.
+@functools.lru_cache(maxsize=64)
 def elliptic_factor(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
     """The normalized theta factor attached to one Chern root.
 
@@ -185,6 +190,7 @@ def elliptic_factor(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
     THETA3 : theta3(z) / theta3(0)
 
     all with e^(2*pi*i*v) = e^z; each is even in z with constant term 1.
+    The result is cached and shared: treat it as read-only.
     """
     if z_degree < 0 or z_degree % 2 != 0:
         raise ValueError("z_degree must be a non-negative even integer")
