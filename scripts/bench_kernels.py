@@ -17,7 +17,13 @@ file times the checkout it sits in.  Cases:
   factor is built every time rather than read from its cache;
 - ``CohElement`` multiply on CP2 and CP4 (every surviving monomial, N = 20)
   and on the free ring (every monomial up to degree 12, N = 0);
-- ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24;
+- ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24,
+  warm (``...N24``: the per-root tower comes from its cache) and cold
+  (``...N24.cold``: the tower cache is cleared before every call);
+- ``resum_graded`` of that table (``bundleops.resum_graded.W.rank3.N24``);
+- one warm ``pell(..., method="definition")`` of ``pell1`` for a twisted
+  rank-2 bundle on CP4 at N = 24, the definition engine's top order
+  (``genera.pell_definition.CP4.pell1.rank2.N24``);
 - ``schur_character`` of the shape (3, 2, 1) for a twisted rank-3 bundle on
   CP4 at N = 8;
 - ``tensor_exterior_identity_check(3, 3, 4)``, the largest case of
@@ -53,16 +59,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ellgen import cli  # noqa: E402
+from ellgen import bundleops, cli  # noqa: E402
 from ellgen.bundleops import (  # noqa: E402
     GradedKind,
     ProjBundle,
     graded_decompose,
+    resum_graded,
     schur_character,
     tensor_exterior_identity_check,
 )
 from ellgen.cohring import CohElement, LinearClass, builtin_manifold  # noqa: E402
-from ellgen.genera import GenusKind, pell  # noqa: E402
+from ellgen.genera import DEFINITION, GenusKind, pell  # noqa: E402
 from ellgen.qseries import HalfQSeries  # noqa: E402
 from ellgen.theta import ThetaKind, elliptic_factor  # noqa: E402
 
@@ -160,7 +167,26 @@ def main() -> int:
     kernels["bundleops.graded_decompose.W.rank3.N24"] = round(
         time_call(lambda: graded_decompose(GradedKind.W, bundle, 24)) * 1e6, 2
     )
-    x4 = LinearClass.generator(builtin_manifold("CP4").presentation, "x")
+
+    def cold_decompose():
+        bundleops._root_tower.cache_clear()
+        return graded_decompose(GradedKind.W, bundle, 24)
+
+    kernels["bundleops.graded_decompose.W.rank3.N24.cold"] = round(
+        time_call(cold_decompose) * 1e6, 2
+    )
+    table = graded_decompose(GradedKind.W, bundle, 24)
+    kernels["bundleops.resum_graded.W.rank3.N24"] = round(
+        time_call(lambda: resum_graded(table, cp2.presentation)) * 1e6, 2
+    )
+    cp4 = builtin_manifold("CP4")
+    x4 = LinearClass.generator(cp4.presentation, "x")
+    twisted4 = ProjBundle(
+        rank=2, roots=(x4, x4.scale(Fraction(-1, 2))), twist_b=x4.scale(Fraction(1, 3))
+    )
+    kernels["genera.pell_definition.CP4.pell1.rank2.N24"] = round(
+        time_call(lambda: pell(cp4, twisted4, GenusKind.PELL1, DEFINITION, 24)) * 1e6, 2
+    )
     bundle4 = ProjBundle(
         rank=3,
         roots=(x4, x4.scale(-1), x4.scale(Fraction(1, 2))),

@@ -9,13 +9,15 @@ of shifted roots inside a truncated cohomology ring.
 
 The determinant-weight decomposition tracks an auxiliary weight w (one
 power per E-factor, inverse per conjugate factor); the weight-m piece at a
-q-level receives the twist factor exp(m*b).  Resumming the table is the
-same as substituting w -> e^b, which is how the closed forms are recovered.
+q-level receives the twist factor exp(m*b).  The table is built root by
+root from one cached integer tower per (kind, order).  Resumming the table
+is the same as substituting w -> e^b, which recovers the closed forms.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .cohring import (
     exp_nilpotent,
     root_square_sum,
 )
-from .qseries import HalfQSeries, from_numerators
+from .qseries import HalfQSeries
 from .theta import ThetaKind
 
 
@@ -197,12 +199,42 @@ class GradedTable:
         return 2 * n if self.kind in (GradedKind.W, GradedKind.A) else n
 
     def step_count(self) -> int:
-        if self.kind in (GradedKind.W, GradedKind.A):
-            return self.order // 2 + 1
-        return self.order + 1
+        return self.order // self.upower(1) + 1
 
     def weights_at(self, n: int) -> list[int]:
         return sorted(m for (m, nn) in self.entries if nn == n)
+
+
+# Memoized by value: every root of every bundle shares the tower.  32 entries
+# hold 4 kinds at a few orders; the bound keeps a long-lived process from
+# pinning every order it saw.  No theta code builds or reads a tower.
+@functools.lru_cache(maxsize=32)
+def _root_tower(kind: GradedKind, order: int) -> tuple[tuple[int, HalfQSeries], ...]:
+    """The pairs (a, g_a) with sum_a g_a(u) X^a = prod_t (1 + s t X)(1 + s t / X),
+    times the front factor 1 + s X for W/A, over the kind's levels t = u^level
+    with its Witten sign s.  X stands for w e^y.  Cached and shared: read-only.
+    """
+    sign = _WITTEN_SIGN[_GRADED_THETA[kind]]
+    start = 2 if _WITTEN_LEVELS[_GRADED_THETA[kind]] == "integer" else 1
+    factors = [(shift, HalfQSeries.u_power(level, order, sign))
+               for level in range(start, order + 1, 2) for shift in (1, -1)]
+    if kind in (GradedKind.W, GradedKind.A):
+        factors.append((1, HalfQSeries.constant(sign, order)))
+    tower = {0: HalfQSeries.one(order)}
+    for shift, t in factors:
+        # tower *= 1 + t X^shift
+        grown = dict(tower)
+        for a, g in tower.items():
+            grown[a + shift] = grown.get(a + shift, 0) + g * t
+        tower = grown
+    return tuple(sorted((a, g) for a, g in tower.items() if not g.is_zero()))
+
+
+def _exp_multiple(exp_y: CohElement, a: int) -> CohElement:
+    """exp(a*y) from exp(y): the degree-2k part is scaled by a^k."""
+    degree = exp_y.presentation.monomial_degree
+    scaled = {mono: s * a ** (degree(mono) // 2) for mono, s in exp_y.coeffs.items()}
+    return CohElement(exp_y.presentation, exp_y.order, scaled)
 
 
 def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable:
@@ -211,81 +243,48 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
     Every E-root exponential carries w^(+1), every conjugate-root
     exponential w^(-1); the coefficient of w^m at q-step n is the character
     of the weight-m piece, which then receives the twist exp(m*b).
+
+    The factors commute, so the product is taken root by root: weight m + a
+    collects each weight-m entry times g_a e^(a y) from the tower of root y
+    (`_root_tower`).  Each weight is twisted once, at the full order, and
+    then sliced into its q-steps.
     """
     if e.rank > RANK_GUARD or order > ORDER_GUARD:
         raise GuardExceeded(
             f"bivariate expansion guard: rank <= {RANK_GUARD}, order <= {ORDER_GUARD}"
         )
-    pres = e.presentation
-    exp_plus = [exp_class(y, order) for y in e.roots]
-    exp_minus = [exp_class(-y, order) for y in e.roots]
-
-    table: dict[int, CohElement] = {0: CohElement.one(pres, order)}
-
-    def multiply(m_shift: int, factor: CohElement):
-        # table *= (1 + w^(m_shift) * factor)
-        updates: dict[int, CohElement] = {}
+    tower = _root_tower(kind, order)
+    table: dict[int, CohElement] = {0: CohElement.one(e.presentation, order)}
+    for y in e.roots:
+        exp_y = exp_class(y, order)
+        factor = [(a, g, _exp_multiple(exp_y, a)) for a, g in tower]
+        grown: dict[int, CohElement] = {}
         for m, elem in table.items():
-            term = elem * factor
-            if term.is_zero():
-                continue
-            tgt = m + m_shift
-            acc = updates.get(tgt)
-            updates[tgt] = term if acc is None else acc + term
-        for tgt, term in updates.items():
-            acc = table.get(tgt)
-            table[tgt] = term if acc is None else acc + term
-
-    sign = _WITTEN_SIGN[_GRADED_THETA[kind]]
-    if kind is GradedKind.W:
-        for j in range(e.rank):
-            multiply(1, -exp_plus[j])
-    elif kind is GradedKind.A:
-        for j in range(e.rank):
-            multiply(1, exp_plus[j])
-
-    start = 2 if _WITTEN_LEVELS[_GRADED_THETA[kind]] == "integer" else 1
-    for level in range(start, order + 1, 2):
-        t = HalfQSeries.u_power(level, order, sign)
-        for j in range(e.rank):
-            multiply(1, exp_plus[j] * t)
-            multiply(-1, exp_minus[j] * t)
+            for a, g, f in factor:
+                term = elem * g * f
+                grown[m + a] = grown[m + a] + term if m + a in grown else term
+        table = grown
 
     out = GradedTable(kind=kind, rank=e.rank, order=order, entries={})
-    upow_step = 2 if kind in (GradedKind.W, GradedKind.A) else 1
-    twists: dict[int, CohElement] = {}
+    exp_b = exp_class(e.twist_b, order)
     for m, elem in table.items():
-        if elem.is_zero():
-            continue
-        if m not in twists:
-            twists[m] = exp_class(e.twist_b.scale(m), 0)
-        for upow in range(0, order + 1, upow_step):
-            piece = elem.u_slice(upow)
-            if piece.is_zero():
-                continue
-            n = upow // upow_step
-            out.entries[(m, n)] = twists[m] * piece
-    return out
-
-
-def _lift_to_order(elem: CohElement, order: int) -> CohElement:
-    out = CohElement(elem.presentation, order)
-    for mono, s in elem.coeffs.items():
-        # an entry is the exact coefficient of one power of u, so padding it
-        # with zeros up to the order is right here (series are never padded)
-        padded = [*s.nums[: order + 1], *[0] * (order - s.order)]
-        out.coeffs[mono] = from_numerators(order, tuple(padded), s.den)
+        twisted = elem * _exp_multiple(exp_b, m)
+        for n in range(out.step_count()):
+            piece = twisted.u_slice(out.upower(n))
+            if not piece.is_zero():
+                out.entries[(m, n)] = piece
     return out
 
 
 def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohElement:
-    """Resum a decomposition table over (m, n) into its graded character."""
+    """Resum a decomposition table over (m, n) into its graded character:
+    each entry's order-0 coefficients are placed at its power of u."""
     order = table.order
-    total = CohElement.zero(presentation, order)
+    columns: dict[tuple[int, ...], list] = {}
     for (m, n), entry in table.entries.items():
-        upow = table.upower(n)
-        total = total + _lift_to_order(entry, order) * HalfQSeries.u_power(upow, order)
-    return total
+        for mono, s in entry.coeffs.items():
+            columns.setdefault(mono, [0] * (order + 1))[table.upower(n)] += s.coeffs[0]
+    return CohElement(presentation, order, {m: HalfQSeries(order, c) for m, c in columns.items()})
 
 
 def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:

@@ -168,18 +168,17 @@ def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int)
 
 def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
     """log character of the symmetric-power tower of the complexified
-    tangent bundle (honest rank 4r; stable padding is subtracted)."""
+    tangent bundle (honest rank 4r).
+
+    Stable roots beyond 2r and missing ones are zero roots: the tower of
+    each extra root is taken out and that of each missing one put in, so a
+    short list is padded as the theta engine pads it."""
     pres = m.presentation
     plus_minus = list(m.tangent_roots) + [-r for r in m.tangent_roots]
-    log_exterior = log_lambda_sum(plus_minus, -1, "integer", order, pres)
-    total = -log_exterior
     pad = len(m.tangent_roots) - m.dimension // 2
-    if pad < 0:
-        raise ValueError("stable root list shorter than the dimension allows")
-    if pad > 0:
-        zeros = [LinearClass.zero(pres)] * (2 * pad)
-        total = total + log_lambda_sum(zeros, -1, "integer", order, pres)
-    return total
+    zeros = [LinearClass.zero(pres)] * (2 * abs(pad))
+    padding = log_lambda_sum(zeros, -1, "integer", order, pres) * (1 if pad > 0 else -1)
+    return padding - log_lambda_sum(plus_minus, -1, "integer", order, pres)
 
 
 @functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)

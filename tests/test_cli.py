@@ -375,3 +375,72 @@ def test_guard_violation_leaves_stdout_empty(capsys, extra):
     assert code == cli.EXIT_GUARD
     assert text == ""
     assert captured.out == ""
+
+
+def _short_root_manifests(tmp_path):
+    # builtin `free` lists no tangent roots; the custom manifold lists two in
+    # dimension 8
+    free = {
+        "manifold": "free",
+        "bundle": {"rank": 2, "roots": [{"s1E": "1"}, {"s1E": "-1/2"}], "twist_b": {"s1E": "1/3"}},
+        "order": 6,
+    }
+    custom = {
+        "manifold": {
+            "name": "custom",
+            "generators": [["a", 2], ["b", 2]],
+            "top_degree": 8,
+            "integration_table": [[{"a": 2, "b": 2}, "1"]],
+            "tangent_roots": [{"a": "1"}, {"b": "1"}],
+        },
+        "bundle": {"rank": 1, "roots": [{"a": "1", "b": "1"}], "twist_b": {"a": "1/2"}},
+        "order": 6,
+    }
+    paths = []
+    for name, data in (("free", free), ("custom", custom)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    return paths
+
+
+def test_consistency_on_short_tangent_root_lists(tmp_path, capsys):
+    for path in _short_root_manifests(tmp_path):
+        code, text = run(["verify", "--suite", "consistency", "--input", path])
+        assert code == cli.EXIT_OK
+        assert sum(1 for l in text.splitlines() if l.startswith("pass ")) == 4
+        assert text.splitlines()[-1] == "all checks passed"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("genus", ["pell", "pell1", "pell2", "pell3"])
+def test_definition_method_on_short_tangent_root_lists(tmp_path, capsys, genus):
+    nonzero = []
+    for path in _short_root_manifests(tmp_path):
+        argv = ["compute", "--input", path, "--genus", genus]
+        code_t, text_t = run(argv + ["--method", "theta"])
+        code_d, text_d = run(argv + ["--method", "definition"])
+        assert code_t == code_d == cli.EXIT_OK
+        rows = lambda t: [l for l in t.splitlines() if l.startswith("q^")]
+        assert len(rows(text_d)) == 7
+        assert rows(text_t) == rows(text_d)
+        nonzero.append(any(not l.endswith(": 0") for l in rows(text_d)))
+    assert nonzero == [False, genus != "pell"]
+    assert capsys.readouterr().err == ""
+
+
+def test_consistency_on_free_exits_cleanly(tmp_path):
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    free = _short_root_manifests(tmp_path)[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellgen.cli", "verify", "--suite", "consistency", "--input", free],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stdout.splitlines()[-1] == "all checks passed"

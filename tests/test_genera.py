@@ -379,3 +379,53 @@ def test_cancellation_residual_matches_oracle_shape():
     s2T, s2E = sympy.symbols("s2T s2E")
     # the residual must vanish exactly on the hypothesis surface
     assert sympy.simplify(oracle.subs(s2T, s2E)) == 0
+
+
+def test_engines_agree_at_the_guard_order_on_cp4(cp4):
+    # the definition engine's top order (bundleops.ORDER_GUARD) on a twisted bundle
+    from ellgen.bundleops import ORDER_GUARD
+
+    x = LinearClass.generator(cp4.presentation, "x")
+    e = ProjBundle(rank=2, roots=(x, x.scale(Fraction(-1, 2))), twist_b=x.scale(Fraction(1, 3)))
+    for kind in TWISTED_KINDS:
+        by_theta = series_of(cp4, e, kind, THETA_PRODUCT, ORDER_GUARD)
+        assert by_theta.order == 24
+        assert by_theta == series_of(cp4, e, kind, DEFINITION, ORDER_GUARD)
+
+
+def _short_root_manifolds(cp4):
+    # fewer stable roots than dimension / 2: the missing roots are zero roots
+    from ellgen.cohring import RingPresentation
+
+    x = LinearClass.generator(cp4.presentation, "x")
+    short_cp4 = Manifold("CP4-3", cp4.presentation, 8, (x, x, x))
+    pres = RingPresentation(
+        generators=(("a", 2), ("b", 2)),
+        top_degree=8,
+        integration_table=(((2, 2), Fraction(1)),),
+    )
+    a, b = (LinearClass.generator(pres, name) for name in "ab")
+    custom = Manifold("custom", pres, 8, (a, b))
+    return [
+        (short_cp4, ProjBundle(
+            rank=2, roots=(x, x.scale(Fraction(-1, 2))), twist_b=x.scale(Fraction(1, 3))
+        )),
+        (custom, ProjBundle(rank=1, roots=(a + b,), twist_b=a.scale(Fraction(1, 2)))),
+    ]
+
+
+def test_definition_pads_a_short_root_list(cp4):
+    for m, e in _short_root_manifolds(cp4):
+        by_theta = [series_of(m, e, kind, THETA_PRODUCT, 10) for kind in TWISTED_KINDS]
+        assert not all(s.is_zero() for s in by_theta)
+        assert by_theta == [series_of(m, e, kind, DEFINITION, 10) for kind in TWISTED_KINDS]
+
+
+def test_short_root_list_is_padded_with_zero_roots(cp4):
+    # listing the missing zero roots explicitly changes neither engine
+    for m, e in _short_root_manifolds(cp4):
+        zero = LinearClass.zero(m.presentation)
+        padded = Manifold(m.name, m.presentation, m.dimension, m.tangent_roots + (zero,) * 3)
+        for kind in TWISTED_KINDS:
+            for method in (THETA_PRODUCT, DEFINITION):
+                assert series_of(m, e, kind, method, 6) == series_of(padded, e, kind, method, 6)
