@@ -24,6 +24,13 @@ file times the checkout it sits in.  Cases:
 - one warm ``pell(..., method="definition")`` of ``pell1`` for a twisted
   rank-2 bundle on CP4 at N = 24, the definition engine's top order
   (``genera.pell_definition.CP4.pell1.rank2.N24``);
+- ``log_lambda_sum`` of the 6 roots of a twisted rank-3 bundle on CP4 and
+  its conjugate, at half levels and N = 24
+  (``bundleops.log_lambda_sum.CP4.rank3.half.N24``), the bundle side of
+  ``gch_closed_form`` of kind B;
+- the bundle-free part of the definition integrand on CP4 at N = 24, built
+  cold through ``_definition_tangent_part.__wrapped__``
+  (``genera.definition_tangent_part.CP4.N24.cold``);
 - ``schur_character`` of the shape (3, 2, 1) for a twisted rank-3 bundle on
   CP4 at N = 8;
 - ``tensor_exterior_identity_check(3, 3, 4)``, the largest case of
@@ -59,11 +66,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ellgen import bundleops, cli  # noqa: E402
+from ellgen import bundleops, cli, genera  # noqa: E402
 from ellgen.bundleops import (  # noqa: E402
     GradedKind,
     ProjBundle,
     graded_decompose,
+    log_lambda_sum,
     resum_graded,
     schur_character,
     tensor_exterior_identity_check,
@@ -191,6 +199,14 @@ def main() -> int:
         rank=3,
         roots=(x4, x4.scale(-1), x4.scale(Fraction(1, 2))),
         twist_b=x4.scale(Fraction(1, 3)),
+    )
+    shifted = bundle4.shifted_roots()
+    six = shifted + tuple(-w for w in shifted)
+    kernels["bundleops.log_lambda_sum.CP4.rank3.half.N24"] = round(
+        time_call(lambda: log_lambda_sum(six, -1, "half", 24, cp4.presentation)) * 1e6, 2
+    )
+    kernels["genera.definition_tangent_part.CP4.N24.cold"] = round(
+        time_call(lambda: genera._definition_tangent_part.__wrapped__(cp4, 24)) * 1e6, 2
     )
     kernels["bundleops.schur_character.321.CP4.rank3.N8"] = round(
         time_call(lambda: schur_character((3, 2, 1), bundle4, 8)) * 1e6, 2

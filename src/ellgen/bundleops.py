@@ -5,7 +5,9 @@ rational degree-2 twist shift b; the conjugate bundle has negated shifted
 roots.  All K-theory style operations (total exterior/symmetric powers at
 q-levels, the infinite Witten tensor products, determinant-weight graded
 decompositions, Schur functors) happen on characters: sums of exponentials
-of shifted roots inside a truncated cohomology ring.
+of shifted roots inside a truncated cohomology ring.  Each class is
+exponentiated once; the Adams operation psi^a (degree 2k scaled by a^k)
+reads exp(a*y) off exp(y).
 
 The determinant-weight decomposition tracks an auxiliary weight w (one
 power per E-factor, inverse per conjugate factor); the weight-m piece at a
@@ -21,6 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cohring import (
     CohElement,
@@ -30,7 +33,7 @@ from .cohring import (
     exp_nilpotent,
     root_square_sum,
 )
-from .qseries import HalfQSeries
+from .qseries import HalfQSeries, from_numerators
 from .theta import ThetaKind
 
 
@@ -80,29 +83,34 @@ def exp_class(lc: LinearClass, order: int) -> CohElement:
     return exp_nilpotent(lc.as_element(order))
 
 
+def _exp_multiple(char: CohElement, a: int) -> CohElement:
+    """The Adams operation psi^a: the degree-2k part is scaled by a^k.
+
+    It is a ring endomorphism, and psi^a exp(y) = exp(a*y) for a degree-2
+    class y, so it acts on any character: exp(a*y) is read off exp(y).
+    """
+    degree = char.presentation.monomial_degree
+    scaled = {mono: s * a ** (degree(mono) // 2) for mono, s in char.coeffs.items()}
+    return CohElement(char.presentation, char.order, scaled)
+
+
 def ch(e: ProjBundle, order: int, weight: int = 1) -> CohElement:
     """Twisted character of E at determinant weight m: exp(m*b) sum exp(y_j).
 
     For the natural weight m = 1 this is sum_j exp(y_j + b).
     """
-    twist = exp_class(e.twist_b.scale(weight), order)
+    twist = _exp_multiple(exp_class(e.twist_b, order), weight)
     return twist * adams_power_sum(e.roots, 1, order, e.presentation)
 
 
 def adams_power_sum(roots, k: int, order: int, presentation: RingPresentation) -> CohElement:
-    """sum_j exp(k * root_j): character of the k-th Adams operation."""
-    total = CohElement.zero(presentation, order)
-    for root in roots:
-        total = total + exp_class(root.scale(k), order)
-    return total
+    """sum_j exp(k * root_j) = psi^k(sum_j exp(root_j)): one exp per root."""
+    total = sum((exp_class(root, order) for root in roots), CohElement.zero(presentation, order))
+    return _exp_multiple(total, k)
 
 
 def log_lambda_sum(
-    roots,
-    sign: int,
-    levels: str,
-    order: int,
-    presentation: RingPresentation,
+    roots, sign: int, levels: str, order: int, presentation: RingPresentation
 ) -> CohElement:
     """log character of the product of total exterior powers over q-levels.
 
@@ -111,39 +119,32 @@ def log_lambda_sum(
     sum_{t} sum_{k>=1} (-1)^(k+1) sign^k (t^k / k) sum_j exp(k * root_j);
     exponentiating yields the character of the Witten-type product
     including its scalar infinite-product part.
+
+    psi^k scales the degree-2i part of sum_j exp(root_j) by k^i, so that
+    part is multiplied by one series, sum_{t,k} (-1)^(k+1) sign^k k^(i-1) t^k.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if levels not in ("integer", "half"):
         raise ValueError("levels must be 'integer' or 'half'")
+    exps = adams_power_sum(roots, 1, order, presentation)
+    den = lcm(*range(1, order + 1))
     total = CohElement.zero(presentation, order)
-    start = 2 if levels == "integer" else 1
-    kmax = order // start if start <= order else 0
-    for k in range(1, kmax + 1):
-        exps = adams_power_sum(roots, k, order, presentation)
-        if exps.is_zero():
-            continue
-        scalar = HalfQSeries.zero(order)
-        for level in range(start, order + 1, 2):
-            if level * k <= order:
-                scalar = scalar + HalfQSeries.u_power(
-                    level * k, order, Fraction((-1) ** (k + 1) * sign**k, k)
-                )
-        total = total + exps * scalar
+    for i in range(presentation.top_degree // 2 + 1):
+        nums = [0] * (order + 1)
+        for level in range(2 if levels == "integer" else 1, order + 1, 2):
+            for k in range(1, order // level + 1):
+                nums[level * k] -= (-sign) ** k * k**i * (den // k)
+        total = total + exps.degree_component(2 * i) * from_numerators(order, tuple(nums), den)
     return total
 
 
-_WITTEN_SIGN = {
-    ThetaKind.THETA: -1,
-    ThetaKind.THETA1: 1,
-    ThetaKind.THETA2: -1,
-    ThetaKind.THETA3: 1,
-}
-_WITTEN_LEVELS = {
-    ThetaKind.THETA: "integer",
-    ThetaKind.THETA1: "integer",
-    ThetaKind.THETA2: "half",
-    ThetaKind.THETA3: "half",
+# (sign, levels) of the exterior-power product that each theta kind stands for
+_WITTEN = {
+    ThetaKind.THETA: (-1, "integer"),
+    ThetaKind.THETA1: (1, "integer"),
+    ThetaKind.THETA2: (-1, "half"),
+    ThetaKind.THETA3: (1, "half"),
 }
 
 
@@ -155,10 +156,7 @@ def witten_bundle_ch(kind: ThetaKind, e: ProjBundle, order: int) -> CohElement:
     """
     shifted = e.shifted_roots()
     conj = tuple(-w for w in shifted)
-    log_char = log_lambda_sum(
-        shifted + conj, _WITTEN_SIGN[kind], _WITTEN_LEVELS[kind], order, e.presentation
-    )
-    return exp_nilpotent(log_char)
+    return exp_nilpotent(log_lambda_sum(shifted + conj, *_WITTEN[kind], order, e.presentation))
 
 
 class GradedKind(enum.Enum):
@@ -214,8 +212,8 @@ def _root_tower(kind: GradedKind, order: int) -> tuple[tuple[int, HalfQSeries], 
     times the front factor 1 + s X for W/A, over the kind's levels t = u^level
     with its Witten sign s.  X stands for w e^y.  Cached and shared: read-only.
     """
-    sign = _WITTEN_SIGN[_GRADED_THETA[kind]]
-    start = 2 if _WITTEN_LEVELS[_GRADED_THETA[kind]] == "integer" else 1
+    sign, levels = _WITTEN[_GRADED_THETA[kind]]
+    start = 2 if levels == "integer" else 1
     factors = [(shift, HalfQSeries.u_power(level, order, sign))
                for level in range(start, order + 1, 2) for shift in (1, -1)]
     if kind in (GradedKind.W, GradedKind.A):
@@ -228,13 +226,6 @@ def _root_tower(kind: GradedKind, order: int) -> tuple[tuple[int, HalfQSeries], 
             grown[a + shift] = grown.get(a + shift, 0) + g * t
         tower = grown
     return tuple(sorted((a, g) for a, g in tower.items() if not g.is_zero()))
-
-
-def _exp_multiple(exp_y: CohElement, a: int) -> CohElement:
-    """exp(a*y) from exp(y): the degree-2k part is scaled by a^k."""
-    degree = exp_y.presentation.monomial_degree
-    scaled = {mono: s * a ** (degree(mono) // 2) for mono, s in exp_y.coeffs.items()}
-    return CohElement(exp_y.presentation, exp_y.order, scaled)
 
 
 def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable:
@@ -278,13 +269,20 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
 
 def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohElement:
     """Resum a decomposition table over (m, n) into its graded character:
-    each entry's order-0 coefficients are placed at its power of u."""
-    order = table.order
+    each entry's order-0 numerator is placed at its power of u, and each
+    column is summed over the lcm of its denominators."""
     columns: dict[tuple[int, ...], list] = {}
     for (m, n), entry in table.entries.items():
         for mono, s in entry.coeffs.items():
-            columns.setdefault(mono, [0] * (order + 1))[table.upower(n)] += s.coeffs[0]
-    return CohElement(presentation, order, {m: HalfQSeries(order, c) for m, c in columns.items()})
+            columns.setdefault(mono, []).append((table.upower(n), s.nums[0], s.den))
+    out = {}
+    for mono, terms in columns.items():
+        den = lcm(*[d for _, _, d in terms])
+        nums = [0] * (table.order + 1)
+        for k, num, d in terms:
+            nums[k] += num * (den // d)
+        out[mono] = from_numerators(table.order, tuple(nums), den)
+    return CohElement(presentation, table.order, out)
 
 
 def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
@@ -297,12 +295,10 @@ def gch_closed_form(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
     theta_char = witten_bundle_ch(_GRADED_THETA[kind], e, order)
     if kind in (GradedKind.B, GradedKind.C):
         return theta_char
-    front = CohElement.one(e.presentation, order)
-    one = CohElement.one(e.presentation, order)
+    sign = -1 if kind is GradedKind.W else 1
     for w in e.shifted_roots():
-        ew = exp_class(w, order)
-        front = front * (one - ew if kind is GradedKind.W else one + ew)
-    return front * theta_char
+        theta_char = theta_char * (exp_class(w, order) * sign + 1)
+    return theta_char
 
 
 def det_sqrt_ch(e: ProjBundle, order: int) -> CohElement:
@@ -341,11 +337,16 @@ def schur_polynomial(lam, nvars: int) -> dict[tuple[int, ...], int]:
 
 
 def _schur_from_roots(roots, lam, order: int, pres: RingPresentation) -> CohElement:
-    """s_lam at X_i = exp(root_i): sum over exponent vectors a of K_a exp(a . roots)."""
+    """s_lam at X_i = exp(root_i): sum over exponent vectors a of
+    K_a prod_i psi^(a_i) exp(root_i), with one exp per root."""
+    exps = [exp_class(r, order) for r in roots]
     total = CohElement.zero(pres, order)
-    for exps, kostka in schur_polynomial(lam, len(roots)).items():
-        weight = sum((r.scale(a) for r, a in zip(roots, exps) if a), LinearClass.zero(pres))
-        total = total + exp_class(weight, order) * kostka
+    for a, kostka in schur_polynomial(lam, len(roots)).items():
+        term = CohElement.scalar(pres, order, kostka)
+        for exp_r, a_i in zip(exps, a):
+            if a_i:
+                term = term * _exp_multiple(exp_r, a_i)
+        total = total + term
     return total
 
 
@@ -394,21 +395,20 @@ def tensor_exterior_identity_check(rank_u: int, rank_v: int, n: int) -> bool:
         raise GuardExceeded("tensor identity check supports ranks <= 4")
     if n > rank_u * rank_v:
         raise GuardExceeded("n exceeds the rank of the tensor product")
-    gens = tuple((f"u{i}", 2) for i in range(1, rank_u + 1)) + tuple(
-        (f"v{j}", 2) for j in range(1, rank_v + 1)
-    )
+    gens = tuple((f"u{i}", 2) for i in range(1, rank_u + 1))
+    gens += tuple((f"v{j}", 2) for j in range(1, rank_v + 1))
     pres = RingPresentation(generators=gens, top_degree=2 * n + 4)
     order = 0
     u_roots = [LinearClass.generator(pres, f"u{i}") for i in range(1, rank_u + 1)]
     v_roots = [LinearClass.generator(pres, f"v{j}") for j in range(1, rank_v + 1)]
 
     # elementary symmetric e_n of the rank_u * rank_v exponentials e^(u_i+v_j)
-    elementary = [CohElement.one(pres, order)] + [
-        CohElement.zero(pres, order) for _ in range(n)
-    ]
+    elementary = [CohElement.one(pres, order)] + [CohElement.zero(pres, order)] * n
+    exp_v = [exp_class(vr, order) for vr in v_roots]
     for ur in u_roots:
-        for vr in v_roots:
-            ew = exp_class(ur + vr, order)
+        exp_u = exp_class(ur, order)
+        for ev in exp_v:
+            ew = exp_u * ev
             for k in range(n, 0, -1):
                 elementary[k] = elementary[k] + elementary[k - 1] * ew
     lhs = elementary[n]

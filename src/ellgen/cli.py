@@ -221,15 +221,6 @@ def save_manifest(man: Manifest, path: str):
 # compute
 # ---------------------------------------------------------------------------
 
-_GENUS_BY_NAME = {
-    "ahat": GenusKind.AHAT,
-    "witten": GenusKind.WITTEN,
-    "pell": GenusKind.PELL,
-    "pell1": GenusKind.PELL1,
-    "pell2": GenusKind.PELL2,
-    "pell3": GenusKind.PELL3,
-}
-
 _METHOD_BY_NAME = {"theta": THETA_PRODUCT, "definition": DEFINITION}
 
 
@@ -266,7 +257,7 @@ def compute_json(payload: dict) -> str:
 
 
 def cmd_compute(args, out) -> int:
-    kind = _GENUS_BY_NAME[args.genus]
+    kind = GenusKind(args.genus)
     method = _METHOD_BY_NAME[args.method]
     if method == DEFINITION and kind in (GenusKind.AHAT, GenusKind.WITTEN):
         raise ManifestError(
@@ -515,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="compute one genus from a manifest")
     p_compute.add_argument("--input", required=True, help="manifest JSON file")
-    p_compute.add_argument("--genus", required=True, choices=sorted(_GENUS_BY_NAME))
+    p_compute.add_argument("--genus", required=True, choices=sorted(k.value for k in GenusKind))
     p_compute.add_argument("--method", default="theta", choices=sorted(_METHOD_BY_NAME))
     p_compute.add_argument("--order", type=int, default=None)
     p_compute.add_argument("--json", action="store_true")

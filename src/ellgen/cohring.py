@@ -492,7 +492,9 @@ def builtin_manifold(name: str) -> Manifold:
 
 
 def parse_linear_class(presentation: RingPresentation, data: dict) -> LinearClass:
-    """{generator name: "p/q"} -> LinearClass."""
+    """{generator name: "p/q"} -> LinearClass; TypeError if data is no object."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a linear class must be an object, got {data!r}")
     coeffs = [Fraction(0)] * len(presentation.generators)
     for gen_name, value in data.items():
         coeffs[presentation.generator_index(gen_name)] = parse_rational(value)

@@ -16,7 +16,7 @@ import cmath
 import enum
 from dataclasses import dataclass, field
 
-from .qseries import HalfQSeries
+from .qseries import DivergentTail, HalfQSeries
 
 
 class TailTooLarge(ValueError):
@@ -83,7 +83,11 @@ def check_T_exact(f: HalfQSeries, expected: HalfQSeries | None = None) -> bool:
 
 def _eval_with_tail(f: HalfQSeries, tau: complex, tol: float):
     u = cmath.exp(1j * cmath.pi * tau)
-    value, bound = f.eval_numeric(u)
+    try:
+        value, bound = f.eval_numeric(u)
+    except (DivergentTail, OverflowError) as exc:
+        # |u| rounds to 1, or a coefficient is too large for a float
+        raise TailTooLarge(f"truncation tail at tau = {tau} cannot be evaluated: {exc}") from exc
     if bound >= tol / 10.0:
         raise TailTooLarge(
             f"truncation tail {bound:.3e} at tau = {tau} exceeds tol/10 = {tol / 10:.3e}"

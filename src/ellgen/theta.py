@@ -229,8 +229,6 @@ def jacobi_identity_exact(order: int) -> bool:
 
 _Jet = tuple[complex, complex, complex, complex]
 
-_JET_ZERO: _Jet = (0j, 0j, 0j, 0j)
-
 
 def _jet_const(c: complex) -> _Jet:
     return (c, 0j, 0j, 0j)

@@ -1,0 +1,131 @@
+"""The character layer takes one exponential per root and reads every
+multiple or integer combination of roots off it by Adams operations."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ellgen import bundleops
+from ellgen.bundleops import (
+    ProjBundle,
+    adams_power_sum,
+    ch,
+    exp_class,
+    log_lambda_sum,
+    schur_polynomial,
+)
+from ellgen.cohring import CohElement, LinearClass, RingPresentation, builtin_manifold
+from ellgen.qseries import HalfQSeries
+
+# dimension 8: two degree-2 generators, one of degree 4, and a relation
+RING8 = RingPresentation(
+    generators=(("a", 2), ("b", 2), ("p", 4)),
+    top_degree=8,
+    vanishing_monomials=((3, 0, 0),),
+)
+RINGS = {"CP2": builtin_manifold("CP2").presentation,
+         "CP4": builtin_manifold("CP4").presentation,
+         "ring8": RING8}
+VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2))
+
+
+def reference_log_lambda_sum(roots, sign, levels, order, pres):
+    """The per-(root, k) sum: one exp of k * root for every root and every k."""
+    total = CohElement.zero(pres, order)
+    start = 2 if levels == "integer" else 1
+    for k in range(1, order // start + 1):
+        exps = CohElement.zero(pres, order)
+        for root in roots:
+            exps = exps + exp_class(root.scale(k), order)
+        scalar = HalfQSeries.zero(order)
+        for level in range(start, order + 1, 2):
+            if level * k <= order:
+                scalar = scalar + HalfQSeries.u_power(
+                    level * k, order, Fraction((-1) ** (k + 1) * sign**k, k)
+                )
+        total = total + exps * scalar
+    return total
+
+
+def linear_class(pres, values):
+    """A class with the given coefficients on the degree-2 generators."""
+    it = iter(values)
+    return LinearClass(pres, [next(it) if deg == 2 else 0 for _, deg in pres.generators])
+
+
+@given(
+    st.sampled_from(sorted(RINGS)),
+    st.lists(st.tuples(st.sampled_from(VALUES), st.sampled_from(VALUES)), max_size=4),
+    st.sampled_from((1, -1)),
+    st.sampled_from(("integer", "half")),
+    st.integers(min_value=0, max_value=24),
+)
+@example("CP4", [(Fraction(1), 0), (Fraction(-1, 2), 0), (Fraction(0), 0)], -1, "half", 24)
+@example("CP2", [(Fraction(1), 0)], 1, "integer", 7)
+@example("ring8", [(Fraction(1), Fraction(-1)), (Fraction(1, 2), Fraction(2))], -1, "integer", 13)
+@settings(max_examples=30, deadline=None)
+def test_log_lambda_sum_matches_per_root_reference(ring, values, sign, levels, order):
+    pres = RINGS[ring]
+    roots = [linear_class(pres, v) for v in values]
+    got = log_lambda_sum(roots, sign, levels, order, pres)
+    assert got == reference_log_lambda_sum(roots, sign, levels, order, pres)
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 3])
+def test_adams_power_sum_is_exp_of_multiples(k):
+    pres = RING8
+    roots = [linear_class(pres, (1, 0)), linear_class(pres, (Fraction(-1, 2), 2))]
+    expected = sum((exp_class(r.scale(k), 6) for r in roots), CohElement.zero(pres, 6))
+    assert adams_power_sum(roots, k, 6, pres) == expected
+
+
+@pytest.fixture
+def exp_calls(monkeypatch):
+    calls = []
+
+    def counting(lc, order):
+        calls.append(lc)
+        return exp_class(lc, order)
+
+    monkeypatch.setattr(bundleops, "exp_class", counting)
+    return calls
+
+
+def _roots():
+    pres = builtin_manifold("CP4").presentation
+    x = LinearClass.generator(pres, "x")
+    return pres, [x, x.scale(-1), x.scale(Fraction(1, 2)), x.scale(0)]
+
+
+def test_log_lambda_sum_takes_one_exp_per_root(exp_calls):
+    pres, roots = _roots()
+    log_lambda_sum(roots, -1, "half", 24, pres)
+    assert exp_calls == roots
+
+
+def test_adams_power_sum_takes_one_exp_per_root(exp_calls):
+    pres, roots = _roots()
+    adams_power_sum(roots, 5, 8, pres)
+    assert exp_calls == roots
+
+
+def test_schur_takes_one_exp_per_root(exp_calls):
+    pres, roots = _roots()
+    got = bundleops._schur_from_roots(roots[:3], (3, 1), 4, pres)
+    assert exp_calls == roots[:3]
+    expected = CohElement.zero(pres, 4)
+    for exps, kostka in schur_polynomial((3, 1), 3).items():
+        weight = sum((r.scale(a) for r, a in zip(roots, exps)), LinearClass.zero(pres))
+        expected = expected + exp_class(weight, 4) * kostka
+    assert got == expected
+
+
+def test_twisted_character_takes_one_exp_per_class(exp_calls):
+    pres, roots = _roots()
+    e = ProjBundle(rank=2, roots=tuple(roots[:2]), twist_b=roots[2])
+    got = ch(e, 6, weight=-3)
+    assert len(exp_calls) == 3
+    expected = exp_class(roots[2].scale(-3), 6) * (exp_class(roots[0], 6) + exp_class(roots[1], 6))
+    assert got == expected
