@@ -40,16 +40,22 @@ file times the checkout it sits in.  Cases:
   memoized manifold- and order-only factors are filled by the first call,
   so this times the bundle's share of the genus plus the rendering;
 - the render alone of that job's coefficient block, 321 coefficients
-  written from the integer numerators (``cli.render_coefficients.N320``).
+  written from the integer numerators (``cli.render_coefficients.N320``);
+- ``HalfQSeries.eval_numeric`` of the exact ``pell3`` series of that bundle
+  at N = 80, 160, 320, at the sample u = e^(i pi tau) for tau = 0.3 + 1.2i
+  (``qseries.eval_numeric.N...``);
+- ``theta_numeric`` of the kind THETA at v = 0.13 + 0.04i, tau = 0.3 + 1.2i
+  with 60 product terms (``theta.theta_numeric.THETA.terms60``).
 
 Each case reports the median over REPEATS timed batches of the time per call,
 in microseconds; a batch repeats the call until it has run for BATCH_S
 seconds.  ``exponents`` holds the least-squares slope of log(time) against
-log(N) for each series case.
+log(N) for each series case and for ``qseries.eval_numeric``.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import math
@@ -79,9 +85,10 @@ from ellgen.bundleops import (  # noqa: E402
 from ellgen.cohring import CohElement, LinearClass, builtin_manifold  # noqa: E402
 from ellgen.genera import DEFINITION, GenusKind, pell  # noqa: E402
 from ellgen.qseries import HalfQSeries  # noqa: E402
-from ellgen.theta import ThetaKind, elliptic_factor  # noqa: E402
+from ellgen.theta import ThetaKind, elliptic_factor, theta_numeric  # noqa: E402
 
 ORDERS = (20, 80, 320)
+EVAL_ORDERS = (80, 160, 320)
 REPEATS = 5
 BATCH_S = 0.2
 SEED = 1
@@ -234,12 +241,26 @@ def main() -> int:
         time_call(lambda: cli.compute_json({"coefficients": series})) * 1e6, 2
     )
 
+    tau = 0.3 + 1.2j
+    u = cmath.exp(1j * cmath.pi * tau)
+    eval_points = {}
+    for n in EVAL_ORDERS:
+        f = pell(manifest.manifold, manifest.bundle, GenusKind.PELL3, order=n).series
+        eval_points[n] = time_call(lambda: f.eval_numeric(u))
+        kernels[f"qseries.eval_numeric.N{n}"] = round(eval_points[n] * 1e6, 2)
+    kernels["theta.theta_numeric.THETA.terms60"] = round(
+        time_call(lambda: theta_numeric(ThetaKind.THETA, 0.13 + 0.04j, tau, 60)) * 1e6, 2
+    )
+
     print(json.dumps({
         "unit": "us per call, median of batches",
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "kernels": kernels,
-        "exponents": {f"qseries.{case}": round(slope(p), 3) for case, p in series_cases.items()},
+        "exponents": {
+            **{f"qseries.{case}": round(slope(p), 3) for case, p in series_cases.items()},
+            "qseries.eval_numeric": round(slope(eval_points), 3),
+        },
     }))
     return 0
 

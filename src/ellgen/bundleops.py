@@ -123,11 +123,16 @@ def log_lambda_sum(
     psi^k scales the degree-2i part of sum_j exp(root_j) by k^i, so that
     part is multiplied by one series, sum_{t,k} (-1)^(k+1) sign^k k^(i-1) t^k.
     """
+    return _log_lambda(adams_power_sum(roots, 1, order, presentation), sign, levels)
+
+
+def _log_lambda(exps: CohElement, sign: int, levels: str) -> CohElement:
+    """log_lambda_sum from the character exps = sum_j exp(root_j)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if levels not in ("integer", "half"):
         raise ValueError("levels must be 'integer' or 'half'")
-    exps = adams_power_sum(roots, 1, order, presentation)
+    presentation, order = exps.presentation, exps.order
     den = lcm(*range(1, order + 1))
     total = CohElement.zero(presentation, order)
     for i in range(presentation.top_degree // 2 + 1):
@@ -154,9 +159,13 @@ def witten_bundle_ch(kind: ThetaKind, e: ProjBundle, order: int) -> CohElement:
     Shifted roots w_j = y_j + b enter for E and -w_j for the conjugate, so
     this is the closed (w -> e^b substituted) form of the graded tables.
     """
-    shifted = e.shifted_roots()
-    conj = tuple(-w for w in shifted)
-    return exp_nilpotent(log_lambda_sum(shifted + conj, *_WITTEN[kind], order, e.presentation))
+    return _witten_ch(kind, adams_power_sum(e.shifted_roots(), 1, order, e.presentation))
+
+
+def _witten_ch(kind: ThetaKind, exps: CohElement) -> CohElement:
+    """witten_bundle_ch from exps = sum_j exp(w_j): the conjugate bundle's
+    character sum_j exp(-w_j) is psi^(-1) of it."""
+    return exp_nilpotent(_log_lambda(exps + _exp_multiple(exps, -1), *_WITTEN[kind]))
 
 
 class GradedKind(enum.Enum):
@@ -291,13 +300,16 @@ def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
 
 
 def gch_closed_form(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
-    """The w -> e^b substituted form: shifted-root characters directly."""
-    theta_char = witten_bundle_ch(_GRADED_THETA[kind], e, order)
+    """The w -> e^b substituted form: shifted-root characters directly,
+    with one exp per shifted root."""
+    exps = [exp_class(w, order) for w in e.shifted_roots()]
+    total = sum(exps, CohElement.zero(e.presentation, order))
+    theta_char = _witten_ch(_GRADED_THETA[kind], total)
     if kind in (GradedKind.B, GradedKind.C):
         return theta_char
     sign = -1 if kind is GradedKind.W else 1
-    for w in e.shifted_roots():
-        theta_char = theta_char * (exp_class(w, order) * sign + 1)
+    for exp_w in exps:
+        theta_char = theta_char * (exp_w * sign + 1)
     return theta_char
 
 

@@ -321,8 +321,14 @@ def _parse_tau_list(raw: str | None):
 def _suite_theta_laws(args, out) -> bool:
     taus = _parse_tau_list(args.tau)
     samples = tuple((v, tau) for tau in taus for v in (0.13 + 0.04j, 0.21, 0.08 - 0.05j))
+    try:
+        rows = theta.transformation_law_table(samples)
+    except (ArithmeticError, ValueError) as exc:
+        # e^(2 pi i v) underflows to 0 at a huge Im(tau), or a transformed
+        # sample leaves the upper half plane in floating point
+        raise ManifestError(f"tau list {args.tau!r} cannot be evaluated: {exc}") from exc
     ok = True
-    for kind, law, resid in theta.transformation_law_table(samples):
+    for kind, law, resid in rows:
         passed = resid < args.tol
         ok = ok and passed
         print(

@@ -13,7 +13,8 @@ A series is stored as FLINT's fmpq_poly stores a polynomial: a tuple `nums`
 of order + 1 integer numerators over one positive integer denominator `den`,
 kept canonical (gcd(den, nums) = 1, and the zero series has den = 1), so
 equality and hashing compare the fields.  `coeffs` is the Fraction view
-nums[k] / den, built on first use and cached; no kernel reads it.
+nums[k] / den, built on first use and cached; no kernel reads it, and
+numeric evaluation reads `nums`/`den` too, so it never builds the view.
 
 - A sum works over the lcm of the two denominators; a scalar product
   multiplies the numerators and the denominator.
@@ -286,15 +287,20 @@ class HalfQSeries:
         Returns (value, tail_estimate) where the estimate is
         |u|^(N+1) * max|c_k| over the last five tracked terms / (1 - |u|).
         It is a heuristic estimate, not certified; see ROADMAP item 2.
+
+        Each coefficient is the float nums[k] / den, read straight from the
+        numerators; the Fraction view is never built.  Integer true division
+        is correctly rounded, so this is the float of the reduced Fraction,
+        and a coefficient beyond the float range raises OverflowError.
         """
         r = abs(u)
         if r >= 1.0:
             raise DivergentTail(f"|u| = {r} >= 1; truncated tail does not converge")
+        den = self.den
         acc = complex(0)
-        for c in reversed(self.coeffs):
-            acc = acc * u + complex(c)
-        last = self.coeffs[-5:] if self.order >= 4 else self.coeffs
-        peak = max((abs(float(c)) for c in last), default=0.0)
+        for c in reversed(self.nums):
+            acc = acc * u + c / den
+        peak = max(abs(c / den) for c in self.nums[-5:])
         estimate = r ** (self.order + 1) * peak / (1.0 - r)
         return acc, estimate
 

@@ -9,15 +9,24 @@ from hypothesis import strategies as st
 
 from ellgen import bundleops
 from ellgen.bundleops import (
+    GradedKind,
     ProjBundle,
     adams_power_sum,
     ch,
     exp_class,
     log_lambda_sum,
     schur_polynomial,
+    witten_bundle_ch,
 )
-from ellgen.cohring import CohElement, LinearClass, RingPresentation, builtin_manifold
+from ellgen.cohring import (
+    CohElement,
+    LinearClass,
+    RingPresentation,
+    builtin_manifold,
+    exp_nilpotent,
+)
 from ellgen.qseries import HalfQSeries
+from ellgen.theta import ThetaKind
 
 # dimension 8: two degree-2 generators, one of degree 4, and a relation
 RING8 = RingPresentation(
@@ -129,3 +138,25 @@ def test_twisted_character_takes_one_exp_per_class(exp_calls):
     assert len(exp_calls) == 3
     expected = exp_class(roots[2].scale(-3), 6) * (exp_class(roots[0], 6) + exp_class(roots[1], 6))
     assert got == expected
+
+
+@pytest.mark.parametrize("kind", list(GradedKind))
+def test_gch_closed_form_takes_one_exp_per_shifted_root(exp_calls, kind):
+    pres, roots = _roots()
+    e = ProjBundle(rank=3, roots=tuple(roots[:3]), twist_b=roots[1].scale(Fraction(1, 3)))
+    got = bundleops.gch_closed_form(kind, e, 6)
+    assert len(exp_calls) <= e.rank + 1
+    assert got == bundleops.gch(kind, e, 6)
+
+
+@pytest.mark.parametrize("kind", list(ThetaKind))
+def test_witten_character_reads_the_conjugate_off_psi_minus_one(exp_calls, kind):
+    pres, roots = _roots()
+    e = ProjBundle(rank=2, roots=tuple(roots[:2]), twist_b=roots[2])
+    got = witten_bundle_ch(kind, e, 8)
+    assert exp_calls == list(e.shifted_roots())
+    # the per-root form: the shifted roots and their negatives as separate roots
+    shifted = e.shifted_roots()
+    sign, levels = bundleops._WITTEN[kind]
+    log_char = log_lambda_sum(shifted + tuple(-w for w in shifted), sign, levels, 8, pres)
+    assert got == exp_nilpotent(log_char)

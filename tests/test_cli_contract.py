@@ -158,3 +158,26 @@ def test_coefficient_beyond_the_float_range_is_guard_violation(capsys):
     data = replaced(CP2, ("bundle", "roots", 0, "x"), "1e400")
     code, text = run_manifest(data, ["verify", "--suite", "s-transform"])
     _assert_guard_violation(capsys, code, text)
+
+
+# -- theta-law samples the numeric products cannot evaluate ----------------------
+
+
+def _assert_tau_input_error(capsys, tau):
+    code, text = run(["verify", "--suite", "theta-laws", "--tau", tau])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert text == "" and captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_theta_laws_at_a_huge_imaginary_part_is_input_error(capsys):
+    # at Im(tau v) = 1e19, e^(2 pi i tau v) underflows to 0 in the S-law image
+    _assert_tau_input_error(capsys, "1e20j")
+
+
+def test_theta_laws_at_a_huge_real_part_is_input_error(capsys):
+    # -1/tau at tau = 1e300 + i has an imaginary part that underflows to 0
+    _assert_tau_input_error(capsys, "1e300+1j")

@@ -3,18 +3,21 @@
 A series is a tuple of integer numerators over one positive denominator,
 kept canonical.  These tests check the canonical form after every kernel,
 the Kronecker product at the edge of its digit range, both sides of the
-sparse/Kronecker switch, integer inversion, and the integer weights of
-`theta.log_product_series` against the Fraction loop they replaced.
+sparse/Kronecker switch, integer inversion, the integer weights of
+`theta.log_product_series` against the Fraction loop they replaced, and
+numeric evaluation from the numerators against the Fraction-view Horner
+loop it replaced.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ellgen import qseries
+from ellgen import modcheck, qseries
 from ellgen.qseries import HalfQSeries, ZeroConstantTerm
 from ellgen.theta import log_product_series
 
@@ -235,3 +238,75 @@ def test_integer_log_weights_match_fraction_loop(sign, half_shift, z_degree, ord
         expected = weights[power // 2] if power % 2 == 0 and power else [0] * (order + 1)
         assert series == HalfQSeries(order, expected)
         assert_canonical(series)
+
+
+# -- numeric evaluation from the numerators -----------------------------------
+
+
+def fraction_horner(s, u):
+    """The Fraction-view evaluation that `eval_numeric` used before it read
+    the numerators: Horner on complex(c), tail from the last five terms."""
+    coeffs = [Fraction(c, s.den) for c in s.nums]
+    r = abs(u)
+    acc = complex(0)
+    for c in reversed(coeffs):
+        acc = acc * u + complex(c)
+    last = coeffs[-5:] if s.order >= 4 else coeffs
+    peak = max((abs(float(c)) for c in last), default=0.0)
+    return acc, r ** (s.order + 1) * peak / (1.0 - r)
+
+
+def outcome(evaluate, s, u):
+    """The bit pattern of (value, estimate), or the name of the exception."""
+    try:
+        value, estimate = evaluate(s, u)
+    except OverflowError as exc:
+        return type(exc).__name__
+    return struct.pack("<3d", value.real, value.imag, estimate)
+
+
+@st.composite
+def numerator_series(draw):
+    """Canonical series with numerators and denominator scaled by 2^shift
+    (above 2^1100 at the largest shifts); with an unscaled denominator the
+    large coefficients leave the float range."""
+    order = draw(st.integers(min_value=0, max_value=12))
+    shift = draw(st.sampled_from([0, 1, 64, 1100, 1150]))
+    den_shift = draw(st.sampled_from([0, shift]))
+    low = st.integers(min_value=0, max_value=2**shift)
+    nums = tuple(
+        draw(st.integers(min_value=-(2**64), max_value=2**64)) * 2**shift + draw(low)
+        if draw(st.booleans()) else 0
+        for _ in range(order + 1)
+    )
+    den = draw(st.integers(min_value=1, max_value=2**64)) * 2**den_shift
+    den += draw(st.integers(min_value=0, max_value=2**den_shift - 1))
+    return qseries.from_numerators(order, nums, den)
+
+
+samples = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
+
+
+@given(numerator_series(), samples)
+@example(HalfQSeries.zero(0), 0.5j)
+@example(HalfQSeries.zero(9), 0.3 - 0.2j)
+@example(qseries.from_numerators(3, (2**1101 + 1, 0, -(2**1102), 7), 2**1100 + 3), 0.9)
+@example(qseries.from_numerators(6, (1, 0, 0, 0, 0, 0, 2**1100), 1), 0.1j)
+def test_eval_numeric_matches_fraction_horner_bit_for_bit(s, u):
+    expected = outcome(fraction_horner, s, u)
+    assert outcome(HalfQSeries.eval_numeric, s, u) == expected
+    assert outcome(qseries.eval_numeric, s, u) == expected
+
+
+def test_eval_numeric_does_not_build_the_fraction_view():
+    s = HalfQSeries(8, [Fraction(1, 3), 0, Fraction(-7, 5), 2, 0, 0, Fraction(1, 9)])
+    value, estimate = s.eval_numeric(0.2 + 0.1j)
+    assert s._coeffs is None
+    assert (value, estimate) == fraction_horner(s, 0.2 + 0.1j)
+
+
+def test_coefficient_beyond_the_float_range_gives_tail_too_large():
+    f = qseries.from_numerators(8, (1,) + (0,) * 7 + (2**1100,), 1)
+    with pytest.raises(modcheck.TailTooLarge, match="cannot be evaluated"):
+        modcheck.check_numeric(f, modcheck.S, 2)
+    assert f._coeffs is None
