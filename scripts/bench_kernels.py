@@ -20,7 +20,8 @@ file times the checkout it sits in.  Cases:
 - ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24,
   warm (``...N24``: the per-root tower comes from its cache) and cold
   (``...N24.cold``: the tower cache is cleared before every call);
-- ``resum_graded`` of that table (``bundleops.resum_graded.W.rank3.N24``);
+- ``resum_graded`` of that table, the sum of its twisted weights
+  (``bundleops.resum_graded.W.rank3.N24``);
 - one warm ``pell(..., method="definition")`` of ``pell1`` for a twisted
   rank-2 bundle on CP4 at N = 24, the definition engine's top order
   (``genera.pell_definition.CP4.pell1.rank2.N24``);
@@ -45,7 +46,11 @@ file times the checkout it sits in.  Cases:
   at N = 80, 160, 320, at the sample u = e^(i pi tau) for tau = 0.3 + 1.2i
   (``qseries.eval_numeric.N...``);
 - ``theta_numeric`` of the kind THETA at v = 0.13 + 0.04i, tau = 0.3 + 1.2i
-  with 60 product terms (``theta.theta_numeric.THETA.terms60``).
+  with 60 product terms (``theta.theta_numeric.THETA.terms60``);
+- warm in-process ``cli.main verify`` of five suites, as the README runs
+  them (``cli.verify.<suite>``): jacobi at N = 20, theta-laws, consistency
+  on ``manifests/cp2_rank2.json`` at N = 12, half-period on
+  ``manifests/cp2_o1.json`` and s-transform on ``manifests/cp2_matched.json``.
 
 Each case reports the median over REPEATS timed batches of the time per call,
 in microseconds; a batch repeats the call until it has run for BATCH_S
@@ -70,7 +75,8 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from ellgen import bundleops, cli, genera  # noqa: E402
 from ellgen.bundleops import (  # noqa: E402
@@ -92,6 +98,13 @@ EVAL_ORDERS = (80, 160, 320)
 REPEATS = 5
 BATCH_S = 0.2
 SEED = 1
+VERIFY_ARGS = {
+    "jacobi": ["--order", "20"],
+    "theta-laws": [],
+    "consistency": ["--input", str(ROOT / "manifests" / "cp2_rank2.json"), "--order", "12"],
+    "half-period": ["--input", str(ROOT / "manifests" / "cp2_o1.json")],
+    "s-transform": ["--input", str(ROOT / "manifests" / "cp2_matched.json")],
+}
 
 
 def time_call(fn) -> float:
@@ -251,6 +264,11 @@ def main() -> int:
     kernels["theta.theta_numeric.THETA.terms60"] = round(
         time_call(lambda: theta_numeric(ThetaKind.THETA, 0.13 + 0.04j, tau, 60)) * 1e6, 2
     )
+    for suite, extra in VERIFY_ARGS.items():
+        argv = ["verify", "--suite", suite, *extra]
+        kernels[f"cli.verify.{suite}"] = round(
+            time_call(lambda: cli.main(argv, out=io.StringIO())) * 1e6, 2
+        )
 
     print(json.dumps({
         "unit": "us per call, median of batches",

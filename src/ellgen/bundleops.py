@@ -190,17 +190,28 @@ ORDER_GUARD = 24
 
 @dataclass
 class GradedTable:
-    """(m, n) -> twisted character of the weight-m piece at q-step n.
+    """m -> twisted character of the weight-m piece, at the full order with
+    the exp(m*b) twist applied; `entries` slices it by q-step.
 
     For kinds W/A the step n multiplies q^n (u-power 2n); for B/C it
-    multiplies q^(n/2) (u-power n).  Entries are order-0 elements with the
-    exp(m*b) twist already applied.
+    multiplies q^(n/2) (u-power n).
     """
 
     kind: GradedKind
     rank: int
     order: int
-    entries: dict[tuple[int, int], CohElement]
+    weights: dict[int, CohElement]
+
+    @functools.cached_property
+    def entries(self) -> dict[tuple[int, int], CohElement]:
+        """(m, n) -> the nonzero order-0 slice of weight m at q-step n."""
+        slices = {}
+        for m, elem in self.weights.items():
+            for n in range(self.step_count()):
+                piece = elem.u_slice(self.upower(n))
+                if not piece.is_zero():
+                    slices[(m, n)] = piece
+        return slices
 
     def upower(self, n: int) -> int:
         return 2 * n if self.kind in (GradedKind.W, GradedKind.A) else n
@@ -246,8 +257,7 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
 
     The factors commute, so the product is taken root by root: weight m + a
     collects each weight-m entry times g_a e^(a y) from the tower of root y
-    (`_root_tower`).  Each weight is twisted once, at the full order, and
-    then sliced into its q-steps.
+    (`_root_tower`).  Each weight is twisted once, at the full order.
     """
     if e.rank > RANK_GUARD or order > ORDER_GUARD:
         raise GuardExceeded(
@@ -265,37 +275,19 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
                 grown[m + a] = grown[m + a] + term if m + a in grown else term
         table = grown
 
-    out = GradedTable(kind=kind, rank=e.rank, order=order, entries={})
     exp_b = exp_class(e.twist_b, order)
-    for m, elem in table.items():
-        twisted = elem * _exp_multiple(exp_b, m)
-        for n in range(out.step_count()):
-            piece = twisted.u_slice(out.upower(n))
-            if not piece.is_zero():
-                out.entries[(m, n)] = piece
-    return out
+    weights = {m: elem * _exp_multiple(exp_b, m) for m, elem in table.items()}
+    return GradedTable(kind=kind, rank=e.rank, order=order, weights=weights)
 
 
 def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohElement:
-    """Resum a decomposition table over (m, n) into its graded character:
-    each entry's order-0 numerator is placed at its power of u, and each
-    column is summed over the lcm of its denominators."""
-    columns: dict[tuple[int, ...], list] = {}
-    for (m, n), entry in table.entries.items():
-        for mono, s in entry.coeffs.items():
-            columns.setdefault(mono, []).append((table.upower(n), s.nums[0], s.den))
-    out = {}
-    for mono, terms in columns.items():
-        den = lcm(*[d for _, _, d in terms])
-        nums = [0] * (table.order + 1)
-        for k, num, d in terms:
-            nums[k] += num * (den // d)
-        out[mono] = from_numerators(table.order, tuple(nums), den)
-    return CohElement(presentation, table.order, out)
+    """Resum a decomposition table into its graded character: the sum of
+    its twisted weights (the q-step slices of a weight add back up to it)."""
+    return sum(table.weights.values(), CohElement.zero(presentation, table.order))
 
 
 def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
-    """Graded twisted character: resum the decomposition table over (m, n)."""
+    """Graded twisted character: resum the decomposition table over m."""
     return resum_graded(graded_decompose(kind, e, order), e.presentation)
 
 

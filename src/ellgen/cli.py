@@ -318,117 +318,91 @@ def _parse_tau_list(raw: str | None):
     return taus
 
 
-def _suite_theta_laws(args, out) -> bool:
-    taus = _parse_tau_list(args.tau)
-    samples = tuple((v, tau) for tau in taus for v in (0.13 + 0.04j, 0.21, 0.08 - 0.05j))
-    try:
-        rows = theta.transformation_law_table(samples)
-    except (ArithmeticError, ValueError) as exc:
-        # e^(2 pi i v) underflows to 0 at a huge Im(tau), or a transformed
-        # sample leaves the upper half plane in floating point
-        raise ManifestError(f"tau list {args.tau!r} cannot be evaluated: {exc}") from exc
-    ok = True
-    for kind, law, resid in rows:
-        passed = resid < args.tol
-        ok = ok and passed
-        print(
-            f"{'pass' if passed else 'FAIL'} {kind.value} {law}-law residual {resid:.3e}",
-            file=out,
-        )
-    return ok
-
-
-def _suite_jacobi(args, out) -> bool:
-    order = args.order if args.order is not None else default_order()
-    ok = theta.jacobi_identity_exact(order)
-    print(f"{'pass' if ok else 'FAIL'} jacobi product identity to order {order}", file=out)
-    return ok
-
-
-def _suite_consistency(args, out) -> bool:
-    manifest = _manifest_with_bundle(args)
-    order = args.order if args.order is not None else manifest.order
-    ok = True
-    for kind in (GenusKind.PELL, GenusKind.PELL1, GenusKind.PELL2, GenusKind.PELL3):
-        a = pell(manifest.manifold, manifest.bundle, kind, THETA_PRODUCT, order).series
-        b = pell(manifest.manifold, manifest.bundle, kind, DEFINITION, order).series
-        same = a == b
-        ok = ok and same
-        print(
-            f"{'pass' if same else 'FAIL'} {kind.value}: theta product == definition "
-            f"(order {order})",
-            file=out,
-        )
-    return ok
-
-
-def _suite_half_period(args, out) -> bool:
-    manifest = _manifest_with_bundle(args)
-    order = args.order if args.order is not None else manifest.order
-    a = pell(manifest.manifold, manifest.bundle, GenusKind.PELL2, THETA_PRODUCT, order).series
-    b = pell(manifest.manifold, manifest.bundle, GenusKind.PELL3, THETA_PRODUCT, order).series
-    ok = modcheck.check_T_exact(a, b)
-    print(
-        f"{'pass' if ok else 'FAIL'} half-period: second genus at tau+1 equals third genus",
-        file=out,
-    )
-    return ok
-
-
-def _suite_s_transform(args, out) -> bool:
-    manifest = _manifest_with_bundle(args)
-    order = args.order if args.order is not None else max(manifest.order, 40)
-    taus = _parse_tau_list(args.tau)
-    m = manifest.manifold
-    tangent_sq = root_square_sum(m.tangent_roots, 0, m.presentation)
-    bundle_sq = manifest.bundle.pontryagin_shift_class(0)
-    p1 = pell(m, manifest.bundle, GenusKind.PELL1, THETA_PRODUCT, order).series
-    p2 = pell(m, manifest.bundle, GenusKind.PELL2, THETA_PRODUCT, order).series
-    multiplier = 2**manifest.bundle.rank
-    # compute before printing: a TailTooLarge refusal must leave stdout empty
-    report = modcheck.cross_transform(
-        p1, p2, weight=m.weight, multiplier=multiplier,
-        tau_samples=taus, tol=args.tol,
-    )
-    print(
-        "curvature squares match (sum of shifted root squares vs tangent): "
-        f"{'yes' if tangent_sq == bundle_sq else 'no'}",
-        file=out,
-    )
-    ratios = ", ".join(f"{r:.6f}" for r in report.measured_ratios)
-    print(f"measured multiplier (first genus vs second under S): {ratios}", file=out)
-    print(f"expected rank factor 2^l = {multiplier}", file=out)
-    print(f"best-fitting q-power prefactor exponent: {report.best_prefactor_exponent}", file=out)
-    print(
-        f"{'pass' if report.passed else 'FAIL'} max residual {report.max_residual():.3e} "
-        f"(tol {args.tol:g})",
-        file=out,
-    )
-    return report.passed
-
-
-def _suite_schur(args, out) -> bool:
-    ok = True
-    for ru in (1, 2, 3):
-        for rv in (1, 2, 3):
-            for n in range(1, min(4, ru * rv) + 1):
-                good = tensor_exterior_identity_check(ru, rv, n)
-                ok = ok and good
-                print(
-                    f"{'pass' if good else 'FAIL'} exterior power of tensor product "
-                    f"rank {ru} x rank {rv}, n = {n}",
-                    file=out,
-                )
-    return ok
-
-
-def _manifest_with_bundle(args) -> Manifest:
+def _bundle_input(args, floor: int = 0) -> tuple[Manifold, ProjBundle, int]:
+    """Manifold and bundle of the --input manifest (which must have a bundle),
+    and the order: --order if given, else the manifest's, raised to floor."""
     if not args.input:
         raise ManifestError("this suite requires --input")
     manifest = load_manifest(args.input)
     if manifest.bundle is None:
         raise ManifestError("this suite requires a manifest with a bundle")
-    return manifest
+    order = args.order if args.order is not None else max(manifest.order, floor)
+    return manifest.manifold, manifest.bundle, order
+
+
+# A suite maps the arguments to its report, rows (verdict, text) with verdict
+# True/False for a check and None for an informational line.
+Rows = list[tuple[bool | None, str]]
+
+
+def _suite_theta_laws(args) -> Rows:
+    taus = _parse_tau_list(args.tau)
+    samples = tuple((v, tau) for tau in taus for v in (0.13 + 0.04j, 0.21, 0.08 - 0.05j))
+    try:
+        rows = theta.transformation_law_table(samples)
+        tail = theta.transformation_law_tail(samples)
+    except (ArithmeticError, ValueError) as exc:
+        # e^(2 pi i v) underflows to 0 at a huge Im(tau), or a transformed
+        # sample leaves the upper half plane in floating point
+        raise ManifestError(f"tau list {args.tau!r} cannot be evaluated: {exc}") from exc
+    if not tail < args.tol / 10.0:  # a nan estimate refuses too
+        raise modcheck.TailTooLarge(f"truncation tail estimate {tail:.3e} of the theta "
+                                    f"products exceeds tol/10 = {args.tol / 10:.3e}")
+    return [(resid < args.tol, f"{kind.value} {law}-law residual {resid:.3e}")
+            for kind, law, resid in rows]
+
+
+def _suite_jacobi(args) -> Rows:
+    order = args.order if args.order is not None else default_order()
+    return [(theta.jacobi_identity_exact(order), f"jacobi product identity to order {order}")]
+
+
+def _suite_consistency(args) -> Rows:
+    m, e, order = _bundle_input(args)
+    return [
+        (pell(m, e, kind, THETA_PRODUCT, order).series
+         == pell(m, e, kind, DEFINITION, order).series,
+         f"{kind.value}: theta product == definition (order {order})")
+        for kind in (GenusKind.PELL, GenusKind.PELL1, GenusKind.PELL2, GenusKind.PELL3)
+    ]
+
+
+def _suite_half_period(args) -> Rows:
+    m, e, order = _bundle_input(args)
+    a = pell(m, e, GenusKind.PELL2, THETA_PRODUCT, order).series
+    b = pell(m, e, GenusKind.PELL3, THETA_PRODUCT, order).series
+    return [(modcheck.check_T_exact(a, b),
+             "half-period: second genus at tau+1 equals third genus")]
+
+
+def _suite_s_transform(args) -> Rows:
+    m, e, order = _bundle_input(args, floor=40)
+    taus = _parse_tau_list(args.tau)
+    tangent_sq = root_square_sum(m.tangent_roots, 0, m.presentation)
+    p1 = pell(m, e, GenusKind.PELL1, THETA_PRODUCT, order).series
+    p2 = pell(m, e, GenusKind.PELL2, THETA_PRODUCT, order).series
+    multiplier = 2**e.rank
+    report = modcheck.cross_transform(
+        p1, p2, weight=m.weight, multiplier=multiplier,
+        tau_samples=taus, tol=args.tol,
+    )
+    ratios = ", ".join(f"{r:.6f}" for r in report.measured_ratios)
+    return [
+        (None, "curvature squares match (sum of shifted root squares vs tangent): "
+               f"{'yes' if tangent_sq == e.pontryagin_shift_class(0) else 'no'}"),
+        (None, f"measured multiplier (first genus vs second under S): {ratios}"),
+        (None, f"expected rank factor 2^l = {multiplier}"),
+        (None, f"best-fitting q-power prefactor exponent: {report.best_prefactor_exponent}"),
+        (report.passed, f"max residual {report.max_residual():.3e} (tol {args.tol:g})"),
+    ]
+
+
+def _suite_schur(args) -> Rows:
+    return [
+        (tensor_exterior_identity_check(ru, rv, n),
+         f"exterior power of tensor product rank {ru} x rank {rv}, n = {n}")
+        for ru in (1, 2, 3) for rv in (1, 2, 3) for n in range(1, min(4, ru * rv) + 1)
+    ]
 
 
 _SUITES = {
@@ -444,7 +418,11 @@ _SUITES = {
 def cmd_verify(args, out) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ManifestError(f"--tol must be finite and positive, got {args.tol}")
-    ok = _SUITES[args.suite](args, out)
+    rows = _SUITES[args.suite](args)
+    for verdict, text in rows:
+        prefix = "" if verdict is None else "pass " if verdict else "FAIL "
+        print(prefix + text, file=out)
+    ok = all(verdict is not False for verdict, _ in rows)
     print("all checks passed" if ok else "verification failed", file=out)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -455,14 +433,13 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_decompose(args, out) -> int:
-    manifest = _manifest_with_bundle(args)
-    order = args.order if args.order is not None else manifest.order
+    manifold, bundle, order = _bundle_input(args)
     kind = GradedKind[args.kind]
-    table = graded_decompose(kind, manifest.bundle, order)
+    table = graded_decompose(kind, bundle, order)
     step_label = "q^n" if kind in (GradedKind.W, GradedKind.A) else "q^(n/2)"
     print(
-        f"graded decomposition {kind.value} of {manifest.bundle.describe()} "
-        f"on {manifest.manifold.name}, order {order} (steps in {step_label})",
+        f"graded decomposition {kind.value} of {bundle.describe()} "
+        f"on {manifold.name}, order {order} (steps in {step_label})",
         file=out,
     )
     for n in range(table.step_count()):
@@ -474,9 +451,7 @@ def cmd_decompose(args, out) -> int:
             entry = table.entries[(m, n)]
             rank = entry.scalar_part().coefficient(0)
             print(f"  m = {m:3d}  virtual rank {rank}  {entry}", file=out)
-    resummed = resum_graded(table, manifest.bundle.presentation)
-    closed = gch_closed_form(kind, manifest.bundle, order)
-    agree = resummed == closed
+    agree = resum_graded(table, bundle.presentation) == gch_closed_form(kind, bundle, order)
     print(f"gch == closed form: {'yes' if agree else 'NO'}", file=out)
     return EXIT_OK if agree else EXIT_VERIFY_FAILED
 

@@ -28,11 +28,10 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import qseries
-from .bundleops import ProjBundle, GradedKind, det_sqrt_ch, gch, log_lambda_sum
+from . import bundleops, qseries
+from .bundleops import ProjBundle, GradedKind, det_sqrt_ch, gch
 from .cohring import (
     CohElement,
-    LinearClass,
     Manifold,
     PresentationMismatch,
     exp_nilpotent,
@@ -68,13 +67,12 @@ GENUS_GROUP = {
     GenusKind.PELL3: "GammaTheta",
 }
 
-# graded kind of the bundle character; (sign, half_shift) of the bundle's
-# eta-like prefactor, which enters to the power -2*rank
+# graded kind of the bundle character of each twisted genus
 _GENUS_GRADED = {
-    GenusKind.PELL: (GradedKind.W, -1, False),
-    GenusKind.PELL1: (GradedKind.A, 1, False),
-    GenusKind.PELL2: (GradedKind.B, -1, True),
-    GenusKind.PELL3: (GradedKind.C, 1, True),
+    GenusKind.PELL: GradedKind.W,
+    GenusKind.PELL1: GradedKind.A,
+    GenusKind.PELL2: GradedKind.B,
+    GenusKind.PELL3: GradedKind.C,
 }
 
 
@@ -172,13 +170,14 @@ def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
 
     Stable roots beyond 2r and missing ones are zero roots: the tower of
     each extra root is taken out and that of each missing one put in, so a
-    short list is padded as the theta engine pads it."""
+    short list is padded as the theta engine pads it.  The log is linear in
+    the character: 2 pad - S - psi^(-1) S, with S = sum_i exp(x_i) and one
+    exp per root (a zero root's character is 1)."""
     pres = m.presentation
-    plus_minus = list(m.tangent_roots) + [-r for r in m.tangent_roots]
+    exps = bundleops.adams_power_sum(m.tangent_roots, 1, order, pres)
     pad = len(m.tangent_roots) - m.dimension // 2
-    zeros = [LinearClass.zero(pres)] * (2 * abs(pad))
-    padding = log_lambda_sum(zeros, -1, "integer", order, pres) * (1 if pad > 0 else -1)
-    return padding - log_lambda_sum(plus_minus, -1, "integer", order, pres)
+    char = CohElement.scalar(pres, order, 2 * pad) - exps - bundleops._exp_multiple(exps, -1)
+    return bundleops._log_lambda(char, -1, "integer")
 
 
 @functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
@@ -189,14 +188,18 @@ def _definition_tangent_part(m: Manifold, order: int) -> CohElement:
 
 
 def _pell_definition(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
-    graded_kind, sign, half_shift = _GENUS_GRADED[kind]
+    # the bundle's eta-like prefactor, to the power -2*rank, has the sign and
+    # levels of its exterior-power product; integer levels carry the half
+    # determinant twist
+    graded_kind = _GENUS_GRADED[kind]
+    sign, levels = bundleops._WITTEN[bundleops._GRADED_THETA[graded_kind]]
     integrand = _definition_tangent_part(m, order)
-    if kind in (GenusKind.PELL, GenusKind.PELL1):
+    if levels == "integer":
         integrand = integrand * det_sqrt_ch(e, order)
     integrand = integrand * gch(graded_kind, e, order)
 
     tangent_eta = qseries.eta_like_product(-1, False, m.dimension, order)
-    bundle_eta = qseries.eta_like_product(sign, half_shift, -2 * e.rank, order)
+    bundle_eta = qseries.eta_like_product(sign, levels == "half", -2 * e.rank, order)
     return integrate(integrand, m) * tangent_eta * bundle_eta
 
 

@@ -366,6 +366,29 @@ DEFAULT_LAW_SAMPLES = (
 )
 
 
+def product_tail(v: complex, tau: complex, terms: int = 60) -> float:
+    """Heuristic estimate of the relative truncation error of the theta
+    products at (v, tau): |q|^(terms+1/2) (1 + |w| + 1/|w|) / (1 - |q|) with
+    w = e^(2 pi i v), the first omitted factors' size over a geometric tail.
+    Not a certified bound; inf where |q| rounds to 1."""
+    q = math.exp(-2 * math.pi * tau.imag)
+    if q >= 1.0:
+        return math.inf
+    w = math.exp(-2 * math.pi * v.imag)
+    return q ** (terms + 0.5) * (1 + w + 1 / w) / (1 - q)
+
+
+def transformation_law_tail(samples=DEFAULT_LAW_SAMPLES, terms: int = 60) -> float:
+    """The largest product_tail over every (v, tau) at which
+    transformation_law_table evaluates a product: (v, tau), (v, tau + 1),
+    (v, -1/tau) and (tau v, tau) per sample; tau + 1 has the tail of tau."""
+    return max(
+        product_tail(point_v, point_tau, terms)
+        for v, tau in samples
+        for point_v, point_tau in ((v, tau), (v, -1.0 / tau), (tau * v, tau))
+    )
+
+
 def transformation_law_table(samples=DEFAULT_LAW_SAMPLES, terms: int = 60):
     """Residuals of all eight laws at the given (v, tau) samples."""
     rows = []

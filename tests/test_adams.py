@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellgen import bundleops
+from ellgen import bundleops, genera
 from ellgen.bundleops import (
     GradedKind,
     ProjBundle,
@@ -21,6 +21,7 @@ from ellgen.bundleops import (
 from ellgen.cohring import (
     CohElement,
     LinearClass,
+    Manifold,
     RingPresentation,
     builtin_manifold,
     exp_nilpotent,
@@ -160,3 +161,26 @@ def test_witten_character_reads_the_conjugate_off_psi_minus_one(exp_calls, kind)
     sign, levels = bundleops._WITTEN[kind]
     log_char = log_lambda_sum(shifted + tuple(-w for w in shifted), sign, levels, 8, pres)
     assert got == exp_nilpotent(log_char)
+
+
+@pytest.mark.parametrize("name, roots", [("CP4", 5), ("CP2", 3)])
+def test_definition_tangent_part_takes_one_exp_per_tangent_root(exp_calls, name, roots):
+    m = builtin_manifold(name)
+    genera._definition_tangent_part.__wrapped__(m, 8)
+    assert len(exp_calls) == roots
+    assert exp_calls == list(m.tangent_roots)
+
+
+@pytest.mark.parametrize("name, keep", [("CP2", 3), ("CP4", 5), ("CP4", 3), ("free", 0)])
+def test_tangent_log_reads_the_negatives_and_pads_off_one_character(name, keep):
+    m = builtin_manifold(name)
+    m = Manifold(name=m.name, presentation=m.presentation, dimension=m.dimension,
+                 tangent_roots=m.tangent_roots[:keep])
+    pres, order = m.presentation, 6
+    # the per-root form: roots, negatives and zero pads as separate roots
+    pad = len(m.tangent_roots) - m.dimension // 2
+    zeros = [LinearClass.zero(pres)] * (2 * abs(pad))
+    roots = list(m.tangent_roots) + [-r for r in m.tangent_roots]
+    expected = log_lambda_sum(zeros, -1, "integer", order, pres) * (1 if pad > 0 else -1)
+    expected = expected - log_lambda_sum(roots, -1, "integer", order, pres)
+    assert genera._tangent_symmetric_log(m, order) == expected

@@ -365,3 +365,12 @@ def test_virtual_ranks():
     assert witten_bundle_ch(ThetaKind.THETA3, e, 4).scalar_part().coefficient(0) == 1
     assert gch(GradedKind.W, e, 4).scalar_part().coefficient(0) == 0
     assert ch(e, 4).scalar_part().coefficient(0) == 2
+
+
+def test_resummation_reads_the_weights_not_the_slices(cp2, x_class, half_x):
+    e = ProjBundle(rank=2, roots=(x_class, x_class.scale(-1)), twist_b=half_x)
+    table = graded_decompose(GradedKind.A, e, 6)
+    resummed = bundleops.resum_graded(table, cp2.presentation)
+    assert "entries" not in vars(table)
+    assert resummed == sum(table.weights.values(), CohElement.zero(cp2.presentation, 6))
+    assert table.entries is table.entries

@@ -181,3 +181,46 @@ def test_theta_laws_at_a_huge_imaginary_part_is_input_error(capsys):
 def test_theta_laws_at_a_huge_real_part_is_input_error(capsys):
     # -1/tau at tau = 1e300 + i has an imaginary part that underflows to 0
     _assert_tau_input_error(capsys, "1e300+1j")
+
+
+# -- theta-law samples beyond the reach of the 60-term products ------------------
+
+
+@pytest.mark.parametrize("tau", ["0.5+1e-300j", "0.3+0.05j"], ids=["q-rounds-to-one", "slow-decay"])
+def test_theta_laws_with_a_large_tail_is_guard_violation(capsys, tau):
+    # |q| rounds to 1 at Im(tau) = 1e-300, where every product is exactly 0 and
+    # every law would pass; at Im(tau) = 0.05 the truncation error, not the
+    # law, makes the theta1 S-law miss --tol
+    code, text = run(["verify", "--suite", "theta-laws", "--tau", tau])
+    _assert_guard_violation(capsys, code, text)
+
+
+# -- a refused --input suite writes nothing to stdout ---------------------------
+
+NO_BUNDLE = {"manifold": "CP2", "order": 4}
+
+
+@pytest.mark.parametrize(
+    "suite, data, extra, code",
+    [
+        ("consistency", None, [], cli.EXIT_INPUT),
+        ("consistency", NO_BUNDLE, [], cli.EXIT_INPUT),
+        ("consistency", CP2, ["--order", "26"], cli.EXIT_GUARD),
+        ("half-period", None, [], cli.EXIT_INPUT),
+        ("half-period", NO_BUNDLE, [], cli.EXIT_INPUT),
+        ("s-transform", None, [], cli.EXIT_INPUT),
+        ("s-transform", NO_BUNDLE, [], cli.EXIT_INPUT),
+    ],
+    ids=["consistency-no-input", "consistency-no-bundle", "consistency-order-guard",
+         "half-period-no-input", "half-period-no-bundle", "s-transform-no-input",
+         "s-transform-no-bundle"],
+)
+def test_refused_input_suite_leaves_stdout_empty(capsys, suite, data, extra, code):
+    argv = ["verify", "--suite", suite] + extra
+    got, text = run(argv) if data is None else run_manifest(data, argv)
+    captured = capsys.readouterr()
+    assert got == code
+    assert text == "" and captured.out == ""
+    prefix = "input error: " if code == cli.EXIT_INPUT else "guard violation: "
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1

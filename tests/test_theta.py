@@ -11,10 +11,12 @@ from ellgen.theta import (
     a_hat_factor_series,
     elliptic_factor,
     jacobi_identity_exact,
+    product_tail,
     theta_numeric,
     theta_numeric_dv,
     transformation_law_residual,
     transformation_law_table,
+    transformation_law_tail,
 )
 
 
@@ -206,3 +208,29 @@ def test_a_hat_factor_is_reciprocal_of_sinh_series():
     assert inv.coeffs[2].coefficient(0) == Fraction(1, 24)
     assert inv.coeffs[4].coefficient(0) == Fraction(1, 1920)
     assert inv.coeffs[6].coefficient(0) == Fraction(1, 322560)
+
+
+@pytest.mark.parametrize(
+    "v, tau, terms", [(0.13 + 0.04j, 0.3 + 0.05j, 12), (0.13 + 0.04j, 0.3 + 0.05j, 60),
+                      (0.21, 0.2 + 0.3j, 12)]
+)
+def test_product_tail_estimate_tracks_the_truncation_error(v, tau, terms):
+    # a heuristic estimate, not a bound: here it lies within a factor 100 above
+    # the relative error against a 400-term product
+    estimate = product_tail(v, tau, terms)
+    for kind in ThetaKind:
+        reference = theta_numeric(kind, v, tau, 400)
+        error = abs(theta_numeric(kind, v, tau, terms) - reference) / abs(reference)
+        assert error < estimate < 100 * error
+
+
+def test_product_tail_is_infinite_where_q_rounds_to_one():
+    assert product_tail(0.21, 0.5 + 1e-300j) == float("inf")
+
+
+def test_transformation_law_tail_covers_every_evaluated_point():
+    slow = ((0.13 + 0.04j, 0.3 + 0.05j),)
+    assert transformation_law_tail(slow) > 1e-9 > transformation_law_tail(slow, 120)
+    assert transformation_law_tail(DEFAULT_LAW_SAMPLES) < 1e-100
+    # the S-law image of tau = 3j sits at Im(-1/tau) = 1/3
+    assert transformation_law_tail(((0.1, 3j),)) == product_tail(0.1, -1 / 3j)
