@@ -20,6 +20,9 @@ file times the checkout it sits in.  Cases:
 - ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24,
   warm (``...N24``: the per-root tower comes from its cache) and cold
   (``...N24.cold``: the tower cache is cleared before every call);
+- ``gch`` of kinds W and B for that bundle at N = 24, warm
+  (``bundleops.gch.{W,B}.rank3.N24``): the graded character the definition
+  engine multiplies into its integrand;
 - ``resum_graded`` of that table, the sum of its twisted weights
   (``bundleops.resum_graded.W.rank3.N24``);
 - one warm ``pell(..., method="definition")`` of ``pell1`` for a twisted
@@ -53,9 +56,14 @@ file times the checkout it sits in.  Cases:
   ``manifests/cp2_o1.json`` and s-transform on ``manifests/cp2_matched.json``.
 
 Each case reports the median over REPEATS timed batches of the time per call,
-in microseconds; a batch repeats the call until it has run for BATCH_S
-seconds.  ``exponents`` holds the least-squares slope of log(time) against
-log(N) for each series case and for ``qseries.eval_numeric``.
+in reference-speed microseconds; a batch repeats the call until it has run
+for BATCH_S seconds.  The calibration kernel of ``perfbench/speed.py`` is
+timed just before and just after each batch, and ``speed.scale`` converts
+the batch's wall time to the host speed at which that kernel takes
+``speed.REFERENCE_S``, so drift of the host's speed between batches and
+between runs cancels.  ``exponents`` holds the least-squares slope of
+log(time) against log(N) for each series case and for
+``qseries.eval_numeric``.
 """
 
 from __future__ import annotations
@@ -77,11 +85,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))
 
+import speed  # noqa: E402  (perfbench/speed.py, read only)
 from ellgen import bundleops, cli, genera  # noqa: E402
 from ellgen.bundleops import (  # noqa: E402
     GradedKind,
     ProjBundle,
+    gch,
     graded_decompose,
     log_lambda_sum,
     resum_graded,
@@ -108,11 +119,12 @@ VERIFY_ARGS = {
 
 
 def time_call(fn) -> float:
-    """Median seconds per call of ``fn`` over REPEATS batches."""
+    """Median reference-speed seconds per call of ``fn`` over REPEATS batches."""
     fn()
     per_call = []
     for _ in range(REPEATS):
         calls = 0
+        before = speed.probe()
         t0 = time.perf_counter()
         while True:
             fn()
@@ -120,7 +132,7 @@ def time_call(fn) -> float:
             elapsed = time.perf_counter() - t0
             if elapsed >= BATCH_S:
                 break
-        per_call.append(elapsed / calls)
+        per_call.append(elapsed / calls * speed.scale(before, speed.probe()))
     return statistics.median(per_call)
 
 
@@ -203,6 +215,10 @@ def main() -> int:
     kernels["bundleops.graded_decompose.W.rank3.N24.cold"] = round(
         time_call(cold_decompose) * 1e6, 2
     )
+    for kind in (GradedKind.W, GradedKind.B):
+        kernels[f"bundleops.gch.{kind.value}.rank3.N24"] = round(
+            time_call(lambda: gch(kind, bundle, 24)) * 1e6, 2
+        )
     table = graded_decompose(GradedKind.W, bundle, 24)
     kernels["bundleops.resum_graded.W.rank3.N24"] = round(
         time_call(lambda: resum_graded(table, cp2.presentation)) * 1e6, 2
@@ -271,7 +287,7 @@ def main() -> int:
         )
 
     print(json.dumps({
-        "unit": "us per call, median of batches",
+        "unit": "reference-speed us per call, median of batches",
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "kernels": kernels,

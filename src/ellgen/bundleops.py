@@ -10,10 +10,9 @@ exponentiated once; the Adams operation psi^a (degree 2k scaled by a^k)
 reads exp(a*y) off exp(y).
 
 The determinant-weight decomposition tracks an auxiliary weight w (one
-power per E-factor, inverse per conjugate factor); the weight-m piece at a
-q-level receives the twist factor exp(m*b).  The table is built root by
-root from one cached integer tower per (kind, order).  Resumming the table
-is the same as substituting w -> e^b, which recovers the closed forms.
+power per E-factor, inverse per conjugate factor) and twists the weight-m
+piece by exp(m*b).  Each shifted root brings one cached tower, summed by
+Jacobi's triple product; `gch` multiplies the roots' sums over w.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .cohring import (
     CohElement,
@@ -33,7 +32,7 @@ from .cohring import (
     exp_nilpotent,
     root_square_sum,
 )
-from .qseries import HalfQSeries, from_numerators
+from .qseries import HalfQSeries, eta_like_product, from_numerators
 from .theta import ThetaKind
 
 
@@ -230,22 +229,30 @@ class GradedTable:
 def _root_tower(kind: GradedKind, order: int) -> tuple[tuple[int, HalfQSeries], ...]:
     """The pairs (a, g_a) with sum_a g_a(u) X^a = prod_t (1 + s t X)(1 + s t / X),
     times the front factor 1 + s X for W/A, over the kind's levels t = u^level
-    with its Witten sign s.  X stands for w e^y.  Cached and shared: read-only.
+    with its Witten sign s.  By Jacobi's triple product, with
+    E(u) = prod_n (1 - u^(2n)), g_a = s^a u^(a^2) / E(u) at half levels and
+    s^a u^(a(a-1)) / E(u) at integer levels: about 2 sqrt(order) terms.
+    X stands for the weight times e^(y+b).  Cached and shared: read-only.
     """
     sign, levels = _WITTEN[_GRADED_THETA[kind]]
-    start = 2 if levels == "integer" else 1
-    factors = [(shift, HalfQSeries.u_power(level, order, sign))
-               for level in range(start, order + 1, 2) for shift in (1, -1)]
-    if kind in (GradedKind.W, GradedKind.A):
-        factors.append((1, HalfQSeries.constant(sign, order)))
-    tower = {0: HalfQSeries.one(order)}
-    for shift, t in factors:
-        # tower *= 1 + t X^shift
-        grown = dict(tower)
-        for a, g in tower.items():
-            grown[a + shift] = grown.get(a + shift, 0) + g * t
-        tower = grown
-    return tuple(sorted((a, g) for a, g in tower.items() if not g.is_zero()))
+    shift = 1 if levels == "integer" else 0
+    inv_e = eta_like_product(-1, False, -1, order)
+    powers = ((a, a * (a - shift)) for a in range(-isqrt(order), isqrt(order) + 2))
+    return tuple((a, HalfQSeries.u_power(k, order, sign ** abs(a)) * inv_e)
+                 for a, k in powers if k <= order)
+
+
+def _root_terms(kind: GradedKind, e: ProjBundle, order: int) -> list:
+    """For each shifted root w = y + b, the triples (a, g_a, psi^a(e^w)) of its
+    weight-a terms, the twist e^(a b) included; the one place the guard is
+    checked.  g_a stays a separate factor: psi^a(e^w) has constant series."""
+    if e.rank > RANK_GUARD or order > ORDER_GUARD:
+        raise GuardExceeded(
+            f"bivariate expansion guard: rank <= {RANK_GUARD}, order <= {ORDER_GUARD}"
+        )
+    tower = _root_tower(kind, order)
+    exps = [exp_class(w, order) for w in e.shifted_roots()]
+    return [[(a, g, _exp_multiple(exp_w, a)) for a, g in tower] for exp_w in exps]
 
 
 def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable:
@@ -253,31 +260,19 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
 
     Every E-root exponential carries w^(+1), every conjugate-root
     exponential w^(-1); the coefficient of w^m at q-step n is the character
-    of the weight-m piece, which then receives the twist exp(m*b).
-
-    The factors commute, so the product is taken root by root: weight m + a
-    collects each weight-m entry times g_a e^(a y) from the tower of root y
-    (`_root_tower`).  Each weight is twisted once, at the full order.
+    of the weight-m piece, twisted by exp(m*b).  The factors commute, so
+    weight m + a collects each weight-m entry times the weight-a term of
+    each shifted root in turn (`_root_terms`).
     """
-    if e.rank > RANK_GUARD or order > ORDER_GUARD:
-        raise GuardExceeded(
-            f"bivariate expansion guard: rank <= {RANK_GUARD}, order <= {ORDER_GUARD}"
-        )
-    tower = _root_tower(kind, order)
     table: dict[int, CohElement] = {0: CohElement.one(e.presentation, order)}
-    for y in e.roots:
-        exp_y = exp_class(y, order)
-        factor = [(a, g, _exp_multiple(exp_y, a)) for a, g in tower]
+    for terms in _root_terms(kind, e, order):
         grown: dict[int, CohElement] = {}
         for m, elem in table.items():
-            for a, g, f in factor:
+            for a, g, f in terms:
                 term = elem * g * f
                 grown[m + a] = grown[m + a] + term if m + a in grown else term
         table = grown
-
-    exp_b = exp_class(e.twist_b, order)
-    weights = {m: elem * _exp_multiple(exp_b, m) for m, elem in table.items()}
-    return GradedTable(kind=kind, rank=e.rank, order=order, weights=weights)
+    return GradedTable(kind=kind, rank=e.rank, order=order, weights=table)
 
 
 def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohElement:
@@ -287,8 +282,12 @@ def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohEleme
 
 
 def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
-    """Graded twisted character: resum the decomposition table over m."""
-    return resum_graded(graded_decompose(kind, e, order), e.presentation)
+    """Graded twisted character: the weight table summed over m, taken as
+    the product over shifted roots w of sum_a g_a psi^a(e^w)."""
+    total = CohElement.one(e.presentation, order)
+    for terms in _root_terms(kind, e, order):
+        total = total * sum((f * g for _, g, f in terms), CohElement.zero(e.presentation, order))
+    return total
 
 
 def gch_closed_form(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:

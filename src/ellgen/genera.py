@@ -8,8 +8,8 @@ Two independent engines compute each twisted elliptic genus:
 
 * definition -- the literal construction: infinite-product prefactors, the
   A-hat class, the symmetric-power tangent character, the half determinant
-  twist, and the graded twisted character resummed from the
-  determinant-weight tables.  Slower, guarded, and coded independently;
+  twist, and the graded twisted character: the product over shifted
+  bundle roots of triple-product sums.  Slower, guarded, coded independently;
   agreement of the two engines is the central cross-check of the package.
 
 Normalization is fixed by the definitional route.  Pairing the half

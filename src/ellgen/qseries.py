@@ -286,7 +286,7 @@ class HalfQSeries:
 
         Returns (value, tail_estimate) where the estimate is
         |u|^(N+1) * max|c_k| over the last five tracked terms / (1 - |u|).
-        It is a heuristic estimate, not certified; see ROADMAP item 2.
+        It is a heuristic estimate, not certified; see ROADMAP item 5.
 
         Each coefficient is the float nums[k] / den, read straight from the
         numerators; the Fraction view is never built.  Integer true division

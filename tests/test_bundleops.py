@@ -374,3 +374,13 @@ def test_resummation_reads_the_weights_not_the_slices(cp2, x_class, half_x):
     assert "entries" not in vars(table)
     assert resummed == sum(table.weights.values(), CohElement.zero(cp2.presentation, 6))
     assert table.entries is table.entries
+
+
+def test_gch_guards(cp2, x_class, zero_class):
+    # gch checks the guard itself, not through graded_decompose
+    too_wide = ProjBundle(rank=7, roots=(x_class,) * 7, twist_b=zero_class)
+    with pytest.raises(GuardExceeded):
+        gch(GradedKind.W, too_wide, 4)
+    small = ProjBundle(rank=1, roots=(x_class,), twist_b=zero_class)
+    with pytest.raises(GuardExceeded):
+        gch(GradedKind.B, small, 26)

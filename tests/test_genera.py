@@ -429,3 +429,20 @@ def test_short_root_list_is_padded_with_zero_roots(cp4):
         for kind in TWISTED_KINDS:
             for method in (THETA_PRODUCT, DEFINITION):
                 assert series_of(m, e, kind, method, 6) == series_of(padded, e, kind, method, 6)
+
+
+def test_engines_agree_at_theta_engine_orders_on_cp4(cp4, monkeypatch):
+    # the guard is a cost envelope: lifted here, the definition engine must
+    # still agree exactly with the theta engine at N = 80
+    from ellgen import bundleops
+    from ellgen.bundleops import GradedKind, gch, gch_closed_form
+
+    monkeypatch.setattr(bundleops, "ORDER_GUARD", 80)
+    x = LinearClass.generator(cp4.presentation, "x")
+    e = ProjBundle(rank=2, roots=(x, x.scale(Fraction(-1, 2))), twist_b=x.scale(Fraction(1, 3)))
+    for kind in TWISTED_KINDS:
+        by_theta = series_of(cp4, e, kind, THETA_PRODUCT, 80)
+        assert by_theta.order == 80
+        assert by_theta == series_of(cp4, e, kind, DEFINITION, 80)
+    for kind in GradedKind:
+        assert gch(kind, e, 40) == gch_closed_form(kind, e, 40)

@@ -144,3 +144,29 @@ def test_root_tower_is_the_one_root_product(kind):
             if g.nums[k]:
                 rebuilt[(a, k // step)] = CohElement.scalar(m.presentation, 0, g.coefficient(k))
     assert rebuilt == table
+
+
+def literal_root_tower(kind, order):
+    """The pairs (a, g_a) of prod_t (1 + s t X)(1 + s t / X), times 1 + s X for
+    W and A, multiplied out one linear factor at a time over the levels t."""
+    sign = -1 if kind in (GradedKind.W, GradedKind.B) else 1
+    start = 2 if kind in (GradedKind.W, GradedKind.A) else 1
+    factors = [(shift, HalfQSeries.u_power(level, order, sign))
+               for level in range(start, order + 1, 2) for shift in (1, -1)]
+    if kind in (GradedKind.W, GradedKind.A):
+        factors.append((1, HalfQSeries.constant(sign, order)))
+    tower = {0: HalfQSeries.one(order)}
+    for shift, t in factors:
+        grown = dict(tower)
+        for a, g in tower.items():
+            grown[a + shift] = grown.get(a + shift, 0) + g * t
+        tower = grown
+    return tuple(sorted((a, g) for a, g in tower.items() if not g.is_zero()))
+
+
+@pytest.mark.parametrize("kind", list(GradedKind))
+@pytest.mark.parametrize("order", [0, 1, 5, 12, 24, 40])
+def test_triple_product_tower_equals_the_literal_product(kind, order):
+    # the theta engine expands the product side of Jacobi's triple product,
+    # the definition engine its sum side: the two must agree term by term
+    assert bundleops._root_tower.__wrapped__(kind, order) == literal_root_tower(kind, order)
