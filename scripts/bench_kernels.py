@@ -32,9 +32,12 @@ file times the checkout it sits in.  Cases:
   its conjugate, at half levels and N = 24
   (``bundleops.log_lambda_sum.CP4.rank3.half.N24``), the bundle side of
   ``gch_closed_form`` of kind B;
-- the bundle-free part of the definition integrand on CP4 at N = 24, built
-  cold through ``_definition_tangent_part.__wrapped__``
-  (``genera.definition_tangent_part.CP4.N24.cold``);
+- the bundle-free part of the definition integrand on CP4 at N = 24 and
+  N = 160, built cold through ``_definition_tangent_part.__wrapped__``
+  (``genera.definition_tangent_part.CP4.N{24,160}.cold``);
+- ``gch_closed_form`` of kind B for the twisted rank-2 bundle on CP4 at
+  N = 80 (``bundleops.gch_closed_form.B.rank2.CP4.N80``), the closed form
+  that ``decompose`` and the tests compare ``gch`` against;
 - ``schur_character`` of the shape (3, 2, 1) for a twisted rank-3 bundle on
   CP4 at N = 8;
 - ``tensor_exterior_identity_check(3, 3, 4)``, the largest case of
@@ -93,6 +96,7 @@ from ellgen.bundleops import (  # noqa: E402
     GradedKind,
     ProjBundle,
     gch,
+    gch_closed_form,
     graded_decompose,
     log_lambda_sum,
     resum_graded,
@@ -241,8 +245,12 @@ def main() -> int:
     kernels["bundleops.log_lambda_sum.CP4.rank3.half.N24"] = round(
         time_call(lambda: log_lambda_sum(six, -1, "half", 24, cp4.presentation)) * 1e6, 2
     )
-    kernels["genera.definition_tangent_part.CP4.N24.cold"] = round(
-        time_call(lambda: genera._definition_tangent_part.__wrapped__(cp4, 24)) * 1e6, 2
+    for n in (24, 160):
+        kernels[f"genera.definition_tangent_part.CP4.N{n}.cold"] = round(
+            time_call(lambda: genera._definition_tangent_part.__wrapped__(cp4, n)) * 1e6, 2
+        )
+    kernels["bundleops.gch_closed_form.B.rank2.CP4.N80"] = round(
+        time_call(lambda: gch_closed_form(GradedKind.B, twisted4, 80)) * 1e6, 2
     )
     kernels["bundleops.schur_character.321.CP4.rank3.N8"] = round(
         time_call(lambda: schur_character((3, 2, 1), bundle4, 8)) * 1e6, 2

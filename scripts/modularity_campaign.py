@@ -7,11 +7,16 @@ exchange, the S-exchange of the plus-kind and first half-level genera
 for the curvature-matched bundle on CP^2 over all four congruence groups.
 """
 
-from ellgen.bundleops import ProjBundle
-from ellgen.cohring import LinearClass, builtin_manifold
-from ellgen.genera import THETA_PRODUCT, GenusKind, pell
-from ellgen.modcheck import GroupSpec, check_T_exact, check_group, cross_transform
-from ellgen.theta import jacobi_identity_exact, transformation_law_table
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ellgen.bundleops import ProjBundle  # noqa: E402
+from ellgen.cohring import LinearClass, builtin_manifold  # noqa: E402
+from ellgen.genera import THETA_PRODUCT, GenusKind, pell  # noqa: E402
+from ellgen.modcheck import GroupSpec, check_T_exact, check_group, cross_transform  # noqa: E402
+from ellgen.theta import jacobi_identity_exact, transformation_law_table  # noqa: E402
 
 
 def main():

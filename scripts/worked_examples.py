@@ -8,10 +8,14 @@ the degree-12 cancellation identity.
 """
 
 import cmath
+import sys
+from pathlib import Path
 
-from ellgen.bundleops import ProjBundle
-from ellgen.cohring import LinearClass, builtin_manifold
-from ellgen.genera import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ellgen.bundleops import ProjBundle  # noqa: E402
+from ellgen.cohring import LinearClass, builtin_manifold  # noqa: E402
+from ellgen.genera import (  # noqa: E402
     DEFINITION,
     THETA_PRODUCT,
     GenusKind,
@@ -22,8 +26,8 @@ from ellgen.genera import (
     pseudodiff_genus,
     witten_genus,
 )
-from ellgen.qseries import power_label
-from ellgen.theta import ThetaKind, theta_numeric, theta_numeric_dv
+from ellgen.qseries import power_label  # noqa: E402
+from ellgen.theta import ThetaKind, theta_numeric, theta_numeric_dv  # noqa: E402
 
 ORDER = 12
 

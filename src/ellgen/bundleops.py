@@ -122,34 +122,28 @@ def log_lambda_sum(
     psi^k scales the degree-2i part of sum_j exp(root_j) by k^i, so that
     part is multiplied by one series, sum_{t,k} (-1)^(k+1) sign^k k^(i-1) t^k.
     """
-    return _log_lambda(adams_power_sum(roots, 1, order, presentation), sign, levels)
-
-
-def _log_lambda(exps: CohElement, sign: int, levels: str) -> CohElement:
-    """log_lambda_sum from the character exps = sum_j exp(root_j)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if levels not in ("integer", "half"):
         raise ValueError("levels must be 'integer' or 'half'")
+    return _log_lambda(adams_power_sum(roots, 1, order, presentation), sign, levels == "half")
+
+
+def _log_lambda(exps: CohElement, sign: int, half: bool) -> CohElement:
+    """log_lambda_sum from the character exps = sum_j exp(root_j).
+
+    Only the scalar part of exps brings the 1/k of the logarithm; the
+    degree-2i part, i >= 1, is multiplied by a series of integers."""
     presentation, order = exps.presentation, exps.order
     den = lcm(*range(1, order + 1))
     total = CohElement.zero(presentation, order)
     for i in range(presentation.top_degree // 2 + 1):
         nums = [0] * (order + 1)
-        for level in range(2 if levels == "integer" else 1, order + 1, 2):
+        for level in range(1 if half else 2, order + 1, 2):
             for k in range(1, order // level + 1):
                 nums[level * k] -= (-sign) ** k * k**i * (den // k)
         total = total + exps.degree_component(2 * i) * from_numerators(order, tuple(nums), den)
     return total
-
-
-# (sign, levels) of the exterior-power product that each theta kind stands for
-_WITTEN = {
-    ThetaKind.THETA: (-1, "integer"),
-    ThetaKind.THETA1: (1, "integer"),
-    ThetaKind.THETA2: (-1, "half"),
-    ThetaKind.THETA3: (1, "half"),
-}
 
 
 def witten_bundle_ch(kind: ThetaKind, e: ProjBundle, order: int) -> CohElement:
@@ -158,13 +152,17 @@ def witten_bundle_ch(kind: ThetaKind, e: ProjBundle, order: int) -> CohElement:
     Shifted roots w_j = y_j + b enter for E and -w_j for the conjugate, so
     this is the closed (w -> e^b substituted) form of the graded tables.
     """
-    return _witten_ch(kind, adams_power_sum(e.shifted_roots(), 1, order, e.presentation))
+    return _witten_ch(kind, adams_power_sum(e.shifted_roots(), 1, order, e.presentation), e.rank)
 
 
-def _witten_ch(kind: ThetaKind, exps: CohElement) -> CohElement:
-    """witten_bundle_ch from exps = sum_j exp(w_j): the conjugate bundle's
-    character sum_j exp(-w_j) is psi^(-1) of it."""
-    return exp_nilpotent(_log_lambda(exps + _exp_multiple(exps, -1), *_WITTEN[kind]))
+def _witten_ch(kind: ThetaKind, exps: CohElement, rank: int) -> CohElement:
+    """witten_bundle_ch from exps = sum_j exp(w_j) over `rank` shifted roots:
+    the conjugate bundle's character sum_j exp(-w_j) is psi^(-1) of it.  The
+    scalar part 2 rank of the character is the prefactor
+    prod_t (1 + s t)^(2 rank); only the scalar-free rest is exponentiated."""
+    char = exps + _exp_multiple(exps, -1) - 2 * rank
+    bare = exp_nilpotent(_log_lambda(char, kind.sign, kind.half))
+    return bare * eta_like_product(kind.sign, kind.half, 2 * rank, exps.order)
 
 
 class GradedKind(enum.Enum):
@@ -213,7 +211,7 @@ class GradedTable:
         return slices
 
     def upower(self, n: int) -> int:
-        return 2 * n if self.kind in (GradedKind.W, GradedKind.A) else n
+        return n if _GRADED_THETA[self.kind].half else 2 * n
 
     def step_count(self) -> int:
         return self.order // self.upower(1) + 1
@@ -234,11 +232,11 @@ def _root_tower(kind: GradedKind, order: int) -> tuple[tuple[int, HalfQSeries], 
     s^a u^(a(a-1)) / E(u) at integer levels: about 2 sqrt(order) terms.
     X stands for the weight times e^(y+b).  Cached and shared: read-only.
     """
-    sign, levels = _WITTEN[_GRADED_THETA[kind]]
-    shift = 1 if levels == "integer" else 0
+    theta = _GRADED_THETA[kind]
+    shift = 0 if theta.half else 1
     inv_e = eta_like_product(-1, False, -1, order)
     powers = ((a, a * (a - shift)) for a in range(-isqrt(order), isqrt(order) + 2))
-    return tuple((a, HalfQSeries.u_power(k, order, sign ** abs(a)) * inv_e)
+    return tuple((a, HalfQSeries.u_power(k, order, theta.sign ** abs(a)) * inv_e)
                  for a, k in powers if k <= order)
 
 
@@ -295,12 +293,12 @@ def gch_closed_form(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
     with one exp per shifted root."""
     exps = [exp_class(w, order) for w in e.shifted_roots()]
     total = sum(exps, CohElement.zero(e.presentation, order))
-    theta_char = _witten_ch(_GRADED_THETA[kind], total)
-    if kind in (GradedKind.B, GradedKind.C):
+    theta = _GRADED_THETA[kind]
+    theta_char = _witten_ch(theta, total, e.rank)
+    if theta.half:
         return theta_char
-    sign = -1 if kind is GradedKind.W else 1
     for exp_w in exps:
-        theta_char = theta_char * (exp_w * sign + 1)
+        theta_char = theta_char * (exp_w * theta.sign + 1)
     return theta_char
 
 

@@ -436,7 +436,7 @@ def cmd_decompose(args, out) -> int:
     manifold, bundle, order = _bundle_input(args)
     kind = GradedKind[args.kind]
     table = graded_decompose(kind, bundle, order)
-    step_label = "q^n" if kind in (GradedKind.W, GradedKind.A) else "q^(n/2)"
+    step_label = "q^(n/2)" if table.upower(1) == 1 else "q^n"
     print(
         f"graded decomposition {kind.value} of {bundle.describe()} "
         f"on {manifold.name}, order {order} (steps in {step_label})",

@@ -6,11 +6,13 @@ Two independent engines compute each twisted elliptic genus:
   times one bundle factor per shifted bundle root, integrated over the
   manifold.  Fast, no rank guards.
 
-* definition -- the literal construction: infinite-product prefactors, the
-  A-hat class, the symmetric-power tangent character, the half determinant
-  twist, and the graded twisted character: the product over shifted
-  bundle roots of triple-product sums.  Slower, guarded, coded independently;
-  agreement of the two engines is the central cross-check of the package.
+* definition -- the literal construction: the bundle's infinite-product
+  prefactor, the A-hat class, the symmetric-power tangent character
+  (normalized inside its log, so a zero root's tower is 1), the half
+  determinant twist, and the graded twisted character: the product over
+  shifted bundle roots of triple-product sums.  Slower, guarded, coded
+  independently; agreement of the two engines is the central cross-check
+  of the package.
 
 Normalization is fixed by the definitional route.  Pairing the half
 determinant twist with the even/odd exterior difference gives the per-root
@@ -147,15 +149,16 @@ def bundle_root_factor(kind: GenusKind, z_degree: int, order: int) -> FactorSeri
 
     The result is cached and shared: treat it as read-only.
     """
-    if kind is GenusKind.PELL:
-        return -(elliptic_factor(ThetaKind.THETA, z_degree, order).invert().z_shift(1))
-    if kind is GenusKind.PELL1:
-        return elliptic_factor(ThetaKind.THETA1, z_degree, order) * 2
-    if kind is GenusKind.PELL2:
-        return elliptic_factor(ThetaKind.THETA2, z_degree, order)
-    if kind is GenusKind.PELL3:
-        return elliptic_factor(ThetaKind.THETA3, z_degree, order)
-    raise ValueError(f"no bundle factor for {kind!r}")
+    if kind not in _GENUS_GRADED:
+        raise ValueError(f"no bundle factor for {kind!r}")
+    theta = bundleops._GRADED_THETA[_GENUS_GRADED[kind]]
+    factor = elliptic_factor(theta, z_degree, order)
+    if theta.half:
+        return factor
+    # integer levels carry the half determinant twist, e^(-w/2) + s e^(w/2)
+    if theta.sign > 0:
+        return factor * 2
+    return -(factor.invert().z_shift(1))
 
 
 def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
@@ -165,25 +168,24 @@ def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int)
 
 
 def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
-    """log character of the symmetric-power tower of the complexified
-    tangent bundle (honest rank 4r).
+    """log character of the normalized symmetric-power tower of the
+    complexified tangent bundle,
+    prod_i prod_t (1 - t)^2 / ((1 - t e^(x_i)) (1 - t e^(-x_i))) over the
+    integer levels t.
 
-    Stable roots beyond 2r and missing ones are zero roots: the tower of
-    each extra root is taken out and that of each missing one put in, so a
-    short list is padded as the theta engine pads it.  The log is linear in
-    the character: 2 pad - S - psi^(-1) S, with S = sum_i exp(x_i) and one
-    exp per root (a zero root's character is 1)."""
-    pres = m.presentation
-    exps = bundleops.adams_power_sum(m.tangent_roots, 1, order, pres)
-    pad = len(m.tangent_roots) - m.dimension // 2
-    char = CohElement.scalar(pres, order, 2 * pad) - exps - bundleops._exp_multiple(exps, -1)
-    return bundleops._log_lambda(char, -1, "integer")
+    The tower inverts the sign -1 exterior-power product, whose log is
+    linear in the scalar-free character S + psi^(-1) S - 2k, with
+    S = sum_i exp(x_i) over the k stable roots and one exp per root.  It has
+    no scalar part, so a zero root's tower is 1, as in the theta engine."""
+    exps = bundleops.adams_power_sum(m.tangent_roots, 1, order, m.presentation)
+    char = exps + bundleops._exp_multiple(exps, -1) - 2 * len(m.tangent_roots)
+    return -bundleops._log_lambda(char, -1, False)
 
 
 @functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
 def _definition_tangent_part(m: Manifold, order: int) -> CohElement:
-    """A-hat class times the symmetric-power tangent character: the part of
-    the definition integrand that does not depend on the bundle."""
+    """A-hat class times the normalized symmetric-power tangent character:
+    the part of the definition integrand that does not depend on the bundle."""
     return a_hat_class(m, order) * exp_nilpotent(_tangent_symmetric_log(m, order))
 
 
@@ -192,15 +194,13 @@ def _pell_definition(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) ->
     # levels of its exterior-power product; integer levels carry the half
     # determinant twist
     graded_kind = _GENUS_GRADED[kind]
-    sign, levels = bundleops._WITTEN[bundleops._GRADED_THETA[graded_kind]]
+    theta = bundleops._GRADED_THETA[graded_kind]
     integrand = _definition_tangent_part(m, order)
-    if levels == "integer":
+    if not theta.half:
         integrand = integrand * det_sqrt_ch(e, order)
     integrand = integrand * gch(graded_kind, e, order)
-
-    tangent_eta = qseries.eta_like_product(-1, False, m.dimension, order)
-    bundle_eta = qseries.eta_like_product(sign, levels == "half", -2 * e.rank, order)
-    return integrate(integrand, m) * tangent_eta * bundle_eta
+    bundle_eta = qseries.eta_like_product(theta.sign, theta.half, -2 * e.rank, order)
+    return integrate(integrand, m) * bundle_eta
 
 
 def pell(

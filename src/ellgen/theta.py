@@ -32,10 +32,22 @@ class InvalidTau(ValueError):
 
 
 class ThetaKind(enum.Enum):
+    """Each kind stands for the Witten-type product
+    prod_t (1 + s t e^w)(1 + s t e^-w) with sign s = `sign`, over the integer
+    levels t = q^j, or the half levels t = q^(j-1/2) when `half`."""
+
     THETA = "theta"
     THETA1 = "theta1"
     THETA2 = "theta2"
     THETA3 = "theta3"
+
+    @property
+    def sign(self) -> int:
+        return 1 if self in (ThetaKind.THETA1, ThetaKind.THETA3) else -1
+
+    @property
+    def half(self) -> bool:
+        return self in (ThetaKind.THETA2, ThetaKind.THETA3)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,19 +206,15 @@ def elliptic_factor(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
     """
     if z_degree < 0 or z_degree % 2 != 0:
         raise ValueError("z_degree must be a non-negative even integer")
+    if not isinstance(kind, ThetaKind):
+        raise TypeError(f"unknown theta kind {kind!r}")
+    log_part = log_product_series(kind.sign, kind.half, z_degree, order)
     if kind is ThetaKind.THETA:
-        # infinite product sits in the denominator: exponential of -log
-        log_part = log_product_series(-1, False, z_degree, order)
+        # the odd kind: the product sits in the denominator
         return a_hat_factor_series(z_degree, order) * (-log_part).exp()
-    if kind is ThetaKind.THETA1:
-        return cosh_half_series(z_degree, order) * log_product_series(
-            1, False, z_degree, order
-        ).exp()
-    if kind is ThetaKind.THETA2:
-        return log_product_series(-1, True, z_degree, order).exp()
-    if kind is ThetaKind.THETA3:
-        return log_product_series(1, True, z_degree, order).exp()
-    raise TypeError(f"unknown theta kind {kind!r}")
+    if kind.half:
+        return log_part.exp()
+    return cosh_half_series(z_degree, order) * log_part.exp()
 
 
 def jacobi_identity_exact(order: int) -> bool:
@@ -260,6 +268,8 @@ def _check_tau(tau: complex, terms: int):
 
 def _theta_jet(kind: ThetaKind, v: complex, tau: complex, terms: int) -> _Jet:
     """Value and first three v-derivatives of the truncated product."""
+    if not isinstance(kind, ThetaKind):
+        raise TypeError(f"unknown theta kind {kind!r}")
     _check_tau(tau, terms)
     q = cmath.exp(2j * cmath.pi * tau)
     a = 2j * cmath.pi
@@ -268,28 +278,18 @@ def _theta_jet(kind: ThetaKind, v: complex, tau: complex, terms: int) -> _Jet:
     w_minus = 1.0 / w_plus
     jet_minus: _Jet = (w_minus, -a * w_minus, a * a * w_minus, -(a**3) * w_minus)
 
-    if kind is ThetaKind.THETA:
-        pi = cmath.pi
-        s, c = cmath.sin(pi * v), cmath.cos(pi * v)
-        acc: _Jet = _jet_scale(
-            (s, pi * c, -pi * pi * s, -pi**3 * c), 2 * cmath.exp(1j * cmath.pi * tau / 4)
-        )
-        sign, half = -1, False
-    elif kind is ThetaKind.THETA1:
-        pi = cmath.pi
-        s, c = cmath.sin(pi * v), cmath.cos(pi * v)
-        acc = _jet_scale(
-            (c, -pi * s, -pi * pi * c, pi**3 * s), 2 * cmath.exp(1j * cmath.pi * tau / 4)
-        )
-        sign, half = 1, False
-    elif kind is ThetaKind.THETA2:
+    sign, half = kind.sign, kind.half
+    if half:
         acc = _jet_const(1.0)
-        sign, half = -1, True
-    elif kind is ThetaKind.THETA3:
-        acc = _jet_const(1.0)
-        sign, half = 1, True
     else:
-        raise TypeError(f"unknown theta kind {kind!r}")
+        # 2 q^(1/8) sin(pi v) for the odd kind, 2 q^(1/8) cos(pi v) for THETA1
+        pi = cmath.pi
+        s, c = cmath.sin(pi * v), cmath.cos(pi * v)
+        if kind is ThetaKind.THETA:
+            front: _Jet = (s, pi * c, -pi * pi * s, -pi**3 * c)
+        else:
+            front = (c, -pi * s, -pi * pi * c, pi**3 * s)
+        acc = _jet_scale(front, 2 * cmath.exp(1j * cmath.pi * tau / 4))
 
     for j in range(1, terms + 1):
         qj = q**j

@@ -26,7 +26,7 @@ from ellgen.cohring import (
     builtin_manifold,
     exp_nilpotent,
 )
-from ellgen.qseries import HalfQSeries
+from ellgen.qseries import HalfQSeries, eta_like_product
 from ellgen.theta import ThetaKind
 
 # dimension 8: two degree-2 generators, one of degree 4, and a relation
@@ -154,12 +154,14 @@ def test_gch_closed_form_takes_one_exp_per_shifted_root(exp_calls, kind):
 def test_witten_character_reads_the_conjugate_off_psi_minus_one(exp_calls, kind):
     pres, roots = _roots()
     e = ProjBundle(rank=2, roots=tuple(roots[:2]), twist_b=roots[2])
-    got = witten_bundle_ch(kind, e, 8)
+    got = witten_bundle_ch(kind, e, 24)
     assert exp_calls == list(e.shifted_roots())
-    # the per-root form: the shifted roots and their negatives as separate roots
+    # the per-root form: the shifted roots and their negatives as separate
+    # roots, the scalar infinite-product part exponentiated with the rest
     shifted = e.shifted_roots()
-    sign, levels = bundleops._WITTEN[kind]
-    log_char = log_lambda_sum(shifted + tuple(-w for w in shifted), sign, levels, 8, pres)
+    negatives = tuple(-w for w in shifted)
+    levels = "half" if kind.half else "integer"
+    log_char = log_lambda_sum(shifted + negatives, kind.sign, levels, 24, pres)
     assert got == exp_nilpotent(log_char)
 
 
@@ -171,16 +173,47 @@ def test_definition_tangent_part_takes_one_exp_per_tangent_root(exp_calls, name,
     assert exp_calls == list(m.tangent_roots)
 
 
-@pytest.mark.parametrize("name, keep", [("CP2", 3), ("CP4", 5), ("CP4", 3), ("free", 0)])
-def test_tangent_log_reads_the_negatives_and_pads_off_one_character(name, keep):
+def _keep_roots(name, keep):
     m = builtin_manifold(name)
-    m = Manifold(name=m.name, presentation=m.presentation, dimension=m.dimension,
-                 tangent_roots=m.tangent_roots[:keep])
+    return Manifold(name=m.name, presentation=m.presentation, dimension=m.dimension,
+                    tangent_roots=m.tangent_roots[:keep])
+
+
+TANGENT_CASES = [("CP2", 3), ("CP4", 5), ("CP4", 3), ("free", 0)]
+
+
+@pytest.mark.parametrize("name, keep", TANGENT_CASES)
+def test_tangent_log_reads_the_negatives_and_pads_off_one_character(name, keep):
+    m = _keep_roots(name, keep)
     pres, order = m.presentation, 6
-    # the per-root form: roots, negatives and zero pads as separate roots
+    # the per-root form: roots and negatives as separate roots, normalized by
+    # as many zero roots, whose log is the scalar part alone
+    zeros = [LinearClass.zero(pres)] * (2 * len(m.tangent_roots))
+    roots = list(m.tangent_roots) + [-r for r in m.tangent_roots]
+    expected = log_lambda_sum(zeros, -1, "integer", order, pres)
+    expected = expected - log_lambda_sum(roots, -1, "integer", order, pres)
+    assert genera._tangent_symmetric_log(m, order) == expected
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP4", "free"])
+def test_tangent_log_has_no_scalar_part(name):
+    m = builtin_manifold(name)
+    assert genera._tangent_symmetric_log(m, 24).scalar_part().is_zero()
+
+
+@pytest.mark.parametrize("order", [12, 40])
+@pytest.mark.parametrize("name, keep", TANGENT_CASES)
+def test_tangent_part_is_the_eta_normalized_bare_tower(name, keep, order):
+    # the bare tower of the honest-rank complexified tangent bundle: roots,
+    # negatives and zero pads as separate roots, its scalar infinite-product
+    # part exponentiated with the rest; E(u)^dim normalizes it
+    m = _keep_roots(name, keep)
+    pres = m.presentation
     pad = len(m.tangent_roots) - m.dimension // 2
     zeros = [LinearClass.zero(pres)] * (2 * abs(pad))
     roots = list(m.tangent_roots) + [-r for r in m.tangent_roots]
-    expected = log_lambda_sum(zeros, -1, "integer", order, pres) * (1 if pad > 0 else -1)
-    expected = expected - log_lambda_sum(roots, -1, "integer", order, pres)
-    assert genera._tangent_symmetric_log(m, order) == expected
+    bare = log_lambda_sum(zeros, -1, "integer", order, pres) * (1 if pad > 0 else -1)
+    bare = bare - log_lambda_sum(roots, -1, "integer", order, pres)
+    expected = genera.a_hat_class(m, order) * exp_nilpotent(bare)
+    eta = eta_like_product(-1, False, m.dimension, order)
+    assert genera._definition_tangent_part(m, order) == expected * eta

@@ -71,15 +71,22 @@ def test_a_hat_multiplicative_over_roots(cp4, cp2):
 def test_witten_reduction_prefactor_identity(cp2, cp4):
     # the per-root normalized tower equals the eta-power prefactor times the
     # bare symmetric-power tower of the honest-rank complexified tangent
+    from ellgen.bundleops import log_lambda_sum
     from ellgen.cohring import exp_nilpotent, integrate
-    from ellgen.genera import _tangent_symmetric_log, a_hat_class
+    from ellgen.genera import a_hat_class
     from ellgen.qseries import eta_like_product
 
     order = 10
     for m in (cp2, cp4):
-        bare = integrate(
-            a_hat_class(m, order) * exp_nilpotent(_tangent_symmetric_log(m, order)), m
-        )
+        # roots, negatives and zero pads up to rank dim as separate roots
+        pad = len(m.tangent_roots) - m.dimension // 2
+        assert pad > 0
+        pres = m.presentation
+        zeros = [LinearClass.zero(pres)] * (2 * pad)
+        roots = list(m.tangent_roots) + [-r for r in m.tangent_roots]
+        bare_log = log_lambda_sum(zeros, -1, "integer", order, pres)
+        bare_log = bare_log - log_lambda_sum(roots, -1, "integer", order, pres)
+        bare = integrate(a_hat_class(m, order) * exp_nilpotent(bare_log), m)
         prefactor = eta_like_product(-1, False, m.dimension, order)
         assert witten_genus(m, order) == bare * prefactor
 
@@ -446,3 +453,16 @@ def test_engines_agree_at_theta_engine_orders_on_cp4(cp4, monkeypatch):
         assert by_theta == series_of(cp4, e, kind, DEFINITION, 80)
     for kind in GradedKind:
         assert gch(kind, e, 40) == gch_closed_form(kind, e, 40)
+
+
+def test_engines_agree_at_order_160_on_cp4(cp4, monkeypatch):
+    # one integer-level and one half-level kind, the guard lifted as above
+    from ellgen import bundleops
+
+    monkeypatch.setattr(bundleops, "ORDER_GUARD", 160)
+    x = LinearClass.generator(cp4.presentation, "x")
+    e = ProjBundle(rank=2, roots=(x, x.scale(Fraction(-1, 2))), twist_b=x.scale(Fraction(1, 3)))
+    for kind in (GenusKind.PELL1, GenusKind.PELL2):
+        by_theta = series_of(cp4, e, kind, THETA_PRODUCT, 160)
+        assert by_theta.order == 160
+        assert by_theta == series_of(cp4, e, kind, DEFINITION, 160)

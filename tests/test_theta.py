@@ -123,6 +123,13 @@ def test_invalid_tau_and_derivative_order():
         theta_numeric_dv(ThetaKind.THETA, 0.1, 1.1j, deriv_order=4)
 
 
+def test_kind_must_be_a_theta_kind():
+    with pytest.raises(TypeError):
+        elliptic_factor("theta", 4, 6)
+    with pytest.raises(TypeError):
+        theta_numeric("theta2", 0.1, 1.1j)
+
+
 def test_jacobi_identity_exact_orders():
     assert jacobi_identity_exact(0)
     assert jacobi_identity_exact(20)
