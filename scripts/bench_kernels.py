@@ -2,9 +2,13 @@
 """Time the exact kernels of ellgen and print one JSON line.
 
     python3 scripts/bench_kernels.py
+    python3 scripts/bench_kernels.py --only cohring.mul.free --out BENCH_x.json
 
-ellgen is imported from the ``src`` directory next to this script, so the
-file times the checkout it sits in.  Cases:
+``--only SUBSTR`` times just the cases whose names contain SUBSTR, so one
+case can be timed alone in its own process, with no earlier case filling
+caches or the heap before it; ``--out PATH`` writes the JSON line to PATH as
+well as to stdout.  ellgen is imported from the ``src`` directory next to
+this script, so the file times the checkout it sits in.  Cases:
 
 - ``HalfQSeries`` multiply and invert at N = 20, 80, 320, on dense operands
   (every coefficient a random nonzero rational) and on sparse ones (random
@@ -58,6 +62,10 @@ file times the checkout it sits in.  Cases:
   on ``manifests/cp2_rank2.json`` at N = 12, half-period on
   ``manifests/cp2_o1.json`` and s-transform on ``manifests/cp2_matched.json``.
 
+``case_table`` maps each case name to a setup that builds the case's operands
+and returns the call to time.  Random operands come from a generator seeded
+by the case name, so a case times the same call alone or among the others.
+
 Each case reports the median over REPEATS timed batches of the time per call,
 in reference-speed microseconds; a batch repeats the call until it has run
 for BATCH_S seconds.  The calibration kernel of ``perfbench/speed.py`` is
@@ -66,11 +74,12 @@ the batch's wall time to the host speed at which that kernel takes
 ``speed.REFERENCE_S``, so drift of the host's speed between batches and
 between runs cancels.  ``exponents`` holds the least-squares slope of
 log(time) against log(N) for each series case and for
-``qseries.eval_numeric``.
+``qseries.eval_numeric``, when at least two of its orders were timed.
 """
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import io
 import json
@@ -78,6 +87,7 @@ import math
 import os
 import platform
 import random
+import re
 import statistics
 import sys
 import tempfile
@@ -112,7 +122,7 @@ ORDERS = (20, 80, 320)
 EVAL_ORDERS = (80, 160, 320)
 REPEATS = 5
 BATCH_S = 0.2
-SEED = 1
+TAU = 0.3 + 1.2j
 VERIFY_ARGS = {
     "jacobi": ["--order", "20"],
     "theta-laws": [],
@@ -174,136 +184,200 @@ def slope(points: dict[int, float]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def main() -> int:
-    rng = random.Random(SEED)
-    series_cases = {"mul.dense": {}, "mul.sparse": {}, "invert.dense": {}, "invert.sparse": {}}
-    for n in ORDERS:
-        a, b, s = dense_series(rng, n), dense_series(rng, n), sparse_series(rng, n)
-        series_cases["mul.dense"][n] = time_call(lambda: a * b)
-        series_cases["mul.sparse"][n] = time_call(lambda: s * a)
-        series_cases["invert.dense"][n] = time_call(a.invert)
-        series_cases["invert.sparse"][n] = time_call(s.invert)
+def cp2_rank3():
+    """CP2 and a twisted rank-3 bundle on it."""
+    cp2 = builtin_manifold("CP2")
+    x = LinearClass.generator(cp2.presentation, "x")
+    return cp2, ProjBundle(
+        rank=3, roots=(x, x.scale(-1), x.scale(Fraction(1, 2))), twist_b=x.scale(Fraction(1, 3))
+    )
 
-    kernels = {
-        f"qseries.{case}.N{n}": round(t * 1e6, 2)
-        for case, points in series_cases.items()
-        for n, t in points.items()
-    }
-    big_a, big_b = dense_series(rng, 80, 2**256), dense_series(rng, 80, 2**256)
-    kernels["qseries.mul.dense_big.N80"] = round(time_call(lambda: big_a * big_b) * 1e6, 2)
+
+def cp4_bundles():
+    """CP4 with a twisted rank-2 bundle (the ``cp4_rank2.json`` manifest) and a rank-3 one."""
+    cp4 = builtin_manifold("CP4")
+    x = LinearClass.generator(cp4.presentation, "x")
+    twist = x.scale(Fraction(1, 3))
+    rank2 = ProjBundle(rank=2, roots=(x, x.scale(Fraction(-1, 2))), twist_b=twist)
+    rank3 = ProjBundle(rank=3, roots=(x, x.scale(-1), x.scale(Fraction(1, 2))), twist_b=twist)
+    return cp4, rank2, rank3
+
+
+def case_table(tmp: Path) -> dict:
+    """Case name -> setup: a function that builds the operands and returns the timed call.
+
+    ``tmp`` is a directory for the manifest that the ``cli.compute_json`` case reads.
+    """
+    table = {}
+
+    def case(name):
+        def register(setup):
+            table[name] = setup
+            return setup
+        return register
+
+    for kind in ("mul.dense", "mul.sparse", "invert.dense", "invert.sparse"):
+        for n in ORDERS:
+            @case(f"qseries.{kind}.N{n}")
+            def _(kind=kind, n=n):
+                rng = random.Random(f"qseries.{kind}.N{n}")
+                a, b, s = dense_series(rng, n), dense_series(rng, n), sparse_series(rng, n)
+                return {
+                    "mul.dense": lambda: a * b,
+                    "mul.sparse": lambda: s * a,
+                    "invert.dense": a.invert,
+                    "invert.sparse": s.invert,
+                }[kind]
+
+    @case("qseries.mul.dense_big.N80")
+    def _():
+        rng = random.Random("qseries.mul.dense_big.N80")
+        a, b = dense_series(rng, 80, 2**256), dense_series(rng, 80, 2**256)
+        return lambda: a * b
+
     for kind in (ThetaKind.THETA, ThetaKind.THETA2):
         for n in (80, 320):
-            kernels[f"theta.elliptic_factor.{kind.name}.z4.N{n}"] = round(
-                time_call(lambda: elliptic_factor.__wrapped__(kind, 4, n)) * 1e6, 2
-            )
-    for name, order in (("CP2", 20), ("CP4", 20), ("free", 0)):
-        manifold = builtin_manifold(name)
-        x, y = full_element(rng, manifold, order), full_element(rng, manifold, order)
-        kernels[f"cohring.mul.{name}.N{order}"] = round(time_call(lambda: x * y) * 1e6, 2)
+            @case(f"theta.elliptic_factor.{kind.name}.z4.N{n}")
+            def _(kind=kind, n=n):
+                return lambda: elliptic_factor.__wrapped__(kind, 4, n)
 
-    cp2 = builtin_manifold("CP2")
-    gen = LinearClass.generator(cp2.presentation, "x")
-    bundle = ProjBundle(
-        rank=3,
-        roots=(gen, gen.scale(-1), gen.scale(Fraction(1, 2))),
-        twist_b=gen.scale(Fraction(1, 3)),
-    )
-    kernels["bundleops.graded_decompose.W.rank3.N24"] = round(
-        time_call(lambda: graded_decompose(GradedKind.W, bundle, 24)) * 1e6, 2
-    )
+    for manifold_name, order in (("CP2", 20), ("CP4", 20), ("free", 0)):
+        @case(f"cohring.mul.{manifold_name}.N{order}")
+        def _(manifold_name=manifold_name, order=order):
+            rng = random.Random(f"cohring.mul.{manifold_name}.N{order}")
+            manifold = builtin_manifold(manifold_name)
+            x, y = full_element(rng, manifold, order), full_element(rng, manifold, order)
+            return lambda: x * y
 
-    def cold_decompose():
-        bundleops._root_tower.cache_clear()
-        return graded_decompose(GradedKind.W, bundle, 24)
+    @case("bundleops.graded_decompose.W.rank3.N24")
+    def _():
+        _, bundle = cp2_rank3()
+        return lambda: graded_decompose(GradedKind.W, bundle, 24)
 
-    kernels["bundleops.graded_decompose.W.rank3.N24.cold"] = round(
-        time_call(cold_decompose) * 1e6, 2
-    )
+    @case("bundleops.graded_decompose.W.rank3.N24.cold")
+    def _():
+        _, bundle = cp2_rank3()
+
+        def cold():
+            bundleops._root_tower.cache_clear()
+            return graded_decompose(GradedKind.W, bundle, 24)
+        return cold
+
     for kind in (GradedKind.W, GradedKind.B):
-        kernels[f"bundleops.gch.{kind.value}.rank3.N24"] = round(
-            time_call(lambda: gch(kind, bundle, 24)) * 1e6, 2
-        )
-    table = graded_decompose(GradedKind.W, bundle, 24)
-    kernels["bundleops.resum_graded.W.rank3.N24"] = round(
-        time_call(lambda: resum_graded(table, cp2.presentation)) * 1e6, 2
-    )
-    cp4 = builtin_manifold("CP4")
-    x4 = LinearClass.generator(cp4.presentation, "x")
-    twisted4 = ProjBundle(
-        rank=2, roots=(x4, x4.scale(Fraction(-1, 2))), twist_b=x4.scale(Fraction(1, 3))
-    )
-    kernels["genera.pell_definition.CP4.pell1.rank2.N24"] = round(
-        time_call(lambda: pell(cp4, twisted4, GenusKind.PELL1, DEFINITION, 24)) * 1e6, 2
-    )
-    bundle4 = ProjBundle(
-        rank=3,
-        roots=(x4, x4.scale(-1), x4.scale(Fraction(1, 2))),
-        twist_b=x4.scale(Fraction(1, 3)),
-    )
-    shifted = bundle4.shifted_roots()
-    six = shifted + tuple(-w for w in shifted)
-    kernels["bundleops.log_lambda_sum.CP4.rank3.half.N24"] = round(
-        time_call(lambda: log_lambda_sum(six, -1, "half", 24, cp4.presentation)) * 1e6, 2
-    )
+        @case(f"bundleops.gch.{kind.value}.rank3.N24")
+        def _(kind=kind):
+            _, bundle = cp2_rank3()
+            return lambda: gch(kind, bundle, 24)
+
+    @case("bundleops.resum_graded.W.rank3.N24")
+    def _():
+        cp2, bundle = cp2_rank3()
+        graded = graded_decompose(GradedKind.W, bundle, 24)
+        return lambda: resum_graded(graded, cp2.presentation)
+
+    @case("genera.pell_definition.CP4.pell1.rank2.N24")
+    def _():
+        cp4, rank2, _ = cp4_bundles()
+        return lambda: pell(cp4, rank2, GenusKind.PELL1, DEFINITION, 24)
+
+    @case("bundleops.log_lambda_sum.CP4.rank3.half.N24")
+    def _():
+        cp4, _, rank3 = cp4_bundles()
+        shifted = rank3.shifted_roots()
+        six = shifted + tuple(-w for w in shifted)
+        return lambda: log_lambda_sum(six, -1, "half", 24, cp4.presentation)
+
     for n in (24, 160):
-        kernels[f"genera.definition_tangent_part.CP4.N{n}.cold"] = round(
-            time_call(lambda: genera._definition_tangent_part.__wrapped__(cp4, n)) * 1e6, 2
-        )
-    kernels["bundleops.gch_closed_form.B.rank2.CP4.N80"] = round(
-        time_call(lambda: gch_closed_form(GradedKind.B, twisted4, 80)) * 1e6, 2
-    )
-    kernels["bundleops.schur_character.321.CP4.rank3.N8"] = round(
-        time_call(lambda: schur_character((3, 2, 1), bundle4, 8)) * 1e6, 2
-    )
-    kernels["bundleops.tensor_exterior_identity_check.3x3.n4"] = round(
-        time_call(lambda: tensor_exterior_identity_check(3, 3, 4)) * 1e6, 2
-    )
+        @case(f"genera.definition_tangent_part.CP4.N{n}.cold")
+        def _(n=n):
+            cp4 = builtin_manifold("CP4")
+            return lambda: genera._definition_tangent_part.__wrapped__(cp4, n)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cp4_rank2.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({
-                "manifold": "CP4",
-                "bundle": {"rank": 2, "roots": [{"x": "1"}, {"x": "-1/2"}],
-                           "twist_b": {"x": "1/3"}},
-                "order": 320,
-            }, fh)
-        argv = ["compute", "--input", path, "--genus", "pell1", "--json"]
-        kernels["cli.compute_json.CP4.pell1.N320"] = round(
-            time_call(lambda: cli.main(argv, out=io.StringIO())) * 1e6, 2
-        )
-        manifest = cli.load_manifest(path)
-    series = pell(manifest.manifold, manifest.bundle, GenusKind.PELL1, order=320).series
-    kernels["cli.render_coefficients.N320"] = round(
-        time_call(lambda: cli.compute_json({"coefficients": series})) * 1e6, 2
-    )
+    @case("bundleops.gch_closed_form.B.rank2.CP4.N80")
+    def _():
+        _, rank2, _ = cp4_bundles()
+        return lambda: gch_closed_form(GradedKind.B, rank2, 80)
 
-    tau = 0.3 + 1.2j
-    u = cmath.exp(1j * cmath.pi * tau)
-    eval_points = {}
+    @case("bundleops.schur_character.321.CP4.rank3.N8")
+    def _():
+        _, _, rank3 = cp4_bundles()
+        return lambda: schur_character((3, 2, 1), rank3, 8)
+
+    @case("bundleops.tensor_exterior_identity_check.3x3.n4")
+    def _():
+        return lambda: tensor_exterior_identity_check(3, 3, 4)
+
+    @case("cli.compute_json.CP4.pell1.N320")
+    def _():
+        path = tmp / "cp4_rank2.json"
+        path.write_text(json.dumps({
+            "manifold": "CP4",
+            "bundle": {"rank": 2, "roots": [{"x": "1"}, {"x": "-1/2"}],
+                       "twist_b": {"x": "1/3"}},
+            "order": 320,
+        }), encoding="utf-8")
+        argv = ["compute", "--input", str(path), "--genus", "pell1", "--json"]
+        return lambda: cli.main(argv, out=io.StringIO())
+
+    @case("cli.render_coefficients.N320")
+    def _():
+        cp4, rank2, _ = cp4_bundles()
+        series = pell(cp4, rank2, GenusKind.PELL1, order=320).series
+        return lambda: cli.compute_json({"coefficients": series})
+
     for n in EVAL_ORDERS:
-        f = pell(manifest.manifold, manifest.bundle, GenusKind.PELL3, order=n).series
-        eval_points[n] = time_call(lambda: f.eval_numeric(u))
-        kernels[f"qseries.eval_numeric.N{n}"] = round(eval_points[n] * 1e6, 2)
-    kernels["theta.theta_numeric.THETA.terms60"] = round(
-        time_call(lambda: theta_numeric(ThetaKind.THETA, 0.13 + 0.04j, tau, 60)) * 1e6, 2
-    )
-    for suite, extra in VERIFY_ARGS.items():
-        argv = ["verify", "--suite", suite, *extra]
-        kernels[f"cli.verify.{suite}"] = round(
-            time_call(lambda: cli.main(argv, out=io.StringIO())) * 1e6, 2
-        )
+        @case(f"qseries.eval_numeric.N{n}")
+        def _(n=n):
+            cp4, rank2, _ = cp4_bundles()
+            f = pell(cp4, rank2, GenusKind.PELL3, order=n).series
+            u = cmath.exp(1j * cmath.pi * TAU)
+            return lambda: f.eval_numeric(u)
 
-    print(json.dumps({
+    @case("theta.theta_numeric.THETA.terms60")
+    def _():
+        return lambda: theta_numeric(ThetaKind.THETA, 0.13 + 0.04j, TAU, 60)
+
+    for suite, extra in VERIFY_ARGS.items():
+        @case(f"cli.verify.{suite}")
+        def _(argv=("verify", "--suite", suite, *extra)):
+            return lambda: cli.main(list(argv), out=io.StringIO())
+
+    return table
+
+
+def exponents(kernels: dict[str, float]) -> dict[str, float]:
+    """Slope of log(time) against log(N) per series case with at least two orders timed."""
+    groups: dict[str, dict[int, float]] = {}
+    for name, t in kernels.items():
+        hit = re.fullmatch(r"(qseries\.(?:(?:mul|invert)\.(?:dense|sparse)|eval_numeric))\.N(\d+)",
+                           name)
+        if hit:
+            groups.setdefault(hit[1], {})[int(hit[2])] = t
+    return {group: round(slope(points), 3) for group, points in groups.items() if len(points) > 1}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Time the exact kernels of ellgen.")
+    parser.add_argument("--only", metavar="SUBSTR",
+                        help="time only the cases whose names contain SUBSTR")
+    parser.add_argument("--out", metavar="PATH", help="also write the JSON line to PATH")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        table = case_table(Path(tmp))
+        names = [name for name in table if args.only is None or args.only in name]
+        if not names:
+            parser.error(f"no case name contains {args.only!r}")
+        kernels = {name: round(time_call(table[name]()) * 1e6, 2) for name in names}
+    line = json.dumps({
         "unit": "reference-speed us per call, median of batches",
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "kernels": kernels,
-        "exponents": {
-            **{f"qseries.{case}": round(slope(p), 3) for case, p in series_cases.items()},
-            "qseries.eval_numeric": round(slope(eval_points), 3),
-        },
-    }))
+        "exponents": exponents(kernels),
+    })
+    print(line)
+    if args.out:
+        Path(args.out).write_text(line + "\n", encoding="utf-8")
     return 0
 
 

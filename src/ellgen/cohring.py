@@ -6,6 +6,13 @@ rationals.  Elements are finite monomial -> series maps; everything of
 degree above the top degree is identically zero, which makes degree-2
 classes nilpotent and exponentials finite.
 
+A product multiplies the integer numerators of each monomial pair
+(`qseries._int_product`) and keeps the (numerators, denominator) parts per
+result monomial; each result monomial is then summed once, over the lcm of
+its parts' denominators, into one canonical series.  Every stored
+coefficient is nonzero and has exactly the element's order, so a sum copies
+a same-order operand's terms without truncating them.
+
 Manifolds are presented by their ring, a dimension 4r equal to the top
 degree, and a list of stable tangent Chern roots.  Zero roots (padding for
 trivial summands) are allowed; every genus factor downstream sends the zero
@@ -14,11 +21,13 @@ root to 1, so padding never changes an integral.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter
+from math import lcm
+from operator import add, itemgetter, mul
 
-from .qseries import HalfQSeries, from_numerators, parse_rational
+from .qseries import HalfQSeries, _int_product, from_numerators, parse_rational
 
 Monomial = tuple[int, ...]
 
@@ -43,17 +52,19 @@ class RingPresentation:
     top_degree: int
     vanishing_monomials: tuple[Monomial, ...] = ()
     integration_table: tuple[tuple[Monomial, Fraction], ...] = ()
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, deg in self.generators:
             if deg < 2 or deg % 2 != 0:
                 raise ValueError(f"generator {name} must have even degree >= 2")
+        object.__setattr__(self, "degrees", tuple([deg for _, deg in self.generators]))
         for mono, _ in self.integration_table:
             if self.monomial_degree(mono) != self.top_degree:
                 raise ValueError("integration table keys must have top degree")
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * deg for e, (_, deg) in zip(mono, self.generators))
+        return sum(map(mul, mono, self.degrees))
 
     def is_zero_monomial(self, mono: Monomial) -> bool:
         if self.monomial_degree(mono) > self.top_degree:
@@ -163,7 +174,10 @@ class LinearClass:
 
 
 class CohElement:
-    """An element of the quotient ring: monomial -> HalfQSeries."""
+    """An element of the quotient ring: monomial -> HalfQSeries.
+
+    Every stored coefficient is a nonzero canonical series of exactly the element's order.
+    """
 
     __slots__ = ("presentation", "order", "coeffs")
 
@@ -237,6 +251,8 @@ class CohElement:
 
     def _truncated_terms(self, n: int) -> dict[Monomial, HalfQSeries]:
         """monomial -> series truncated to order n, dropping series that vanish there."""
+        if n == self.order:
+            return dict(self.coeffs)
         return {m: t for m, s in self.coeffs.items() if not (t := s.truncate(n)).is_zero()}
 
     def __neg__(self):
@@ -260,18 +276,19 @@ class CohElement:
             return out
         self._check(other)
         n = min(self.order, other.order)
-        out = CohElement(self.presentation, n)
         pres = self.presentation
         degree = pres.monomial_degree
         top = pres.top_degree
         # a relation of degree above the top is already enforced by the degree test
         relations = [v for v in pres.vanishing_monomials if degree(v) <= top]
-        right = sorted(((degree(m), m, s) for m, s in other.coeffs.items()), key=itemgetter(0))
-        terms = out.coeffs
+        right = sorted(((degree(m), m, s.nums[: n + 1], s.den) for m, s in other.coeffs.items()),
+                       key=itemgetter(0))
+        # result monomial -> (integer numerators, denominator) of each pair product
+        parts: dict[Monomial, list[tuple[tuple, int]]] = defaultdict(list)
         for m1, s1 in self.coeffs.items():
             room = top - degree(m1)
-            t1 = s1.truncate(n)
-            for d2, m2, s2 in right:
+            nums1, den1 = s1.nums[: n + 1], s1.den
+            for d2, m2, nums2, den2 in right:
                 if d2 > room:
                     break
                 prod_mono = tuple(map(add, m1, m2))
@@ -279,12 +296,19 @@ class CohElement:
                     all(m >= v for m, v in zip(prod_mono, van)) for van in relations
                 ):
                     continue
-                term = t1 * s2
-                if term.is_zero():
-                    continue
-                existing = terms.get(prod_mono)
-                terms[prod_mono] = term if existing is None else existing + term
-        out.coeffs = {m: s for m, s in terms.items() if not s.is_zero()}
+                parts[prod_mono].append((_int_product(nums1, nums2), den1 * den2))
+        out = CohElement(pres, n)
+        for mono, bucket in parts.items():
+            # one sum per result monomial, over the lcm of its parts' denominators
+            nums, den = bucket[0]
+            if len(bucket) > 1:
+                den = lcm(*[d for _, d in bucket])
+                scaled = [p if d == den else map((den // d).__mul__, p) for p, d in bucket]
+                nums = list(map(add, scaled[0], scaled[1]))
+                for p in scaled[2:]:
+                    nums = list(map(add, nums, p))
+            if any(nums):
+                out.coeffs[mono] = from_numerators(n, tuple(nums), den)
         return out
 
     __rmul__ = __mul__
@@ -317,7 +341,9 @@ class CohElement:
         return out
 
     def u_slice(self, k: int) -> "CohElement":
-        """The coefficient of u^k, as an order-0 element."""
+        """The coefficient of u^k, as an order-0 element; IndexError for k < 0."""
+        if k < 0:
+            raise IndexError(f"u^{k} is not tracked at order {self.order}")
         out = CohElement(self.presentation, 0)
         for mono, s in self.coeffs.items():
             if k <= s.order and s.nums[k]:
@@ -328,12 +354,9 @@ class CohElement:
         return self.coefficient(self.presentation.unit_monomial())
 
     def map_series(self, fn) -> "CohElement":
-        out = CohElement(self.presentation, self.order)
-        for mono, s in self.coeffs.items():
-            t = fn(s)
-            if not t.is_zero():
-                out.coeffs[mono] = t
-        return out
+        """fn of every coefficient, truncated to the element order; ValueError if shorter."""
+        terms = {mono: fn(s) for mono, s in self.coeffs.items()}
+        return CohElement(self.presentation, self.order, terms)
 
     def remap_generator(self, src: int, dst: int) -> "CohElement":
         """Substitute generator #src by generator #dst (must share a degree)."""

@@ -364,6 +364,8 @@ def _int_product(a: tuple, b: tuple) -> tuple:
     Both tuples have the same length.
     """
     size = len(a)
+    if size == 1:
+        return (a[0] * b[0],)
     terms_a = size - a.count(0)
     terms_b = size - b.count(0)
     if not terms_a or not terms_b:

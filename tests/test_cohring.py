@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -306,6 +307,80 @@ def test_product_and_sum_match_brute_force(ring, data):
     _assert_terms(a * b, _brute_product(a, b))
     _assert_terms(a + b, _brute_sum(a, b))
     _assert_terms(a + -a, (a.order, {}))
+
+
+# denominators whose pairwise products differ, so one result monomial sums
+# parts over several denominators and the lcm is not any single one of them
+mixed_coeff = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(min_value=-7, max_value=7), st.sampled_from([1, 3, 5, 6, 12])),
+)
+
+# like the Schur rings: six degree-2 generators at order 0
+SCHUR_RING = RingPresentation(
+    generators=tuple((f"u{i}", 2) for i in range(1, 4)) + tuple((f"v{j}", 2) for j in range(1, 4)),
+    top_degree=12,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _low_monomials(pres):
+    """Monomials of degree <= 4, so that many pairs land on the same result monomial."""
+    return [m for m in _monomials_up_to_top(pres) if pres.monomial_degree(m) <= 4]
+
+
+@st.composite
+def mixed_element(draw, pres, max_order):
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    monos = draw(st.lists(st.sampled_from(_low_monomials(pres)), max_size=8, unique=True))
+    return CohElement(
+        pres,
+        order,
+        {
+            m: HalfQSeries(order, draw(st.lists(mixed_coeff, min_size=order + 1,
+                                                max_size=order + 1)))
+            for m in monos
+        },
+    )
+
+
+def _assert_stored_canonical(elem):
+    for s in elem.coeffs.values():
+        assert not s.is_zero()
+        assert s.order == elem.order
+        assert s == HalfQSeries(s.order, s.coeffs)
+
+
+@pytest.mark.parametrize("ring", sorted(KERNEL_RINGS) + ["schur6"])
+@given(data=st.data())
+def test_product_and_sum_over_mixed_denominators(ring, data):
+    pres, max_order = (SCHUR_RING, 0) if ring == "schur6" else (KERNEL_RINGS[ring], 4)
+    a = data.draw(mixed_element(pres, max_order))
+    b = data.draw(mixed_element(pres, max_order))
+    for result, expected in ((a * b, _brute_product(a, b)), (a + b, _brute_sum(a, b))):
+        _assert_terms(result, expected)
+        _assert_stored_canonical(result)
+
+
+def test_u_slice_rejects_negative_power(cp2):
+    elem = CohElement(cp2.presentation, 3, {(1,): HalfQSeries(3, [1, 2, 3, 4])})
+    assert elem.u_slice(3) == CohElement(cp2.presentation, 0, {(1,): HalfQSeries(0, [4])})
+    with pytest.raises(IndexError):
+        elem.u_slice(-1)
+
+
+def test_map_series_keeps_the_element_order(cp2):
+    elem = CohElement(cp2.presentation, 2, {(0,): HalfQSeries(2, [1, 2, 3]),
+                                            (1,): HalfQSeries(2, [5])})
+    longer = elem.map_series(lambda s: HalfQSeries(4, list(s.coeffs) + [7, 7]))
+    assert longer == elem
+    _assert_stored_canonical(longer)
+    # a series that vanishes is dropped, and the sum copies the same-order terms
+    dropped = elem.map_series(lambda s: s * 0 if s.coefficient(0) == 5 else s)
+    assert set(dropped.coeffs) == {(0,)}
+    _assert_stored_canonical(dropped + elem)
+    with pytest.raises(ValueError):
+        elem.map_series(lambda s: s.truncate(1))
 
 
 @pytest.mark.parametrize("ring", sorted(KERNEL_RINGS))

@@ -1,6 +1,7 @@
 """The scripts the README runs work from a plain checkout: each one finds
 ellgen next to itself, with no PYTHONPATH and from any working directory."""
 
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,31 @@ def test_worked_examples_print_the_cancellation_identity(tmp_path):
     imposed = [line for line in lines if "curvature relation imposed" in line]
     assert len(imposed) == 2
     assert all(line.endswith("equal = True") for line in imposed)
+
+
+def test_bench_kernels_times_one_case_and_writes_its_line(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    out = tmp_path / "bench.json"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"),
+         "--only", "qseries.mul.dense.N20", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    line = result.stdout.splitlines()[-1]
+    assert out.read_text(encoding="utf-8") == line + "\n"
+    record = json.loads(line)
+    assert list(record["kernels"]) == ["qseries.mul.dense.N20"]
+    assert record["kernels"]["qseries.mul.dense.N20"] > 0
+    assert record["exponents"] == {}
+
+
+def test_bench_kernels_rejects_an_unmatched_case(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--only", "no.such.case"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "no.such.case" in result.stderr
