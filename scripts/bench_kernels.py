@@ -2,13 +2,12 @@
 """Time the exact kernels of ellgen and print one JSON line.
 
     python3 scripts/bench_kernels.py
-    python3 scripts/bench_kernels.py --only cohring.mul.free --out BENCH_x.json
+    python3 scripts/bench_kernels.py --only cohring.mul.free > BENCH_x.json
 
 ``--only SUBSTR`` times just the cases whose names contain SUBSTR, so one
 case can be timed alone in its own process, with no earlier case filling
-caches or the heap before it; ``--out PATH`` writes the JSON line to PATH as
-well as to stdout.  ellgen is imported from the ``src`` directory next to
-this script, so the file times the checkout it sits in.  Cases:
+caches or the heap before it.  ellgen is imported from the ``src`` directory
+next to this script, so the file times the checkout it sits in.  Cases:
 
 - ``HalfQSeries`` multiply and invert at N = 20, 80, 320, on dense operands
   (every coefficient a random nonzero rational) and on sparse ones (random
@@ -360,7 +359,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the exact kernels of ellgen.")
     parser.add_argument("--only", metavar="SUBSTR",
                         help="time only the cases whose names contain SUBSTR")
-    parser.add_argument("--out", metavar="PATH", help="also write the JSON line to PATH")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         table = case_table(Path(tmp))
@@ -376,8 +374,6 @@ def main(argv=None) -> int:
         "exponents": exponents(kernels),
     })
     print(line)
-    if args.out:
-        Path(args.out).write_text(line + "\n", encoding="utf-8")
     return 0
 
 
