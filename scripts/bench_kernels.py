@@ -56,10 +56,11 @@ next to this script, so the file times the checkout it sits in.  Cases:
   (``qseries.eval_numeric.N...``);
 - ``theta_numeric`` of the kind THETA at v = 0.13 + 0.04i, tau = 0.3 + 1.2i
   with 60 product terms (``theta.theta_numeric.THETA.terms60``);
-- warm in-process ``cli.main verify`` of five suites, as the README runs
+- warm in-process ``cli.main verify`` of every suite, as the README runs
   them (``cli.verify.<suite>``): jacobi at N = 20, theta-laws, consistency
   on ``manifests/cp2_rank2.json`` at N = 12, half-period on
-  ``manifests/cp2_o1.json`` and s-transform on ``manifests/cp2_matched.json``.
+  ``manifests/cp2_o1.json``, s-transform on ``manifests/cp2_matched.json``
+  and schur (its 27 tensor-exterior identity cases).
 
 ``case_table`` maps each case name to a setup that builds the case's operands
 and returns the call to time.  Random operands come from a generator seeded
@@ -128,6 +129,7 @@ VERIFY_ARGS = {
     "consistency": ["--input", str(ROOT / "manifests" / "cp2_rank2.json"), "--order", "12"],
     "half-period": ["--input", str(ROOT / "manifests" / "cp2_o1.json")],
     "s-transform": ["--input", str(ROOT / "manifests" / "cp2_matched.json")],
+    "schur": [],
 }
 
 

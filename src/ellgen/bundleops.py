@@ -22,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .cohring import (
     CohElement,
@@ -337,13 +337,12 @@ def schur_polynomial(lam, nvars: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _schur_from_roots(roots, lam, order: int, pres: RingPresentation) -> CohElement:
-    """s_lam at X_i = exp(root_i): sum over exponent vectors a of
-    K_a prod_i psi^(a_i) exp(root_i), with one exp per root."""
-    exps = [exp_class(r, order) for r in roots]
+def _psi_sum(exps, poly, order: int, pres: RingPresentation) -> CohElement:
+    """sum_a c_a prod_i psi^(a_i)(exps_i) for an integer polynomial {a: c_a}:
+    the polynomial at X_i = exps_i, each power read off exps_i by psi^(a_i)."""
     total = CohElement.zero(pres, order)
-    for a, kostka in schur_polynomial(lam, len(roots)).items():
-        term = CohElement.scalar(pres, order, kostka)
+    for a, c in poly.items():
+        term = CohElement.scalar(pres, order, c)
         for exp_r, a_i in zip(exps, a):
             if a_i:
                 term = term * _exp_multiple(exp_r, a_i)
@@ -351,8 +350,23 @@ def _schur_from_roots(roots, lam, order: int, pres: RingPresentation) -> CohElem
     return total
 
 
+def _schur_from_roots(roots, lam, order: int, pres: RingPresentation) -> CohElement:
+    """s_lam at X_i = exp(root_i), with one exp per root."""
+    exps = [exp_class(r, order) for r in roots]
+    return _psi_sum(exps, schur_polynomial(lam, len(roots)), order, pres)
+
+
+def _monomial_symmetric(mu, nvars: int) -> dict[tuple[int, ...], int]:
+    """m_mu(x_1..x_nvars) as {exponent vector: 1}; empty when mu is too long."""
+    padded = tuple(mu) + (0,) * (nvars - len(mu))
+    return dict.fromkeys(set(itertools.permutations(padded)), 1) if len(mu) <= nvars else {}
+
+
 def normalize_partition(lam) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in lam if int(p) > 0)
+    """The nonzero parts of lam; a negative or non-integer part is an error."""
+    if any(p != int(p) or p < 0 for p in lam):
+        raise ValueError(f"partition parts must be nonnegative integers: {tuple(lam)}")
+    parts = tuple(int(p) for p in lam if p)
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("partition parts must be weakly decreasing")
     return parts
@@ -389,34 +403,35 @@ def partitions_in_box(n: int, max_rows: int, max_cols: int):
     yield from rec(n, max_cols, max_rows)
 
 
+def _exterior_of_tensor(exp_u, exp_v, n: int, order: int, pres: RingPresentation) -> CohElement:
+    """e_n(X_i Y_j) at X = exp_u, Y = exp_v as sum_mu m_mu(X) e_mu(Y) (Macdonald
+    I (4.2')), mu in the box where m_mu(X) and e_mu(Y) can be nonzero."""
+    elementary = [_psi_sum(exp_v, _monomial_symmetric((1,) * k, len(exp_v)), order, pres)
+                  for k in range(len(exp_v) + 1)]
+    total = CohElement.zero(pres, order)
+    for mu in partitions_in_box(n, len(exp_u), len(exp_v)):
+        m_mu = _psi_sum(exp_u, _monomial_symmetric(mu, len(exp_u)), order, pres)
+        total = total + m_mu * prod(elementary[k] for k in mu)
+    return total
+
+
 def tensor_exterior_identity_check(rank_u: int, rank_v: int, n: int) -> bool:
-    """Check ch Lambda^n(U (x) V) = sum_lam s_lam(U) s_lam'(V) with generic
-    independent roots, the sum over partitions of n inside the rank box."""
+    """Check ch Lambda^n(U (x) V) = sum_mu m_mu(e^u) e_mu(e^v) (Macdonald I (4.2'))
+    against sum_lam s_lam(e^u) s_lam'(e^v) (I (4.3')), over partitions of n in the
+    rank box, for generic independent roots; both sides share one exp per root."""
+    if n < 0 or rank_u < 1 or rank_v < 1:
+        raise ValueError("tensor identity check needs n >= 0 and ranks >= 1")
     if rank_u > 4 or rank_v > 4:
         raise GuardExceeded("tensor identity check supports ranks <= 4")
     if n > rank_u * rank_v:
         raise GuardExceeded("n exceeds the rank of the tensor product")
-    gens = tuple((f"u{i}", 2) for i in range(1, rank_u + 1))
-    gens += tuple((f"v{j}", 2) for j in range(1, rank_v + 1))
-    pres = RingPresentation(generators=gens, top_degree=2 * n + 4)
-    order = 0
-    u_roots = [LinearClass.generator(pres, f"u{i}") for i in range(1, rank_u + 1)]
-    v_roots = [LinearClass.generator(pres, f"v{j}") for j in range(1, rank_v + 1)]
-
-    # elementary symmetric e_n of the rank_u * rank_v exponentials e^(u_i+v_j)
-    elementary = [CohElement.one(pres, order)] + [CohElement.zero(pres, order)] * n
-    exp_v = [exp_class(vr, order) for vr in v_roots]
-    for ur in u_roots:
-        exp_u = exp_class(ur, order)
-        for ev in exp_v:
-            ew = exp_u * ev
-            for k in range(n, 0, -1):
-                elementary[k] = elementary[k] + elementary[k - 1] * ew
-    lhs = elementary[n]
-
+    gens = tuple((f"{c}{i}", 2) for c, r in zip("uv", (rank_u, rank_v)) for i in range(1, r + 1))
+    pres, order = RingPresentation(generators=gens, top_degree=2 * n + 4), 0
+    exps = [exp_class(LinearClass.generator(pres, name), order) for name, _ in gens]
+    exp_u, exp_v = exps[:rank_u], exps[rank_u:]
     rhs = CohElement.zero(pres, order)
     for lam in partitions_in_box(n, rank_u, rank_v):
-        s_u = _schur_from_roots(u_roots, lam, order, pres)
-        s_v = _schur_from_roots(v_roots, conjugate_partition(lam), order, pres)
+        s_u = _psi_sum(exp_u, schur_polynomial(lam, rank_u), order, pres)
+        s_v = _psi_sum(exp_v, schur_polynomial(conjugate_partition(lam), rank_v), order, pres)
         rhs = rhs + s_u * s_v
-    return lhs == rhs
+    return _exterior_of_tensor(exp_u, exp_v, n, order, pres) == rhs

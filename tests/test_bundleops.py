@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from ellgen.bundleops import (
     gch_closed_form,
     graded_decompose,
     log_lambda_sum,
+    normalize_partition,
     partitions_in_box,
     schur_character,
     schur_polynomial,
@@ -332,6 +335,94 @@ def test_tensor_exterior_guards():
         tensor_exterior_identity_check(5, 2, 2)
     with pytest.raises(GuardExceeded):
         tensor_exterior_identity_check(2, 2, 5)
+
+
+@pytest.mark.parametrize("args", [(2, 2, -1), (-1, 2, 1), (2, 0, 1)])
+def test_tensor_exterior_rejects_negative_n_and_rank_below_one(args):
+    with pytest.raises(ValueError) as err:
+        tensor_exterior_identity_check(*args)
+    assert not isinstance(err.value, GuardExceeded)
+
+
+def test_tensor_exterior_identity_at_n_zero():
+    assert tensor_exterior_identity_check(2, 3, 0)
+
+
+# the 27 cases of `verify --suite schur`
+SCHUR_CASES = [(ru, rv, n) for ru in (1, 2, 3) for rv in (1, 2, 3)
+               for n in range(1, min(4, ru * rv) + 1)]
+
+
+def _literal_exterior_of_tensor(exp_u, exp_v, n, order, pres):
+    """e_n of the rank_u * rank_v exponentials e^(u_i + v_j), by the
+    one-variable recurrence over each product exp_u[i] * exp_v[j]."""
+    elementary = [CohElement.one(pres, order)] + [CohElement.zero(pres, order)] * n
+    for eu in exp_u:
+        for ev in exp_v:
+            ew = eu * ev
+            for k in range(n, 0, -1):
+                elementary[k] = elementary[k] + elementary[k - 1] * ew
+    return elementary[n]
+
+
+@pytest.mark.parametrize("case", SCHUR_CASES, ids=lambda c: "{}x{}-n{}".format(*c))
+def test_exterior_of_tensor_matches_the_literal_recurrence(case, monkeypatch):
+    # the left side is compared on the ring and exponentials the check builds
+    agree = []
+    real = bundleops._exterior_of_tensor
+
+    def spy(exp_u, exp_v, n, order, pres):
+        got = real(exp_u, exp_v, n, order, pres)
+        agree.append(got == _literal_exterior_of_tensor(exp_u, exp_v, n, order, pres))
+        return got
+
+    monkeypatch.setattr(bundleops, "_exterior_of_tensor", spy)
+    assert len(SCHUR_CASES) == 27
+    assert tensor_exterior_identity_check(*case)
+    assert agree == [True]
+
+
+def test_tensor_exterior_identity_fails_when_m_mu_counts_repeats(monkeypatch):
+    # negative control: m_mu summed over all permutations, repeats included
+    # (e_k = m_(1^k) of the left side inherits the repeats)
+    def with_repeats(mu, nvars):
+        padded = tuple(mu) + (0,) * (nvars - len(mu))
+        return Counter(itertools.permutations(padded))
+
+    monkeypatch.setattr(bundleops, "_monomial_symmetric", with_repeats)
+    assert not tensor_exterior_identity_check(2, 2, 2)
+    assert not tensor_exterior_identity_check(3, 3, 4)
+
+
+def test_tensor_exterior_identity_fails_with_e_of_the_conjugate(monkeypatch):
+    # negative control: sum_mu m_mu(X) e_mu'(Y) in place of e_mu(Y)
+    psi_sum, m = bundleops._psi_sum, bundleops._monomial_symmetric
+
+    def on_conjugate(exp_u, exp_v, n, order, pres):
+        elementary = [psi_sum(exp_v, m((1,) * k, len(exp_v)), order, pres)
+                      for k in range(len(exp_u) + 1)]
+        total = CohElement.zero(pres, order)
+        for mu in partitions_in_box(n, len(exp_u), len(exp_v)):
+            e_conj = math.prod(elementary[k] for k in conjugate_partition(mu))
+            total = total + psi_sum(exp_u, m(mu, len(exp_u)), order, pres) * e_conj
+        return total
+
+    monkeypatch.setattr(bundleops, "_exterior_of_tensor", on_conjugate)
+    assert not tensor_exterior_identity_check(2, 2, 2)
+    assert not tensor_exterior_identity_check(3, 3, 4)
+
+
+@pytest.mark.parametrize("lam", [(2, -1), (1.5,), (2, Fraction(1, 2))])
+def test_partition_rejects_negative_and_fractional_parts(lam, rank2_bundle):
+    with pytest.raises(ValueError):
+        normalize_partition(lam)
+    with pytest.raises(ValueError):
+        schur_character(lam, rank2_bundle, 0)
+
+
+def test_partition_keeps_zero_parts(rank2_bundle):
+    assert normalize_partition((2, 1, 0, 0)) == (2, 1)
+    assert schur_character((2, 0), rank2_bundle, 0) == schur_character((2,), rank2_bundle, 0)
 
 
 def test_bundle_validation(cp2, cp4, x_class, zero_class):

@@ -58,3 +58,15 @@ def test_bench_kernels_rejects_an_unmatched_case(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "no.such.case" in result.stderr
+
+
+def test_bench_kernels_times_the_schur_suite_alone(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--only", "cli.verify.schur"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.splitlines()[-1])
+    assert list(record["kernels"]) == ["cli.verify.schur"]
+    assert record["kernels"]["cli.verify.schur"] > 0
