@@ -20,6 +20,11 @@ next to this script, so the file times the checkout it sits in.  Cases:
   factor is built every time rather than read from its cache;
 - ``CohElement`` multiply on CP2 and CP4 (every surviving monomial, N = 20)
   and on the free ring (every monomial up to degree 12, N = 0);
+- ``CohElement.invert`` of a unit on CP4 with a random dense series on every
+  monomial at N = 80 (``cohring.invert.CP4.N80``);
+- ``at_class`` of the odd factor (THETA, z-degree 4) at the class 4x/3 on
+  CP4 at N = 320 (``theta.at_class.CP4.N320``), the substitution z -> root
+  of the theta-product engine;
 - ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24,
   warm (``...N24``: the per-root tower comes from its cache) and cold
   (``...N24.cold``: the tower cache is cleared before every call);
@@ -249,6 +254,18 @@ def case_table(tmp: Path) -> dict:
             manifold = builtin_manifold(manifold_name)
             x, y = full_element(rng, manifold, order), full_element(rng, manifold, order)
             return lambda: x * y
+
+    @case("cohring.invert.CP4.N80")
+    def _():
+        unit = full_element(random.Random("cohring.invert.CP4.N80"), builtin_manifold("CP4"), 80)
+        return unit.invert
+
+    @case("theta.at_class.CP4.N320")
+    def _():
+        cp4 = builtin_manifold("CP4")
+        factor = elliptic_factor(ThetaKind.THETA, 4, 320)
+        root = LinearClass.generator(cp4.presentation, "x", Fraction(4, 3))
+        return lambda: factor.at_class(root)
 
     @case("bundleops.graded_decompose.W.rank3.N24")
     def _():

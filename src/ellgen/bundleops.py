@@ -345,7 +345,7 @@ def _psi_sum(exps, poly, order: int, pres: RingPresentation) -> CohElement:
         term = CohElement.scalar(pres, order, c)
         for exp_r, a_i in zip(exps, a):
             if a_i:
-                term = term * _exp_multiple(exp_r, a_i)
+                term = term * (exp_r if a_i == 1 else _exp_multiple(exp_r, a_i))
         total = total + term
     return total
 

@@ -129,6 +129,8 @@ def _load_manifold(spec) -> Manifold:
             (str(n), _json_int(d, f"degree of {n}")) for n, d in spec["generators"]
         )
         top = _json_int(spec["top_degree"], "top_degree")
+        if len({name for name, _ in generators}) < len(generators):
+            raise ManifestError("generator names must be distinct")
         index = {name: i for i, (name, _) in enumerate(generators)}
         pres = RingPresentation(
             generators=generators,

@@ -24,8 +24,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, count, repeat
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, truediv
 
 from .qseries import HalfQSeries, _int_product, from_numerators, parse_rational
 
@@ -58,10 +59,14 @@ class RingPresentation:
         for name, deg in self.generators:
             if deg < 2 or deg % 2 != 0:
                 raise ValueError(f"generator {name} must have even degree >= 2")
+        if len({name for name, _ in self.generators}) < len(self.generators):
+            raise ValueError("generator names must be distinct")
         object.__setattr__(self, "degrees", tuple([deg for _, deg in self.generators]))
         for mono, _ in self.integration_table:
             if self.monomial_degree(mono) != self.top_degree:
                 raise ValueError("integration table keys must have top degree")
+        if len({mono for mono, _ in self.integration_table}) < len(self.integration_table):
+            raise ValueError("integration table keys must be distinct")
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self.degrees))
@@ -187,11 +192,12 @@ class CohElement:
         self.coeffs: dict[Monomial, HalfQSeries] = {}
         if coeffs:
             for mono, series in coeffs.items():
+                series = series.truncate(order)  # a shorter series stays as it is
                 if presentation.is_zero_monomial(mono) or series.is_zero():
                     continue
                 if series.order < order:
                     raise ValueError("coefficient series shorter than the element order")
-                self.coeffs[mono] = series.truncate(order)
+                self.coeffs[mono] = series
 
     @classmethod
     def zero(cls, presentation: RingPresentation, order: int) -> "CohElement":
@@ -206,12 +212,12 @@ class CohElement:
         if isinstance(value, HalfQSeries):
             if value.order < order:
                 raise ValueError("scalar series shorter than the element order")
-            series = value
+            series = value.truncate(order)
         else:
             series = HalfQSeries.constant(value, order)
         out = cls(presentation, order)
         if not series.is_zero():
-            out.coeffs[presentation.unit_monomial()] = series.truncate(order)
+            out.coeffs[presentation.unit_monomial()] = series
         return out
 
     def _check(self, other: "CohElement"):
@@ -222,7 +228,7 @@ class CohElement:
         return self.coeffs.get(mono, HalfQSeries.zero(self.order))
 
     def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.coeffs.values())
+        return not self.coeffs
 
     def __add__(self, other):
         if isinstance(other, HalfQSeries):
@@ -322,14 +328,7 @@ class CohElement:
         ZeroConstantTerm when the scalar u^0 coefficient vanishes.
         """
         inv0 = self.scalar_part().invert()
-        rest = -(self * inv0 - 1)
-        result = term = CohElement.scalar(self.presentation, self.order, inv0)
-        for _ in range(self.presentation.top_degree // 2):
-            term = term * rest
-            if term.is_zero():
-                break
-            result = result + term
-        return result
+        return _power_series(-(self * inv0 - 1), repeat(1)) * inv0
 
     def degree_component(self, degree: int) -> "CohElement":
         out = CohElement(self.presentation, self.order)
@@ -377,9 +376,8 @@ class CohElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohElement):
             return NotImplemented
-        if self.presentation != other.presentation or self.order != other.order:
-            return False
-        return (self - other).is_zero()
+        return (self.order == other.order and self.presentation == other.presentation
+                and self.coeffs == other.coeffs)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -413,25 +411,30 @@ def ring_mul(a: CohElement, b: CohElement) -> CohElement:
     return a * b
 
 
+def _power_series(x: CohElement, coeffs) -> CohElement:
+    """sum_k c_k x^k for a nilpotent x, the rationals or series c_k read lazily
+    from coeffs; the sum stops at the first power of x that vanishes."""
+    coeffs = iter(coeffs)
+    total = CohElement.scalar(x.presentation, x.order, next(coeffs))
+    power = x
+    for c in coeffs:
+        if power.is_zero():
+            break
+        total = total + power * c
+        power = power * x
+    return total
+
+
 def exp_nilpotent(a: CohElement) -> CohElement:
     """exp(a) = sum a^k / k!, requiring a topologically nilpotent exponent.
 
-    The scalar u^0 part of a must vanish; then every power of a gains either
-    polynomial degree or u-order, so the sum terminates at the truncations.
+    The scalar u^0 part of a must vanish; then each factor of a power of a
+    brings polynomial degree or u-order, so a^k = 0 for every
+    k > order + top/2 and the sum terminates.
     """
     if a.scalar_part().coefficient(0) != 0:
         raise NonNilpotentScalar("exp requires a vanishing scalar u^0 part")
-    result = CohElement.one(a.presentation, a.order)
-    term = CohElement.one(a.presentation, a.order)
-    limit = a.order + a.presentation.top_degree + 2
-    for k in range(1, limit + 1):
-        term = term * a * Fraction(1, k)
-        if term.is_zero():
-            break
-        result = result + term
-    else:
-        raise AssertionError("exp did not terminate; exponent not nilpotent")
-    return result
+    return _power_series(a, accumulate(count(1), truediv, initial=Fraction(1)))
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,15 @@ def _eval_with_tail(f: HalfQSeries, tau: complex, tol: float):
     return value
 
 
+def _transform_values(f_left, f_right, g: SL2Matrix, weight: int, tau_samples, tol: float):
+    """(f_left(g tau), (c tau + d)^weight f_right(tau)) at each sample tau."""
+    return [
+        (_eval_with_tail(f_left, g.act(tau), tol),
+         g.cocycle(tau) ** weight * _eval_with_tail(f_right, tau, tol))
+        for tau in tau_samples
+    ]
+
+
 @dataclass
 class TransformReport:
     matrix: SL2Matrix
@@ -132,11 +141,7 @@ def check_numeric(
     A series that vanishes at every sample passes trivially.
     """
     report = TransformReport(matrix=g, weight=weight, tol=tol, samples=tuple(tau_samples))
-    values = []
-    for tau in tau_samples:
-        left = _eval_with_tail(f, g.act(tau), tol)
-        right = g.cocycle(tau) ** weight * _eval_with_tail(f, tau, tol)
-        values.append((left, right))
+    values = _transform_values(f, f, g, weight, tau_samples, tol)
     scale = max(max(abs(l), abs(r)) for l, r in values)
     if scale < tol:
         report.trivially_zero = True
@@ -214,15 +219,10 @@ def cross_transform(
     (candidates in half-integer steps) and reports the best fit, which is
     expected to be 0.
     """
-    ratios = []
-    residuals = []
-    pairs = []
-    for tau in tau_samples:
-        left = _eval_with_tail(f_left, g.act(tau), tol)
-        right = g.cocycle(tau) ** weight * _eval_with_tail(f_right, tau, tol)
-        pairs.append((tau, left, right))
-        ratios.append(left / right if right != 0 else complex("nan"))
-        residuals.append(abs(left - multiplier * right))
+    tau_samples = tuple(tau_samples)
+    values = _transform_values(f_left, f_right, g, weight, tau_samples, tol)
+    ratios = [left / right if right != 0 else complex("nan") for left, right in values]
+    residuals = [abs(left - multiplier * right) for left, right in values]
 
     best_exp, best_score = 0.0, float("inf")
     # candidates ordered by |c| so a tie (e.g. a zero series) reports 0
@@ -230,7 +230,7 @@ def cross_transform(
         c = half_steps / 2.0
         score = max(
             abs(left - multiplier * cmath.exp(2j * cmath.pi * tau * c) * right)
-            for tau, left, right in pairs
+            for tau, (left, right) in zip(tau_samples, values)
         )
         if score < best_score - 1e-15:
             best_exp, best_score = c, score
@@ -238,7 +238,7 @@ def cross_transform(
         matrix=g,
         weight=weight,
         multiplier=multiplier,
-        samples=tuple(tau_samples),
+        samples=tau_samples,
         measured_ratios=ratios,
         residuals=residuals,
         best_prefactor_exponent=best_exp,

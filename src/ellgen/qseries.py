@@ -443,6 +443,4 @@ def eta_like_product(sign: int, half_shift: bool, exponent: int, order: int) -> 
     start = 1 if half_shift else 2
     for upow in range(start, order + 1, step):
         base = base * (HalfQSeries.one(order) + HalfQSeries.u_power(upow, order, sign))
-    if exponent < 0:
-        return base.invert() ** (-exponent)
     return base ** exponent

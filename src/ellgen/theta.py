@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qseries
-from .cohring import CohElement, LinearClass, RingPresentation, exp_nilpotent
+from .cohring import CohElement, LinearClass, RingPresentation, _power_series, exp_nilpotent
 from .qseries import HalfQSeries
 
 
@@ -124,16 +124,7 @@ class FactorSeries:
 
     def at_class(self, lc: LinearClass) -> CohElement:
         """Substitute the nilpotent slot by a degree-2 class: z -> lc."""
-        coeffs = self.coeffs
-        out = CohElement.scalar(lc.presentation, self.order, coeffs[0])
-        power = CohElement.one(lc.presentation, self.order)
-        base = lc.as_element(self.order)
-        for k in range(1, self.z_degree + 1):
-            power = power * base
-            if power.is_zero():
-                break
-            out = out + power * coeffs[k]
-        return out
+        return _power_series(lc.as_element(self.order), self.coeffs)
 
     def eval_complex(self, z0: complex, u0: complex) -> complex:
         acc = complex(0)

@@ -444,3 +444,27 @@ def test_consistency_on_free_exits_cleanly(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == cli.EXIT_OK
     assert proc.stdout.splitlines()[-1] == "all checks passed"
+
+
+DUPLICATE_MANIFOLDS = {
+    "generator": {"generators": [["a", 2], ["a", 2]], "top_degree": 4,
+                  "integration_table": [[{"a": 2}, "1"]]},
+    "integration_monomial": {"generators": [["a", 2]], "top_degree": 4,
+                             "integration_table": [[{"a": 2}, "1"], [{"a": 2}, "3"]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATE_MANIFOLDS))
+@pytest.mark.parametrize("argv", [["compute", "--genus", "ahat"],
+                                  ["verify", "--suite", "consistency"]], ids=["compute", "verify"])
+def test_duplicate_manifold_names_are_input_errors(tmp_path, capsys, case, argv):
+    data = {"manifold": DUPLICATE_MANIFOLDS[case], "order": 2,
+            "bundle": {"rank": 1, "roots": [{"a": "1"}]}}
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(data))
+    code, text = run(argv[:1] + ["--input", str(path)] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert text == ""
+    assert err.startswith("input error:") and "distinct" in err
+    assert "Traceback" not in err

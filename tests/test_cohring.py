@@ -399,3 +399,11 @@ def test_full_product_matches_brute_force(ring):
     _assert_terms(a * b, _brute_product(a, b))
     _assert_terms(b * a, _brute_product(b, a))
     _assert_terms(a + b, _brute_sum(a, b))
+
+
+def test_presentation_rejects_duplicate_names_and_integration_keys():
+    with pytest.raises(ValueError, match="generator names"):
+        RingPresentation(generators=(("a", 2), ("a", 4)), top_degree=8)
+    with pytest.raises(ValueError, match="integration table keys"):
+        RingPresentation(generators=(("a", 2),), top_degree=4,
+                         integration_table=(((2,), Fraction(1)), ((2,), Fraction(3))))

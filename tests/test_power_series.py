@@ -1,0 +1,205 @@
+"""exp_nilpotent, CohElement.invert and FactorSeries.at_class all evaluate one
+power series sum_k c_k x^k at a nilpotent ring element.  Each is compared with
+the loop it ran before the shared routine, kept here literally, and ring
+equality is compared with the difference test it replaced."""
+
+from fractions import Fraction
+from math import comb, factorial
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ellgen.cohring import CohElement, LinearClass, RingPresentation, exp_nilpotent
+from ellgen.qseries import HalfQSeries
+from ellgen.theta import FactorSeries
+
+
+def literal_exp(a):
+    """The loop of exp_nilpotent before the shared power series."""
+    result = CohElement.one(a.presentation, a.order)
+    term = CohElement.one(a.presentation, a.order)
+    limit = a.order + a.presentation.top_degree + 2
+    for k in range(1, limit + 1):
+        term = term * a * Fraction(1, k)
+        if term.is_zero():
+            break
+        result = result + term
+    else:
+        raise AssertionError("exp did not terminate; exponent not nilpotent")
+    return result
+
+
+def literal_invert(a):
+    """The loop of CohElement.invert before the shared power series."""
+    inv0 = a.scalar_part().invert()
+    rest = -(a * inv0 - 1)
+    result = term = CohElement.scalar(a.presentation, a.order, inv0)
+    for _ in range(a.presentation.top_degree // 2):
+        term = term * rest
+        if term.is_zero():
+            break
+        result = result + term
+    return result
+
+
+def literal_at_class(factor, lc):
+    """The loop of FactorSeries.at_class before the shared power series."""
+    coeffs = factor.coeffs
+    out = CohElement.scalar(lc.presentation, factor.order, coeffs[0])
+    power = CohElement.one(lc.presentation, factor.order)
+    base = lc.as_element(factor.order)
+    for k in range(1, factor.z_degree + 1):
+        power = power * base
+        if power.is_zero():
+            break
+        out = out + power * coeffs[k]
+    return out
+
+
+def projective(n):
+    return RingPresentation(
+        generators=(("x", 2),), top_degree=2 * n, vanishing_monomials=((n + 1,),),
+        integration_table=(((n,), Fraction(1)),),
+    )
+
+
+SIX = RingPresentation(generators=tuple((f"g{i}", 2) for i in range(1, 7)), top_degree=8)
+# ring -> (presentation, largest order drawn)
+RINGS = {"CP2": (projective(2), 8), "CP4": (projective(4), 8), "six": (SIX, 0)}
+
+coefficient = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(min_value=-7, max_value=7), st.sampled_from([1, 3, 12])),
+)
+
+
+def series(order):
+    return st.lists(coefficient, min_size=order + 1, max_size=order + 1).map(
+        lambda cs: HalfQSeries(order, cs))
+
+
+def monomials(pres):
+    """Every nonzero monomial of degree <= 4 (all of them on CP2)."""
+    n = len(pres.generators)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    low = {tuple(map(sum, zip(a, b))) for a in units for b in units} | set(units)
+    return sorted(m for m in low if not pres.is_zero_monomial(m))
+
+
+@st.composite
+def element(draw, pres, order, scalar_u0=None):
+    """An element whose unit-monomial u^0 coefficient is scalar_u0 when given."""
+    monos = draw(st.lists(st.sampled_from(monomials(pres)), max_size=5, unique=True))
+    terms = {m: draw(series(order)) for m in monos}
+    scalar = draw(series(order))
+    if scalar_u0 is not None:
+        scalar = HalfQSeries(order, (scalar_u0,) + scalar.coeffs[1:])
+    terms[pres.unit_monomial()] = scalar
+    return CohElement(pres, order, terms)
+
+
+@st.composite
+def ring_and_order(draw):
+    pres, top_order = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    return pres, draw(st.integers(min_value=0, max_value=top_order))
+
+
+def assert_same(got, want):
+    assert got.order == want.order
+    assert got.coeffs == want.coeffs
+    for s in got.coeffs.values():
+        assert not s.is_zero() and s.order == got.order
+
+
+@given(data=st.data())
+def test_exp_matches_the_literal_loop(data):
+    pres, order = data.draw(ring_and_order())
+    a = data.draw(element(pres, order, scalar_u0=0))
+    assert_same(exp_nilpotent(a), literal_exp(a))
+
+
+@given(data=st.data())
+def test_invert_matches_the_literal_loop(data):
+    pres, order = data.draw(ring_and_order())
+    u0 = data.draw(st.sampled_from([1, -1, Fraction(1, 3), Fraction(-5, 12), 7]))
+    a = data.draw(element(pres, order, scalar_u0=u0))
+    inverse = a.invert()
+    assert_same(inverse, literal_invert(a))
+    assert a * inverse == CohElement.one(pres, order)
+
+
+@given(data=st.data())
+def test_at_class_matches_the_literal_loop(data):
+    pres, order = data.draw(ring_and_order())
+    # z-degrees below, at and above the nilpotency index of a class
+    z_degree = data.draw(st.integers(min_value=0, max_value=6))
+    factor = FactorSeries.build(
+        z_degree, order, [data.draw(series(order)) for _ in range(z_degree + 1)])
+    weights = data.draw(st.lists(coefficient, min_size=len(pres.generators),
+                                 max_size=len(pres.generators)))
+    lc = LinearClass(pres, weights)
+    assert_same(factor.at_class(lc), literal_at_class(factor, lc))
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 8])
+def test_exp_reaches_the_stated_bound(order):
+    # a = u + x on CP4: a^k = 0 for k > order + top/2, and a^(order + 4) is
+    # binomial(order + 4, 4) u^order x^4 ...
+    pres = projective(4)
+    u, one = HalfQSeries.u_power(1, order), HalfQSeries.one(order)
+    a = CohElement(pres, order, {(0,): u, (1,): one})
+    power = CohElement.one(pres, order)
+    for _ in range(order + 4):
+        power = power * a
+    assert power.coeffs == {(4,): HalfQSeries.u_power(order, order, comb(order + 4, 4))}
+    assert (power * a).is_zero()
+    # ... so exp(a) = exp(u) exp(x) needs that last power: u^order x^4 / (order! 4!)
+    got = exp_nilpotent(a)
+    assert_same(got, literal_exp(a))
+    top = Fraction(1, factorial(order) * factorial(4))
+    assert got.coefficient((4,)).coefficient(order) == top
+    exp_u = HalfQSeries(order, [Fraction(1, factorial(k)) for k in range(order + 1)])
+    for j in range(5):
+        assert got.coefficient((j,)) == exp_u * Fraction(1, factorial(j))
+
+
+def reference_equal(a, b):
+    """Ring equality as it was: same ring and order, and a zero difference."""
+    return a.presentation == b.presentation and a.order == b.order and (a - b).is_zero()
+
+
+CP2_RENAMED = RingPresentation(
+    generators=(("y", 2),), top_degree=4, vanishing_monomials=((3,),),
+    integration_table=(((2,), Fraction(1)),),
+)
+
+
+@given(data=st.data())
+def test_equality_reads_the_canonical_form(data):
+    pres, order = data.draw(ring_and_order())
+    a = data.draw(element(pres, order))
+    other = data.draw(element(pres, order))
+    variants = [
+        other,
+        (a + other) - other,
+        a * CohElement.one(pres, order) + CohElement.zero(pres, order),
+        a.map_series(lambda s: HalfQSeries(order + 2, list(s.coeffs) + [1, -1])),
+        CohElement(pres, max(order - 1, 0), a.coeffs),
+        a + a.degree_component(2),
+    ]
+    if pres == RINGS["CP2"][0]:
+        variants.append(CohElement(CP2_RENAMED, order, a.coeffs))
+    for b in variants:
+        assert (a == b) is reference_equal(a, b)
+        assert (b == a) is reference_equal(b, a)
+    assert a == (a + other) - other
+    assert a.is_zero() is all(s.is_zero() for s in a.coeffs.values())
+
+
+@pytest.mark.parametrize("value", [HalfQSeries.u_power(2, 3), HalfQSeries(3, [0, 0, 5, 1])])
+def test_a_coefficient_that_truncates_to_zero_is_not_stored(value):
+    pres = projective(2)
+    for elem in (CohElement(pres, 1, {(1,): value}), CohElement.scalar(pres, 1, value)):
+        assert elem.coeffs == {}
+        assert elem == CohElement.zero(pres, 1)

@@ -70,3 +70,15 @@ def test_bench_kernels_times_the_schur_suite_alone(tmp_path):
     record = json.loads(result.stdout.splitlines()[-1])
     assert list(record["kernels"]) == ["cli.verify.schur"]
     assert record["kernels"]["cli.verify.schur"] > 0
+
+
+def test_bench_kernels_times_the_ring_inverse_alone(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--only", "cohring.invert"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.splitlines()[-1])
+    assert list(record["kernels"]) == ["cohring.invert.CP4.N80"]
+    assert record["kernels"]["cohring.invert.CP4.N80"] > 0
