@@ -25,10 +25,9 @@ next to this script, so the file times the checkout it sits in.  Cases:
 - ``at_class`` of the odd factor (THETA, z-degree 4) at the class 4x/3 on
   CP4 at N = 320 (``theta.at_class.CP4.N320``), the substitution z -> root
   of the theta-product engine;
-- ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24,
-  warm (``...N24``: the per-root tower comes from its cache) and cold
-  (``...N24.cold``: the tower cache is cleared before every call);
-- ``gch`` of kinds W and B for that bundle at N = 24, warm
+- ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24
+  (``bundleops.graded_decompose.W.rank3.N24``);
+- ``gch`` of kinds W and B for that bundle at N = 24
   (``bundleops.gch.{W,B}.rank3.N24``): the graded character the definition
   engine multiplies into its integrand;
 - ``resum_graded`` of that table, the sum of its twisted weights
@@ -106,7 +105,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "perfbench"))
 
 import speed  # noqa: E402  (perfbench/speed.py, read only)
-from ellgen import bundleops, cli, genera  # noqa: E402
+from ellgen import cli, genera  # noqa: E402
 from ellgen.bundleops import (  # noqa: E402
     GradedKind,
     ProjBundle,
@@ -271,15 +270,6 @@ def case_table(tmp: Path) -> dict:
     def _():
         _, bundle = cp2_rank3()
         return lambda: graded_decompose(GradedKind.W, bundle, 24)
-
-    @case("bundleops.graded_decompose.W.rank3.N24.cold")
-    def _():
-        _, bundle = cp2_rank3()
-
-        def cold():
-            bundleops._root_tower.cache_clear()
-            return graded_decompose(GradedKind.W, bundle, 24)
-        return cold
 
     for kind in (GradedKind.W, GradedKind.B):
         @case(f"bundleops.gch.{kind.value}.rank3.N24")

@@ -7,12 +7,14 @@ q-levels, the infinite Witten tensor products, determinant-weight graded
 decompositions, Schur functors) happen on characters: sums of exponentials
 of shifted roots inside a truncated cohomology ring.  Each class is
 exponentiated once; the Adams operation psi^a (degree 2k scaled by a^k)
-reads exp(a*y) off exp(y).
+reads exp(a*y) off exp(y), and one routine, `_adams_series`, applies a
+series-weighted sum of Adams operations degree by degree.
 
 The determinant-weight decomposition tracks an auxiliary weight w (one
 power per E-factor, inverse per conjugate factor) and twists the weight-m
-piece by exp(m*b).  Each shifted root brings one cached tower, summed by
-Jacobi's triple product; `gch` multiplies the roots' sums over w.
+piece by exp(m*b).  Each shifted root brings Jacobi's theta series
+sum_a s^a u^(k_a) psi^a(e^w) (the triple product times E(u)), and
+E(u)^(-rank) is applied once, as the scalar the table and `gch` start at.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .cohring import (
     exp_nilpotent,
     root_square_sum,
 )
-from .qseries import HalfQSeries, eta_like_product, from_numerators
+from .qseries import eta_like_product, from_numerators
 from .theta import ThetaKind
 
 
@@ -118,9 +120,6 @@ def log_lambda_sum(
     sum_{t} sum_{k>=1} (-1)^(k+1) sign^k (t^k / k) sum_j exp(k * root_j);
     exponentiating yields the character of the Witten-type product
     including its scalar infinite-product part.
-
-    psi^k scales the degree-2i part of sum_j exp(root_j) by k^i, so that
-    part is multiplied by one series, sum_{t,k} (-1)^(k+1) sign^k k^(i-1) t^k.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -130,19 +129,28 @@ def log_lambda_sum(
 
 
 def _log_lambda(exps: CohElement, sign: int, half: bool) -> CohElement:
-    """log_lambda_sum from the character exps = sum_j exp(root_j).
-
-    Only the scalar part of exps brings the 1/k of the logarithm; the
-    degree-2i part, i >= 1, is multiplied by a series of integers."""
-    presentation, order = exps.presentation, exps.order
+    """log_lambda_sum from the character exps = sum_j exp(root_j): the Adams
+    series of the terms (k, -(-sign)^k / k, level k) over levels and k >= 1."""
+    order = exps.order
     den = lcm(*range(1, order + 1))
-    total = CohElement.zero(presentation, order)
-    for i in range(presentation.top_degree // 2 + 1):
+    terms = [(k, -(-sign) ** k * (den // k), level * k)
+             for level in range(1 if half else 2, order + 1, 2)
+             for k in range(1, order // level + 1)]
+    return _adams_series(exps, terms, den)
+
+
+def _adams_series(char: CohElement, terms, den: int = 1) -> CohElement:
+    """sum (c / den) u^e psi^k(char) over the integer triples (k, c, e).
+
+    psi^k scales the degree-2i part of char by k^i, so that part is
+    multiplied by the one series sum_(k, c, e) c k^i u^e / den."""
+    pres, order = char.presentation, char.order
+    total = CohElement.zero(pres, order)
+    for i in range(pres.top_degree // 2 + 1):
         nums = [0] * (order + 1)
-        for level in range(1 if half else 2, order + 1, 2):
-            for k in range(1, order // level + 1):
-                nums[level * k] -= (-sign) ** k * k**i * (den // k)
-        total = total + exps.degree_component(2 * i) * from_numerators(order, tuple(nums), den)
+        for k, c, e in terms:
+            nums[e] += c * k**i
+        total = total + char.degree_component(2 * i) * from_numerators(order, tuple(nums), den)
     return total
 
 
@@ -220,37 +228,20 @@ class GradedTable:
         return sorted(m for (m, nn) in self.entries if nn == n)
 
 
-# Memoized by value: every root of every bundle shares the tower.  32 entries
-# hold 4 kinds at a few orders; the bound keeps a long-lived process from
-# pinning every order it saw.  No theta code builds or reads a tower.
-@functools.lru_cache(maxsize=32)
-def _root_tower(kind: GradedKind, order: int) -> tuple[tuple[int, HalfQSeries], ...]:
-    """The pairs (a, g_a) with sum_a g_a(u) X^a = prod_t (1 + s t X)(1 + s t / X),
-    times the front factor 1 + s X for W/A, over the kind's levels t = u^level
-    with its Witten sign s.  By Jacobi's triple product, with
-    E(u) = prod_n (1 - u^(2n)), g_a = s^a u^(a^2) / E(u) at half levels and
-    s^a u^(a(a-1)) / E(u) at integer levels: about 2 sqrt(order) terms.
-    X stands for the weight times e^(y+b).  Cached and shared: read-only.
-    """
-    theta = _GRADED_THETA[kind]
-    shift = 0 if theta.half else 1
-    inv_e = eta_like_product(-1, False, -1, order)
-    powers = ((a, a * (a - shift)) for a in range(-isqrt(order), isqrt(order) + 2))
-    return tuple((a, HalfQSeries.u_power(k, order, theta.sign ** abs(a)) * inv_e)
-                 for a, k in powers if k <= order)
-
-
-def _root_terms(kind: GradedKind, e: ProjBundle, order: int) -> list:
-    """For each shifted root w = y + b, the triples (a, g_a, psi^a(e^w)) of its
-    weight-a terms, the twist e^(a b) included; the one place the guard is
-    checked.  g_a stays a separate factor: psi^a(e^w) has constant series."""
+def _theta_terms(kind: GradedKind, e: ProjBundle, order: int) -> list[tuple[int, int, int]]:
+    """The triples (a, s^a, k_a), about 2 sqrt(order), with sum_a s^a u^(k_a) X^a
+    = E(u) prod_t (1 + s t X)(1 + s t / X), times 1 + s X for W/A, over the
+    kind's levels t = u^level with its Witten sign s, X = weight times e^(y+b)
+    and E(u) = prod_n (1 - u^(2n)).  By Jacobi's triple product, k_a = a^2 at
+    half levels and a(a-1) at integer levels.  The one guard check."""
     if e.rank > RANK_GUARD or order > ORDER_GUARD:
         raise GuardExceeded(
             f"bivariate expansion guard: rank <= {RANK_GUARD}, order <= {ORDER_GUARD}"
         )
-    tower = _root_tower(kind, order)
-    exps = [exp_class(w, order) for w in e.shifted_roots()]
-    return [[(a, g, _exp_multiple(exp_w, a)) for a, g in tower] for exp_w in exps]
+    theta = _GRADED_THETA[kind]
+    shift = 0 if theta.half else 1
+    powers = ((a, a * (a - shift)) for a in range(-isqrt(order), isqrt(order) + 2))
+    return [(a, theta.sign ** abs(a), k) for a, k in powers if k <= order]
 
 
 def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable:
@@ -259,15 +250,20 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
     Every E-root exponential carries w^(+1), every conjugate-root
     exponential w^(-1); the coefficient of w^m at q-step n is the character
     of the weight-m piece, twisted by exp(m*b).  The factors commute, so
-    weight m + a collects each weight-m entry times the weight-a term of
-    each shifted root in turn (`_root_terms`).
+    weight m + a collects each weight-m entry times the weight-a term
+    s^a u^(k_a) psi^a(e^w) of each shifted root w in turn; the table starts
+    at E(u)^(-rank).
     """
-    table: dict[int, CohElement] = {0: CohElement.one(e.presentation, order)}
-    for terms in _root_terms(kind, e, order):
+    terms = _theta_terms(kind, e, order)
+    inv_e = eta_like_product(-1, False, -e.rank, order)
+    table: dict[int, CohElement] = {0: CohElement.scalar(e.presentation, order, inv_e)}
+    for w in e.shifted_roots():
+        exp_w = exp_class(w, order)
+        parts = [(a, _adams_series(exp_w, [(a, c, k)])) for a, c, k in terms]
         grown: dict[int, CohElement] = {}
         for m, elem in table.items():
-            for a, g, f in terms:
-                term = elem * g * f
+            for a, f in parts:
+                term = elem * f
                 grown[m + a] = grown[m + a] + term if m + a in grown else term
         table = grown
     return GradedTable(kind=kind, rank=e.rank, order=order, weights=table)
@@ -281,10 +277,12 @@ def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohEleme
 
 def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
     """Graded twisted character: the weight table summed over m, taken as
-    the product over shifted roots w of sum_a g_a psi^a(e^w)."""
-    total = CohElement.one(e.presentation, order)
-    for terms in _root_terms(kind, e, order):
-        total = total * sum((f * g for _, g, f in terms), CohElement.zero(e.presentation, order))
+    E(u)^(-rank) times the product over shifted roots w of the Adams series
+    sum_a s^a u^(k_a) psi^a(e^w)."""
+    terms = _theta_terms(kind, e, order)
+    total = CohElement.scalar(e.presentation, order, eta_like_product(-1, False, -e.rank, order))
+    for w in e.shifted_roots():
+        total = total * _adams_series(exp_class(w, order), terms)
     return total
 
 

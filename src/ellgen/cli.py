@@ -96,12 +96,12 @@ def _json_int(value, what: str, minimum: int = 0) -> int:
     return value
 
 
-def _monomial_from_dict(index: dict[str, int], data: dict) -> tuple[int, ...]:
+def _monomial_from_dict(names: list[str], data: dict) -> tuple[int, ...]:
     if not isinstance(data, dict):
         raise ManifestError(f"a monomial must be an object, got {data!r}")
-    mono = [0] * len(index)
+    mono = [0] * len(names)
     for name, exponent in data.items():
-        mono[index[name]] = _json_int(exponent, f"exponent of {name}")
+        mono[names.index(name)] = _json_int(exponent, f"exponent of {name}")
     return tuple(mono)
 
 
@@ -129,17 +129,15 @@ def _load_manifold(spec) -> Manifold:
             (str(n), _json_int(d, f"degree of {n}")) for n, d in spec["generators"]
         )
         top = _json_int(spec["top_degree"], "top_degree")
-        if len({name for name, _ in generators}) < len(generators):
-            raise ManifestError("generator names must be distinct")
-        index = {name: i for i, (name, _) in enumerate(generators)}
+        names = [name for name, _ in generators]
         pres = RingPresentation(
             generators=generators,
             top_degree=top,
             vanishing_monomials=tuple(
-                _monomial_from_dict(index, item) for item in spec.get("vanishing_monomials", [])
+                _monomial_from_dict(names, item) for item in spec.get("vanishing_monomials", [])
             ),
             integration_table=tuple(
-                (_monomial_from_dict(index, mono), qseries.parse_rational(value))
+                (_monomial_from_dict(names, mono), qseries.parse_rational(value))
                 for mono, value in spec.get("integration_table", [])
             ),
         )

@@ -62,6 +62,8 @@ class RingPresentation:
         if len({name for name, _ in self.generators}) < len(self.generators):
             raise ValueError("generator names must be distinct")
         object.__setattr__(self, "degrees", tuple([deg for _, deg in self.generators]))
+        if not all(any(van) for van in self.vanishing_monomials):
+            raise ValueError("a vanishing monomial needs a positive exponent (1 = 0 otherwise)")
         for mono, _ in self.integration_table:
             if self.monomial_degree(mono) != self.top_degree:
                 raise ValueError("integration table keys must have top degree")

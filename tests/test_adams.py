@@ -91,6 +91,42 @@ def test_adams_power_sum_is_exp_of_multiples(k):
     assert adams_power_sum(roots, k, 6, pres) == expected
 
 
+# two generators of degrees 2 and 4 and a relation: psi^k scales p by k^2
+RING_AP = RingPresentation(
+    generators=(("a", 2), ("p", 4)),
+    top_degree=8,
+    vanishing_monomials=((3, 0),),
+)
+# k = 0, negative and repeated k, and an exponent at the order
+ADAMS_TERMS = [(0, 3, 0), (1, 1, 0), (-1, -2, 1), (2, 5, 3), (2, -1, 3), (-3, 7, 4), (3, 1, 6),
+               (-1, 4, 2)]
+
+
+def _character(pres, order):
+    """A sum of exps with series weights, plus a term in every generator."""
+    a = LinearClass(pres, [1 if deg == 2 else 0 for _, deg in pres.generators])
+    weight = HalfQSeries(order, [1, -2, 0, Fraction(1, 3), 5])
+    n = len(pres.generators)
+    gens = {tuple(int(i == j) for j in range(n)): HalfQSeries(order, [0, Fraction(3, 7)])
+            for i in range(n)}
+    char = exp_class(a, order) * weight + exp_class(a.scale(Fraction(-1, 2)), order) * 2
+    return char + CohElement(pres, order, gens)
+
+
+@pytest.mark.parametrize("den", [1, 6])
+@pytest.mark.parametrize("pres", [builtin_manifold("CP4").presentation, RING_AP],
+                         ids=["CP4", "ring_ap"])
+def test_adams_series_is_the_termwise_sum_of_adams_operations(pres, den):
+    order = 6
+    char = _character(pres, order)
+    expected = CohElement.zero(pres, order)
+    for k, c, e in ADAMS_TERMS:
+        u_e = HalfQSeries.u_power(e, order, Fraction(c, den))
+        expected = expected + bundleops._exp_multiple(char, k) * u_e
+    assert bundleops._adams_series(char, ADAMS_TERMS, den) == expected
+    assert bundleops._adams_series(char, [], den).is_zero()
+
+
 @pytest.fixture
 def exp_calls(monkeypatch):
     calls = []

@@ -468,3 +468,20 @@ def test_duplicate_manifold_names_are_input_errors(tmp_path, capsys, case, argv)
     assert text == ""
     assert err.startswith("input error:") and "distinct" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["compute", "--genus", "ahat"],
+                                  ["verify", "--suite", "consistency"]], ids=["compute", "verify"])
+def test_unit_vanishing_monomial_is_an_input_error(tmp_path, capsys, argv):
+    # a vanishing monomial with every exponent 0 would declare 1 = 0
+    manifold = {"generators": [["a", 2]], "top_degree": 4, "vanishing_monomials": [{}],
+                "integration_table": [[{"a": 2}, "1"]]}
+    data = {"manifold": manifold, "order": 2, "bundle": {"rank": 1, "roots": [{"a": "1"}]}}
+    path = tmp_path / "unit_relation.json"
+    path.write_text(json.dumps(data))
+    code, text = run(argv[:1] + ["--input", str(path)] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert text == ""
+    assert err.startswith("input error:") and "vanishing monomial" in err
+    assert "Traceback" not in err

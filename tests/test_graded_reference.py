@@ -5,8 +5,9 @@ the composite is multiplied into the weight table one factor
 (1 + w^(+-1) t e^(+-y)) at a time, level by level and root by root, each
 (m, n) entry is twisted by exp(m*b) at order 0, and the resummation lifts
 every entry to the full order and multiplies it by its power of u.  The
-package builds each root's whole tower at once; both must give the same
-table entry by entry and the same graded character.
+package takes each root's Jacobi theta series at once and E(u)^(-rank) as
+one scalar; both must give the same table entry by entry and the same
+graded character.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from ellgen import bundleops
 from ellgen.bundleops import GradedKind, ProjBundle, gch, graded_decompose, resum_graded
 from ellgen.cohring import CohElement, LinearClass, builtin_manifold, exp_nilpotent
-from ellgen.qseries import HalfQSeries, from_numerators
+from ellgen.qseries import HalfQSeries, eta_like_product, from_numerators
 
 # repeated values and 0 give repeated and zero roots
 ROOT_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2))
@@ -132,17 +133,21 @@ def test_zero_and_repeated_roots_match_reference(kind):
 
 @pytest.mark.parametrize("kind", list(GradedKind))
 def test_root_tower_is_the_one_root_product(kind):
-    # the cached tower is the weight table of one zero root with no twist
-    tower = bundleops._root_tower(kind, 10)
-    assert [a for a, _ in tower] == sorted({a for a, _ in tower})
+    # E(u)^(-1) times the theta terms is the weight table of one zero root
+    # with no twist
     m = builtin_manifold("CP2")
-    table = reference_decompose(kind, _bundle(m, (Fraction(0),), Fraction(0)), 10)
+    e = _bundle(m, (Fraction(0),), Fraction(0))
+    terms = bundleops._theta_terms(kind, e, 10)
+    assert [a for a, _, _ in terms] == sorted({a for a, _, _ in terms})
+    table = reference_decompose(kind, e, 10)
+    inv_e = eta_like_product(-1, False, -1, 10)
     step = 2 if kind in (GradedKind.W, GradedKind.A) else 1
     rebuilt = {}
-    for a, g in tower:
-        for k in range(0, 11, step):
-            if g.nums[k]:
-                rebuilt[(a, k // step)] = CohElement.scalar(m.presentation, 0, g.coefficient(k))
+    for a, c, k in terms:
+        g = HalfQSeries.u_power(k, 10, c) * inv_e
+        for n in range(0, 11, step):
+            if g.nums[n]:
+                rebuilt[(a, n // step)] = CohElement.scalar(m.presentation, 0, g.coefficient(n))
     assert rebuilt == table
 
 
@@ -166,7 +171,13 @@ def literal_root_tower(kind, order):
 
 @pytest.mark.parametrize("kind", list(GradedKind))
 @pytest.mark.parametrize("order", [0, 1, 5, 12, 24, 40])
-def test_triple_product_tower_equals_the_literal_product(kind, order):
+def test_triple_product_tower_equals_the_literal_product(kind, order, monkeypatch):
     # the theta engine expands the product side of Jacobi's triple product,
-    # the definition engine its sum side: the two must agree term by term
-    assert bundleops._root_tower.__wrapped__(kind, order) == literal_root_tower(kind, order)
+    # the definition engine its sum side: the theta terms s^a u^(k_a) must be
+    # E(u) times the literal product, term by term
+    monkeypatch.setattr(bundleops, "ORDER_GUARD", max(order, bundleops.ORDER_GUARD))
+    e = _bundle(builtin_manifold("CP2"), (Fraction(0),), Fraction(0))
+    e_u = eta_like_product(-1, False, 1, order)
+    terms = bundleops._theta_terms(kind, e, order)
+    theta = [(a, HalfQSeries.u_power(k, order, c)) for a, c, k in terms]
+    assert theta == [(a, g * e_u) for a, g in literal_root_tower(kind, order)]

@@ -2,18 +2,17 @@
 
 The theta-product engine caches `theta.elliptic_factor`,
 `genera.bundle_root_factor` and `genera._tangent_core`; the definition
-engine caches `genera._definition_tangent_part`,
-`qseries.eta_like_product` and `bundleops._root_tower`.  The engines must
-share no cached object, a cached value must equal its recomputation, and no
-caller may mutate one.
+engine caches `genera._definition_tangent_part` and
+`qseries.eta_like_product`.  The engines must share no cached object, a
+cached value must equal its recomputation, and no caller may mutate one.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from ellgen import bundleops, genera, qseries, theta
-from ellgen.bundleops import GradedKind, ProjBundle
+from ellgen import genera, qseries, theta
+from ellgen.bundleops import ProjBundle
 from ellgen.cohring import LinearClass, builtin_manifold
 from ellgen.genera import DEFINITION, THETA_PRODUCT, GenusKind, pell, witten_genus
 from ellgen.qseries import HalfQSeries
@@ -106,31 +105,3 @@ def test_cached_values_equal_recomputation_and_stay_unchanged(cp4):
         assert _snapshot(value) == snap
         assert value == fn.__wrapped__(*args)
 
-
-def test_root_tower_cache_is_definition_only(cp4):
-    e = twisted_bundle(cp4)
-    tower = bundleops._root_tower
-    clear_caches()
-    tower.cache_clear()
-    run_engine(cp4, e, THETA_PRODUCT)
-    assert tower.cache_info().hits == tower.cache_info().misses == 0
-    run_engine(cp4, e, DEFINITION)
-    # one tower per graded kind at the order, shared by every root
-    assert tower.cache_info().currsize == tower.cache_info().misses == len(KINDS)
-    run_engine(cp4, e, DEFINITION)
-    assert tower.cache_info().misses == len(KINDS)
-    assert tower.cache_info().hits == len(KINDS)
-
-
-def test_root_tower_equals_recomputation_and_stays_unchanged(cp4):
-    e = twisted_bundle(cp4)
-    bundleops._root_tower.cache_clear()
-    towers = {kind: bundleops._root_tower(kind, ORDER) for kind in GradedKind}
-    before = {kind: [(a, _snapshot(g)) for a, g in tower] for kind, tower in towers.items()}
-    for kind in KINDS:
-        pell(cp4, e, kind, DEFINITION, ORDER)
-    bundleops.gch(GradedKind.W, e, ORDER)
-    for kind, tower in towers.items():
-        assert bundleops._root_tower(kind, ORDER) is tower
-        assert [(a, _snapshot(g)) for a, g in tower] == before[kind]
-        assert tower == bundleops._root_tower.__wrapped__(kind, ORDER)

@@ -82,3 +82,16 @@ def test_bench_kernels_times_the_ring_inverse_alone(tmp_path):
     record = json.loads(result.stdout.splitlines()[-1])
     assert list(record["kernels"]) == ["cohring.invert.CP4.N80"]
     assert record["kernels"]["cohring.invert.CP4.N80"] > 0
+
+
+def test_bench_kernels_times_the_graded_character_alone(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--only", "bundleops.gch"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.splitlines()[-1])
+    assert sorted(record["kernels"]) == ["bundleops.gch.B.rank3.N24", "bundleops.gch.W.rank3.N24",
+                                         "bundleops.gch_closed_form.B.rank2.CP4.N80"]
+    assert all(value > 0 for value in record["kernels"].values())
