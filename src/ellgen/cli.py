@@ -3,12 +3,12 @@
 Subcommands: compute (one genus of one manifest), verify (named check
 suites), decompose (determinant-weight tables), cancel12 (the degree-12
 identity).  Manifests are JSON documents with keys "manifold", "bundle",
-"order"; every rational is a string "p/q" so no floats ever enter.
+"order"; every rational is a string "p/q" or an integer, never a float.
 
 Exit codes: 0 ok, 1 verification failed, 2 input error, 3 guard violation
-(an expansion guard, or a truncation tail too large for --tol), 4 unsupported
-rank; the entry point exits 141 (128 + SIGPIPE), with nothing on stderr, when
-the reader of standard output closes it early.
+(an expansion guard, a truncation tail too large for --tol, or a coefficient
+too long to print), 4 unsupported rank; the entry point exits 141 (128 +
+SIGPIPE, nothing on stderr) when the reader of standard output closes it.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def load_manifest(path: str) -> Manifest:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, too long or too deep
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(data, dict) or "manifold" not in data:
         raise ManifestError("manifest must be an object with a 'manifold' key")
@@ -256,6 +256,14 @@ def compute_json(payload: dict) -> str:
     return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
+def _rendered(render) -> str:
+    """render(), with a number too long to print a guard violation (exit 3)."""
+    try:
+        return render()
+    except ValueError as exc:  # int -> str beyond sys.get_int_max_str_digits()
+        raise GuardExceeded("a coefficient has too many digits to print") from exc
+
+
 def cmd_compute(args, out) -> int:
     kind = GenusKind(args.genus)
     method = _METHOD_BY_NAME[args.method]
@@ -289,14 +297,15 @@ def cmd_compute(args, out) -> int:
         )
     payload.update(coefficients=series, checks=[])
 
-    if args.json:
-        print(compute_json(payload), file=out)
-    elif header is None:
-        print(series.coefficient(0), file=out)
-    else:
-        print(header, file=out)
-        for k, c in enumerate(series.coeffs):
-            print(f"{power_label(k)}: {c}", file=out)
+    def render() -> str:
+        if args.json:
+            return compute_json(payload)
+        if header is None:
+            return str(series.coefficient(0))
+        lines = [f"{power_label(k)}: {c}" for k, c in enumerate(series.coeffs)]
+        return "\n".join([header] + lines)
+
+    print(_rendered(render), file=out)
     return EXIT_OK
 
 
@@ -436,23 +445,25 @@ def cmd_decompose(args, out) -> int:
     manifold, bundle, order = _bundle_input(args)
     kind = GradedKind[args.kind]
     table = graded_decompose(kind, bundle, order)
-    step_label = "q^(n/2)" if table.upower(1) == 1 else "q^n"
-    print(
-        f"graded decomposition {kind.value} of {bundle.describe()} "
-        f"on {manifold.name}, order {order} (steps in {step_label})",
-        file=out,
-    )
-    for n in range(table.step_count()):
-        weights = table.weights_at(n)
-        if not weights:
-            continue
-        print(f"n = {n}:", file=out)
-        for m in weights:
-            entry = table.entries[(m, n)]
-            rank = entry.scalar_part().coefficient(0)
-            print(f"  m = {m:3d}  virtual rank {rank}  {entry}", file=out)
     agree = resum_graded(table, bundle.presentation) == gch_closed_form(kind, bundle, order)
-    print(f"gch == closed form: {'yes' if agree else 'NO'}", file=out)
+
+    def render() -> str:
+        step_label = "q^(n/2)" if table.upower(1) == 1 else "q^n"
+        lines = [f"graded decomposition {kind.value} of {bundle.describe()} "
+                 f"on {manifold.name}, order {order} (steps in {step_label})"]
+        for n in range(table.step_count()):
+            weights = table.weights_at(n)
+            if not weights:
+                continue
+            lines.append(f"n = {n}:")
+            for m in weights:
+                entry = table.entries[(m, n)]
+                rank = entry.scalar_part().coefficient(0)
+                lines.append(f"  m = {m:3d}  virtual rank {rank}  {entry}")
+        lines.append(f"gch == closed form: {'yes' if agree else 'NO'}")
+        return "\n".join(lines)
+
+    print(_rendered(render), file=out)
     return EXIT_OK if agree else EXIT_VERIFY_FAILED
 
 

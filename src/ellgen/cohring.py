@@ -495,8 +495,8 @@ def projective_space(n: int) -> Manifold:
     )
 
 
-# Power-sum generators for the dimension-12 cancellation checker: even power
-# sums of the tangent roots and all power sums of the shifted bundle roots.
+# Power sums of the builtin ring "free": the even ones of the tangent roots and
+# all of the bundle roots; the degree-12 check reads the even ones only.
 FREE_RING_GENERATORS = (
     ("s2T", 4), ("s4T", 8), ("s6T", 12),
     ("s1E", 2), ("s2E", 4), ("s3E", 6), ("s4E", 8), ("s5E", 10), ("s6E", 12),

@@ -29,6 +29,7 @@ import enum
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 
 from . import bundleops, qseries
 from .bundleops import ProjBundle, GradedKind, det_sqrt_ch, gch
@@ -36,6 +37,8 @@ from .cohring import (
     CohElement,
     Manifold,
     PresentationMismatch,
+    RingPresentation,
+    _power_series,
     exp_nilpotent,
     free_ring_manifold,
     integrate,
@@ -266,73 +269,45 @@ class Cancellation12Result:
     residual_divisible: bool | None = None
 
 
+@functools.lru_cache(maxsize=3)
+def _power_sum_log(kind: ThetaKind, side: str, pres: RingPresentation) -> CohElement:
+    """log of the product of the normalized `kind` factor over the roots of side
+    "T" or "E" through u^1 (cached and shared: read-only).  The factor is even
+    in z with constant term 1, log f = sum_j c_j z^(2j), so this is sum_j c_j s(2j)<side>."""
+    factor = elliptic_factor(kind, 6, 1)
+    # log(1 + y) = sum_(k >= 1) (-1)^(k+1) y^k / k, with y = factor - 1
+    log = _power_series(factor.elem - 1, (Fraction(-(-1) ** k, k) if k else 0 for k in count()))
+    return CohElement(pres, 1, {
+        tuple(int(g == f"s{2 * j}{side}") for g, _ in pres.generators): log.coefficient((2 * j,))
+        for j in (1, 2, 3)
+    })
+
+
 def cancellation12_check(l: int, impose_relation: bool = True) -> Cancellation12Result:
-    """Degree-12 identity between the half-determinant-twisted even/odd
-    exterior sum and a combination of A-hat classes, in free power sums.
+    """Degree-12 anomaly cancellation: pell1 at q^0 against the first two
+    terms of pell2, [pell1]_(q^0) = 2^l/8 (8 [pell2]_(q^0) - [pell2]_(q^(1/2))),
+    with both theta-product integrands in free power sums.
 
     Works over even power sums s2T, s4T, s6T of the tangent roots and
-    s1E..s6E of the shifted bundle roots; the curvature-matching hypothesis
-    is imposed as the substitution s2T := s2E.  Without the substitution
-    the residual is divisible by (s2T - s2E), which is what the
-    divisibility flag reports.
+    s2E, s4E, s6E of the shifted bundle roots; the curvature-matching
+    hypothesis is imposed as the substitution s2T := s2E.  Without the
+    substitution the residual is divisible by (s2T - s2E), which is what
+    the divisibility flag reports.
     """
     if l not in (2, 4):
         raise UnsupportedRank("the degree-12 checker supports rank 2 and 4 only")
-    m = free_ring_manifold()
-    pres = m.presentation
-    order = 0
+    pres = free_ring_manifold().presentation
+    tangent = _power_sum_log(ThetaKind.THETA, "T", pres)
+    pell1 = exp_nilpotent(tangent + _power_sum_log(ThetaKind.THETA1, "E", pres)) * 2**l
+    pell2 = exp_nilpotent(tangent + _power_sum_log(ThetaKind.THETA2, "E", pres))
+    lhs = pell1.u_slice(0).degree_component(12)
+    rhs = (pell2.u_slice(0) * 8 - pell2.u_slice(1)).degree_component(12) * Fraction(2**l, 8)
 
-    def gen_elem(name):
-        mono = tuple(
-            1 if i == pres.generator_index(name) else 0
-            for i in range(len(pres.generators))
-        )
-        out = CohElement(pres, order)
-        out.coeffs[mono] = HalfQSeries.one(order)
-        return out
-
-    s2T, s4T, s6T = gen_elem("s2T"), gen_elem("s4T"), gen_elem("s6T")
-    sE = {k: gen_elem(f"s{k}E") for k in range(1, 7)}
-
-    # log of the A-hat class in tangent power sums:
-    # sum_i log(x_i / (e^(x_i/2)-e^(-x_i/2))) = -s2/24 + s4/2880 - s6/181440
-    a_hat = exp_nilpotent(
-        s2T * Fraction(-1, 24) + s4T * Fraction(1, 2880) + s6T * Fraction(-1, 181440)
-    )
-    # prod_j (e^(w_j/2) + e^(-w_j/2)) = 2^l exp(s2/8 - s4/192 + s6/2880)
-    cosh_prod = exp_nilpotent(
-        sE[2] * Fraction(1, 8) + sE[4] * Fraction(-1, 192) + sE[6] * Fraction(1, 2880)
-    ) * Fraction(2**l)
-
-    # characters of E and its conjugate from power sums of the shifted roots
-    ch_e = CohElement.scalar(pres, order, l)
-    ch_e_bar = CohElement.scalar(pres, order, l)
-    fact = 1
-    for k in range(1, 7):
-        fact *= k
-        ch_e = ch_e + sE[k] * Fraction(1, fact)
-        ch_e_bar = ch_e_bar + sE[k] * Fraction((-1) ** k, fact)
-
-    lhs = (a_hat * cosh_prod).degree_component(12)
-    # conjugate-symmetrized character of E: only its even part meets A-hat
-    # in degree 12, and the symmetrized form is what balances the ranks
-    rhs = (
-        (a_hat * (ch_e + ch_e_bar)).degree_component(12)
-        + a_hat.degree_component(12) * Fraction(8 - 2 * l)
-    ) * Fraction(2**l, 8)
-
-    src = pres.generator_index("s2T")
-    dst = pres.generator_index("s2E")
-    if impose_relation:
-        lhs = lhs.remap_generator(src, dst)
-        rhs = rhs.remap_generator(src, dst)
     residual = lhs - rhs
-    result = Cancellation12Result(
-        rank=l, relation_imposed=impose_relation, equal=residual.is_zero(), residual=residual
-    )
-    if not impose_relation:
-        result.residual_divisible = residual.remap_generator(src, dst).is_zero()
-    return result
+    matched = residual.remap_generator(pres.generator_index("s2T"), pres.generator_index("s2E"))
+    if impose_relation:
+        return Cancellation12Result(l, True, matched.is_zero(), matched)
+    return Cancellation12Result(l, False, residual.is_zero(), residual, matched.is_zero())
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -63,14 +64,26 @@ class DivergentTail(ValueError):
     """Numeric evaluation requested at |u| >= 1."""
 
 
+# The numerator and denominator of a parsed rational have at most this many
+# digits, below the least int -> str limit an interpreter can set (640), so
+# every parsed value prints.  An exponent is read before Fraction expands it.
+RATIONAL_DIGITS = 600
+_RATIONAL_BOUND = 10**RATIONAL_DIGITS
+
+
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" (or a bare integer) into a Fraction; ValueError if malformed."""
-    if isinstance(text, int):
-        return Fraction(text)
-    try:
-        return Fraction(str(text).strip())
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+    """Parse "p/q", a decimal string or an int (not a bool); ValueError if bad or too large."""
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise ValueError(f"a rational must be a string or an integer, got {text!r}")
+    exponent = isinstance(text, str) and re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
+    if not (exponent and abs(int(exponent[1])) > RATIONAL_DIGITS):
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
+        if max(abs(value.numerator), value.denominator) < _RATIONAL_BOUND:
+            return value
+    raise ValueError(f"a rational has more than {RATIONAL_DIGITS} digits")
 
 
 def format_rational(value: Fraction) -> str:

@@ -5,13 +5,15 @@ never a traceback."""
 import io
 import json
 import os
+import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellgen import cli
+from ellgen import cli, qseries
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -224,3 +226,117 @@ def test_refused_input_suite_leaves_stdout_empty(capsys, suite, data, extra, cod
     prefix = "input error: " if code == cli.EXIT_INPUT else "guard violation: "
     assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1
+
+
+# -- rationals too large to parse or to print ------------------------------------
+
+CP4 = dict(CP2, manifold="CP4")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("base, value", [(CP4, "1e1100"), (CP2, "1e5000"), (CP2, "-1e601"),
+                                         (CP2, "9" * 601), (CP2, "1/" + "3" * 601),
+                                         (CP2, "1e-700")],
+                         ids=["1e1100-cp4", "1e5000-cp2", "exponent-601", "long-numerator",
+                              "long-denominator", "tiny"])
+def test_rational_beyond_the_digit_bound_is_input_error(capsys, base, value, json_flag):
+    data = replaced(base, ("bundle", "roots", 0, "x"), value)
+    code, text = run_manifest(data, ["compute", "--genus", "pell1"] + json_flag)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert text == "" and captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "600 digits" in captured.err
+
+
+def test_huge_exponent_is_refused_before_it_is_expanded(capsys):
+    data = replaced(CP2, ("bundle", "roots", 0, "x"), "1e99999999")
+    start = time.perf_counter()
+    code, text = run_manifest(data, ["compute", "--genus", "pell1"])
+    assert time.perf_counter() - start < 5
+    assert code == cli.EXIT_INPUT and text == ""
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_rational_at_the_digit_bound_is_accepted():
+    value = "9" * qseries.RATIONAL_DIGITS + "/" + "7" * qseries.RATIONAL_DIGITS
+    code, text = run_manifest(replaced(CP2, ("bundle", "twist_b", "x"), value),
+                              ["compute", "--genus", "pell1"])
+    assert code == cli.EXIT_OK and text
+
+
+def test_integer_longer_than_the_int_string_limit_is_input_error(capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(CP2).replace('"-1/2"', "1" * 5000))
+        code, text = run(["compute", "--input", path, "--genus", "pell1"])
+    assert code == cli.EXIT_INPUT and text == ""
+    assert capsys.readouterr().err.startswith("input error: cannot read manifest")
+
+
+def test_manifest_nested_too_deep_to_decode_is_input_error(capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(CP2)[:-1] + ', "extra": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, text = run(["compute", "--input", path, "--genus", "pell1"])
+    assert code == cli.EXIT_INPUT and text == ""
+    assert capsys.readouterr().err.startswith("input error: cannot read manifest")
+
+
+# a root and a twist near the bound: the fourth power of the shifted root on
+# CP4 has about 4800 digits, past the interpreter's default int -> str limit
+HUGE = replaced(replaced(CP4, ("bundle", "roots", 0, "x"), "1e599"),
+                ("bundle", "twist_b", "x"), "1e-599")
+# on a ring of top degree 12 the sixth power has about 7200 digits
+HUGE_CUSTOM = {
+    "manifold": {"name": "a6", "generators": [["a", 2]], "top_degree": 12,
+                 "vanishing_monomials": [{"a": 7}], "integration_table": [[{"a": 6}, "1"]],
+                 "tangent_roots": [{"a": "1"}]},
+    "bundle": {"rank": 1, "roots": [{"a": "1e599"}], "twist_b": {"a": "1e-599"}},
+}
+
+
+@pytest.mark.parametrize("data, argv", [
+    (HUGE, ["compute", "--genus", "pell1"]),
+    (HUGE, ["compute", "--genus", "pell1", "--json"]),
+    (HUGE_CUSTOM, ["decompose", "--kind", "W", "--order", "2"]),
+], ids=["compute-text", "compute-json", "decompose"])
+def test_coefficient_too_large_to_print_is_guard_violation(capsys, data, argv):
+    if not 0 < sys.get_int_max_str_digits() < 4800:
+        pytest.skip("the interpreter prints integers of 4800 digits")
+    code, text = run_manifest(data, argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_GUARD
+    assert text == "" and captured.out == ""
+    assert captured.err.startswith("guard violation: ")
+    assert "Traceback" not in captured.err
+
+
+# -- rationals that are not strings ----------------------------------------------
+
+
+@pytest.mark.parametrize("path", [("bundle", "roots", 0, "x"), ("bundle", "twist_b", "x")],
+                         ids=["root", "twist"])
+@pytest.mark.parametrize("value", [1e-400, 0.5, True, False, None, ["1"], {"x": "1"}],
+                         ids=["float-underflow", "float", "true", "false", "null", "list",
+                              "object"])
+def test_rational_that_is_not_a_string_or_an_integer_is_input_error(capsys, path, value):
+    _assert_input_error(capsys, replaced(CP2, path, value))
+
+
+def test_non_string_integration_weight_is_input_error(capsys):
+    data = replaced(CUSTOM, ("manifold", "integration_table", 0, 1), 0.5)
+    _assert_input_error(capsys, data)
+
+
+def test_integer_rationals_are_accepted():
+    assert qseries.parse_rational(-3) == -3
+    assert qseries.parse_rational(" 1e2 ") == 100
+    assert qseries.parse_rational("1e400") == 10**400
+    with pytest.raises(ValueError):
+        qseries.parse_rational(True)
+    code, text = run_manifest(replaced(CP2, ("bundle", "roots", 0, "x"), 1),
+                              ["compute", "--genus", "pell1"])
+    assert code == cli.EXIT_OK and text

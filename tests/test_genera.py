@@ -388,6 +388,36 @@ def test_cancellation_residual_matches_oracle_shape():
     assert sympy.simplify(oracle.subs(s2T, s2E)) == 0
 
 
+def test_cancellation_leaves_its_cached_factor_logs_unchanged():
+    from ellgen.genera import _power_sum_log
+    from ellgen.theta import ThetaKind
+
+    pres = builtin_manifold("free").presentation
+    for rank, impose in ((2, False), (4, True)):
+        cancellation12_check(rank, impose_relation=impose)
+    for kind, side in ((ThetaKind.THETA, "T"), (ThetaKind.THETA1, "E"), (ThetaKind.THETA2, "E")):
+        assert _power_sum_log(kind, side, pres) == _power_sum_log.__wrapped__(kind, side, pres)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_cancellation_residual_equals_oracle_term_by_term(rank):
+    import sympy
+
+    res = cancellation12_check(rank, impose_relation=False)
+    pres = res.residual.presentation
+    names = sympy.symbols([name for name, _ in pres.generators])
+    ours = {}
+    for mono, series in res.residual.coeffs.items():
+        assert series.order == 0
+        term = sympy.Mul(*(s**e for s, e in zip(names, mono)))
+        ours[term] = sympy.Rational(series.coefficient(0).numerator,
+                                    series.coefficient(0).denominator)
+    oracle = sympy.Poly(_sympy_cancellation_residual(rank, impose=False), *names)
+    expected = {sympy.Mul(*(s**e for s, e in zip(names, exps))): c
+                for exps, c in oracle.terms()}
+    assert ours == expected
+
+
 def test_engines_agree_at_the_guard_order_on_cp4(cp4):
     # the definition engine's top order (bundleops.ORDER_GUARD) on a twisted bundle
     from ellgen.bundleops import ORDER_GUARD

@@ -1,6 +1,9 @@
 """The scripts the README runs work from a plain checkout: each one finds
-ellgen next to itself, with no PYTHONPATH and from any working directory."""
+ellgen next to itself, with no PYTHONPATH and from any working directory.
+Cases that check only what `bench_kernels.py --only` selects run its `main`
+in this process, with one batch of one call per case."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -60,38 +63,36 @@ def test_bench_kernels_rejects_an_unmatched_case(tmp_path):
     assert "no.such.case" in result.stderr
 
 
-def test_bench_kernels_times_the_schur_suite_alone(tmp_path):
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--only", "cli.verify.schur"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    record = json.loads(result.stdout.splitlines()[-1])
+def bench_kernels_record(monkeypatch, capsys, only):
+    """Exit status and JSON record of bench_kernels.main(["--only", only]),
+    run in this process with REPEATS = 1 and BATCH_S = 0."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPTS / "bench_kernels.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "BATCH_S", 0)
+    status = bench.main(["--only", only])
+    return status, json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+def test_bench_kernels_times_the_schur_suite_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cli.verify.schur")
+    assert status == 0
     assert list(record["kernels"]) == ["cli.verify.schur"]
     assert record["kernels"]["cli.verify.schur"] > 0
 
 
-def test_bench_kernels_times_the_ring_inverse_alone(tmp_path):
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--only", "cohring.invert"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    record = json.loads(result.stdout.splitlines()[-1])
+def test_bench_kernels_times_the_ring_inverse_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.invert")
+    assert status == 0
     assert list(record["kernels"]) == ["cohring.invert.CP4.N80"]
     assert record["kernels"]["cohring.invert.CP4.N80"] > 0
 
 
-def test_bench_kernels_times_the_graded_character_alone(tmp_path):
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--only", "bundleops.gch"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    record = json.loads(result.stdout.splitlines()[-1])
+def test_bench_kernels_times_the_graded_character_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "bundleops.gch")
+    assert status == 0
     assert sorted(record["kernels"]) == ["bundleops.gch.B.rank3.N24", "bundleops.gch.W.rank3.N24",
                                          "bundleops.gch_closed_form.B.rank2.CP4.N80"]
     assert all(value > 0 for value in record["kernels"].values())
