@@ -6,9 +6,10 @@ identity).  Manifests are JSON documents with keys "manifold", "bundle",
 "order"; every rational is a string "p/q" or an integer, never a float.
 
 Exit codes: 0 ok, 1 verification failed, 2 input error, 3 guard violation
-(an expansion guard, a truncation tail too large for --tol, or a coefficient
-too long to print), 4 unsupported rank; the entry point exits 141 (128 +
-SIGPIPE, nothing on stderr) when the reader of standard output closes it.
+(an expansion guard, a truncation tail too large for --tol, a numeric sample
+that the truncated series cannot evaluate, or a coefficient too long to
+print), 4 unsupported rank; the entry point exits 141 (128 + SIGPIPE,
+nothing on stderr) when the reader of standard output closes it.
 """
 
 from __future__ import annotations
@@ -84,15 +85,16 @@ def default_order() -> int:
         order = int(raw)
     except ValueError as exc:
         raise ManifestError(f"ELLGEN_ORDER_DEFAULT must be an integer, got {raw!r}") from exc
-    if order < 0:
-        raise ManifestError(f"ELLGEN_ORDER_DEFAULT must be non-negative, got {order}")
-    return order
+    return _json_int(order, "ELLGEN_ORDER_DEFAULT")
 
 
 def _json_int(value, what: str, minimum: int = 0) -> int:
-    """A JSON integer (not a bool) >= minimum, else an input error."""
+    """A JSON integer (not a bool) from minimum to sys.maxsize, the longest a
+    series or list can be, else an input error."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ManifestError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if value > sys.maxsize:
+        raise ManifestError(f"{what} must be at most {sys.maxsize}, got {value}")
     return value
 
 
@@ -530,8 +532,8 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "order", None) is not None and args.order < 0:
-            raise ManifestError(f"--order must be non-negative, got {args.order}")
+        if getattr(args, "order", None) is not None:
+            _json_int(args.order, "--order")
         return args.func(args, out)
     except (ManifestError, UnknownManifold, PresentationMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -342,12 +342,12 @@ class CohElement:
         return out
 
     def u_slice(self, k: int) -> "CohElement":
-        """The coefficient of u^k, as an order-0 element; IndexError for k < 0."""
-        if k < 0:
+        """The coefficient of u^k, 0 <= k <= order, as an order-0 element; else IndexError."""
+        if not 0 <= k <= self.order:
             raise IndexError(f"u^{k} is not tracked at order {self.order}")
         out = CohElement(self.presentation, 0)
         for mono, s in self.coeffs.items():
-            if k <= s.order and s.nums[k]:
+            if s.nums[k]:
                 out.coeffs[mono] = from_numerators(0, (s.nums[k],), s.den)
         return out
 

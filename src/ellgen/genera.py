@@ -45,6 +45,7 @@ from .cohring import (
 )
 from .qseries import HalfQSeries
 from .theta import FactorSeries, ThetaKind, a_hat_factor_series, elliptic_factor
+from .theta import _half_argument_series, log_product_series
 
 
 class UnsupportedRank(ValueError):
@@ -330,8 +331,11 @@ def classical_recovery_check(m: Manifold, v: ProjBundle, order: int) -> Classica
     if not v.twist_b.is_zero():
         raise ValueError("classical recovery needs an honest bundle (b = 0)")
     twisted = pell(m, v, GenusKind.PELL, THETA_PRODUCT, order).series
-    # classical orientation: (e^(w/2) - e^(-w/2)) per root
-    factor = elliptic_factor(ThetaKind.THETA, _z_degree(m), order).invert().z_shift(1)
+    # classical orientation (e^(w/2) - e^(-w/2)) prod (1 - q^j e^w)(1 - q^j e^-w)/(1 - q^j)^2
+    # per root, from the product definition: the twisted side inverts the theta factor
+    d = _z_degree(m)
+    product = log_product_series(-1, False, d, order).exp()
+    factor = (_half_argument_series(d, order, 1) * product).z_shift(1)
     integrand = _times_root_factors(_tangent_core(m, order), factor, v.shifted_roots())
     classical = integrate(integrand, m)
     sign = (-1) ** v.rank

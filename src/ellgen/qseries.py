@@ -179,26 +179,21 @@ class HalfQSeries:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, HalfQSeries):
-            # zip and map stop at the shorter tuple: the sum has the smaller order
-            n = min(self.order, other.order)
-            da, db = self.den, other.den
-            if da == db:
-                nums = list(map(operator.add, self.nums, other.nums))
-                return from_numerators(n, tuple(nums), da)
-            den = lcm(da, db)
-            fa, fb = den // da, den // db
-            return from_numerators(
-                n, tuple([a * fa + b * fb for a, b in zip(self.nums, other.nums)]), den
-            )
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            den = lcm(self.den, q)
-            f = den // self.den
-            nums = [c * f for c in self.nums] if f != 1 else list(self.nums)
-            nums[0] += p * (den // q)
-            return from_numerators(self.order, tuple(nums), den)
-        return NotImplemented
+        if not isinstance(other, HalfQSeries):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = HalfQSeries.constant(other, self.order)
+        # zip and map stop at the shorter tuple: the sum has the smaller order
+        n = min(self.order, other.order)
+        da, db = self.den, other.den
+        if da == db:
+            nums = list(map(operator.add, self.nums, other.nums))
+            return from_numerators(n, tuple(nums), da)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return from_numerators(
+            n, tuple([a * fa + b * fb for a, b in zip(self.nums, other.nums)]), den
+        )
 
     __radd__ = __add__
 
@@ -299,7 +294,7 @@ class HalfQSeries:
 
         Returns (value, tail_estimate) where the estimate is
         |u|^(N+1) * max|c_k| over the last five tracked terms / (1 - |u|).
-        It is a heuristic estimate, not certified; see ROADMAP item 5.
+        It is a heuristic estimate, not certified; see ROADMAP item 6.
 
         Each coefficient is the float nums[k] / den, read straight from the
         numerators; the Fraction view is never built.  Integer true division

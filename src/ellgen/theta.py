@@ -229,10 +229,6 @@ def jacobi_identity_exact(order: int) -> bool:
 _Jet = tuple[complex, complex, complex, complex]
 
 
-def _jet_const(c: complex) -> _Jet:
-    return (c, 0j, 0j, 0j)
-
-
 def _jet_mul(a: _Jet, b: _Jet) -> _Jet:
     return (
         a[0] * b[0],
@@ -242,26 +238,18 @@ def _jet_mul(a: _Jet, b: _Jet) -> _Jet:
     )
 
 
-def _jet_add(a: _Jet, b: _Jet) -> _Jet:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
 def _jet_scale(a: _Jet, s: complex) -> _Jet:
     return (a[0] * s, a[1] * s, a[2] * s, a[3] * s)
-
-
-def _check_tau(tau: complex, terms: int):
-    if tau.imag <= 0:
-        raise InvalidTau(f"Im(tau) = {tau.imag} must be positive")
-    if terms < 1:
-        raise ValueError("at least one product term is required")
 
 
 def _theta_jet(kind: ThetaKind, v: complex, tau: complex, terms: int) -> _Jet:
     """Value and first three v-derivatives of the truncated product."""
     if not isinstance(kind, ThetaKind):
         raise TypeError(f"unknown theta kind {kind!r}")
-    _check_tau(tau, terms)
+    if tau.imag <= 0:
+        raise InvalidTau(f"Im(tau) = {tau.imag} must be positive")
+    if terms < 1:
+        raise ValueError("at least one product term is required")
     q = cmath.exp(2j * cmath.pi * tau)
     a = 2j * cmath.pi
     w_plus = cmath.exp(a * v)  # e^(2 pi i v) jet seed
@@ -271,7 +259,7 @@ def _theta_jet(kind: ThetaKind, v: complex, tau: complex, terms: int) -> _Jet:
 
     sign, half = kind.sign, kind.half
     if half:
-        acc = _jet_const(1.0)
+        acc = (1.0, 0j, 0j, 0j)
     else:
         # 2 q^(1/8) sin(pi v) for the odd kind, 2 q^(1/8) cos(pi v) for THETA1
         pi = cmath.pi
@@ -286,9 +274,10 @@ def _theta_jet(kind: ThetaKind, v: complex, tau: complex, terms: int) -> _Jet:
         qj = q**j
         # half-integer q-powers must follow tau, not a principal branch of q
         level = cmath.exp(2j * cmath.pi * tau * (j - 0.5)) if half else qj
-        acc = _jet_mul(acc, _jet_const(1.0 - qj))
-        acc = _jet_mul(acc, _jet_add(_jet_const(1.0), _jet_scale(jet_plus, sign * level)))
-        acc = _jet_mul(acc, _jet_add(_jet_const(1.0), _jet_scale(jet_minus, sign * level)))
+        acc = _jet_scale(acc, 1.0 - qj)
+        for jet in (jet_plus, jet_minus):  # the level factors 1 + s t e^(+-2 pi i v)
+            t = _jet_scale(jet, sign * level)
+            acc = _jet_mul(acc, (1.0 + t[0], t[1], t[2], t[3]))
     return acc
 
 

@@ -2,6 +2,7 @@
 exit code (0 ok, 1 verification failed, 2 input, 3 guard, 4 unsupported),
 never a traceback."""
 
+import contextlib
 import io
 import json
 import os
@@ -340,3 +341,60 @@ def test_integer_rationals_are_accepted():
     code, text = run_manifest(replaced(CP2, ("bundle", "roots", 0, "x"), 1),
                               ["compute", "--genus", "pell1"])
     assert code == cli.EXIT_OK and text
+
+
+# -- orders no series can have ----------------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["manifest", "environment"])
+def test_order_beyond_the_longest_series_is_input_error(capsys, monkeypatch, where):
+    if where == "manifest":
+        data = dict(CP2, order=sys.maxsize + 1)
+    else:
+        monkeypatch.setenv("ELLGEN_ORDER_DEFAULT", str(10**30))
+        data = {key: value for key, value in CP2.items() if key != "order"}
+    _assert_input_error(capsys, data)
+
+
+# -- arbitrary command lines ---------------------------------------------------
+
+MATCHED = os.path.join(MANIFESTS, "cp2_matched.json")
+SUBCOMMANDS = (
+    ["compute", "--genus", "pell1"],
+    ["compute", "--genus", "pell", "--method", "definition"],
+    ["compute", "--genus", "witten"],
+    ["decompose", "--kind", "W"],
+    ["cancel12", "--rank", "2"],
+    ["cancel12", "--rank", "3"],
+) + tuple(["verify", "--suite", suite] for suite in sorted(cli._SUITES))
+
+
+@given(
+    st.sampled_from(SUBCOMMANDS),
+    st.sampled_from([None, MATCHED, os.path.join(MANIFESTS, "cp2_rank2.json"), "missing.json"]),
+    st.sampled_from([None, "-1", "x", "2", str(10**30), str(2**63)]),
+    st.sampled_from([None, "0", "nan", "inf", "-1", "1e-30", "1e-8"]),
+    st.sampled_from([None, "0j", "nan+1j", "1e308+1j", ",", "0.3+0.05j", "0.2+0.9j,1.1j"]),
+)
+@example(["verify", "--suite", "jacobi"], None, str(10**30), None, None)
+@example(["compute", "--genus", "pell1"], MATCHED, str(10**30), None, None)
+@example(["verify", "--suite", "theta-laws"], None, None, "nan", "1e308+1j")
+@settings(max_examples=60, deadline=None)
+def test_any_command_line_gives_a_documented_exit_code(subcommand, path, order, tol, tau):
+    argv = list(subcommand)
+    # only verify takes --tol and --tau: elsewhere argparse would refuse every draw
+    verify = subcommand[0] == "verify"
+    for flag, value in (("--input", path), ("--order", order),
+                        ("--tol", tol if verify else None), ("--tau", tau if verify else None)):
+        if value is not None:
+            argv += [flag, value]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as stray, \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv, out=out)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in range(5), argv
+    if code >= cli.EXIT_INPUT:
+        assert out.getvalue() == "" and stray.getvalue() == "", argv

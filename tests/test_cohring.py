@@ -365,8 +365,9 @@ def test_product_and_sum_over_mixed_denominators(ring, data):
 def test_u_slice_rejects_negative_power(cp2):
     elem = CohElement(cp2.presentation, 3, {(1,): HalfQSeries(3, [1, 2, 3, 4])})
     assert elem.u_slice(3) == CohElement(cp2.presentation, 0, {(1,): HalfQSeries(0, [4])})
-    with pytest.raises(IndexError):
-        elem.u_slice(-1)
+    for k in (-1, 4, 7):  # past the order a coefficient is unknown, not zero
+        with pytest.raises(IndexError, match=f"u\\^{k} is not tracked at order 3"):
+            elem.u_slice(k)
 
 
 def test_map_series_keeps_the_element_order(cp2):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellgen import genera, theta
 from ellgen.bundleops import ProjBundle
 from ellgen.cohring import LinearClass, Manifold, builtin_manifold
 from ellgen.genera import (
@@ -312,6 +313,26 @@ def test_classical_recovery_rank1_sign(cp2, o1_bundle):
     res = classical_recovery_check(cp2, o1_bundle, 8)
     assert res.sign == -1
     assert res.matched
+
+
+def test_classical_recovery_fails_under_a_mutated_inversion(cp4, monkeypatch):
+    # the classical side is built without inverting a theta factor, so an
+    # inversion that does nothing breaks the twisted side alone; on CP4, since
+    # on CP2 the shifted factor is z whatever its z^2 term, and at even rank,
+    # since the genus of an odd rank vanishes
+    x = LinearClass.generator(cp4.presentation, "x")
+    bundle = ProjBundle(rank=2, roots=(x, x), twist_b=LinearClass.zero(cp4.presentation))
+    caches = (theta.elliptic_factor, genera.bundle_root_factor, genera._tangent_core)
+    monkeypatch.setattr(theta.FactorSeries, "invert", lambda self: self)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        assert not classical_recovery_check(cp4, bundle, 8).matched
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    assert classical_recovery_check(cp4, bundle, 8).matched
 
 
 def test_classical_recovery_needs_untwisted(cp2, x_class, half_x):

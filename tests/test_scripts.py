@@ -96,3 +96,10 @@ def test_bench_kernels_times_the_graded_character_alone(monkeypatch, capsys):
     assert sorted(record["kernels"]) == ["bundleops.gch.B.rank3.N24", "bundleops.gch.W.rank3.N24",
                                          "bundleops.gch_closed_form.B.rank2.CP4.N80"]
     assert all(value > 0 for value in record["kernels"].values())
+
+
+def test_bench_kernels_times_the_numeric_theta_product_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "theta.theta_numeric")
+    assert status == 0
+    assert list(record["kernels"]) == ["theta.theta_numeric.THETA.terms60"]
+    assert record["kernels"]["theta.theta_numeric.THETA.terms60"] > 0

@@ -2,7 +2,10 @@ import cmath
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ellgen import theta
 from ellgen.qseries import HalfQSeries, eta_like_product
 from ellgen.theta import (
     DEFAULT_LAW_SAMPLES,
@@ -241,3 +244,55 @@ def test_transformation_law_tail_covers_every_evaluated_point():
     assert transformation_law_tail(DEFAULT_LAW_SAMPLES) < 1e-100
     # the S-law image of tau = 3j sits at Im(-1/tau) = 1/3
     assert transformation_law_tail(((0.1, 3j),)) == product_tail(0.1, -1 / 3j)
+
+
+# -- the jet loop against its earlier literal form ----------------------------
+
+
+def _jet_const(c):
+    return (c, 0j, 0j, 0j)
+
+
+def _jet_add(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+
+def _reference_jet(kind, v, tau, terms):
+    """The jet loop as first written: every factor a full jet product, with
+    the scalars 1 and 1 - q^j as constant jets and 1 + s t e^(+-w) as a jet sum."""
+    mul, scale = theta._jet_mul, theta._jet_scale
+    q = cmath.exp(2j * cmath.pi * tau)
+    a = 2j * cmath.pi
+    w_plus = cmath.exp(a * v)
+    jet_plus = (w_plus, a * w_plus, a * a * w_plus, a**3 * w_plus)
+    w_minus = 1.0 / w_plus
+    jet_minus = (w_minus, -a * w_minus, a * a * w_minus, -(a**3) * w_minus)
+    sign, half = kind.sign, kind.half
+    if half:
+        acc = _jet_const(1.0)
+    else:
+        pi = cmath.pi
+        s, c = cmath.sin(pi * v), cmath.cos(pi * v)
+        if kind is ThetaKind.THETA:
+            front = (s, pi * c, -pi * pi * s, -pi**3 * c)
+        else:
+            front = (c, -pi * s, -pi * pi * c, pi**3 * s)
+        acc = scale(front, 2 * cmath.exp(1j * cmath.pi * tau / 4))
+    for j in range(1, terms + 1):
+        qj = q**j
+        level = cmath.exp(2j * cmath.pi * tau * (j - 0.5)) if half else qj
+        acc = mul(acc, _jet_const(1.0 - qj))
+        acc = mul(acc, _jet_add(_jet_const(1.0), scale(jet_plus, sign * level)))
+        acc = mul(acc, _jet_add(_jet_const(1.0), scale(jet_minus, sign * level)))
+    return acc
+
+
+@given(
+    st.sampled_from(list(ThetaKind)),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 2.0)),
+    st.sampled_from([1, 2, 60]),
+)
+@settings(max_examples=300)
+def test_theta_jet_equals_the_literal_jet_loop(kind, v, tau, terms):
+    assert theta._theta_jet(kind, v, tau, terms) == _reference_jet(kind, v, tau, terms)
