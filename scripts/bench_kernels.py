@@ -18,6 +18,8 @@ next to this script, so the file times the checkout it sits in.  Cases:
 - ``elliptic_factor`` of the kinds THETA and THETA2 at z-degree 4 and
   N = 80, 320, timed through ``elliptic_factor.__wrapped__`` so that the
   factor is built every time rather than read from its cache;
+- ``factor_log`` of the kind THETA at z-degree 4 and N = 320
+  (``theta.factor_log.THETA.z4.N320``), the log whose exp that factor is;
 - ``CohElement`` multiply on CP2 and CP4 (every surviving monomial, N = 20)
   and on the free ring (every monomial up to degree 12, N = 0);
 - ``CohElement.invert`` of a unit on CP4 with a random dense series on every
@@ -120,7 +122,7 @@ from ellgen.bundleops import (  # noqa: E402
 from ellgen.cohring import CohElement, LinearClass, builtin_manifold  # noqa: E402
 from ellgen.genera import DEFINITION, GenusKind, pell  # noqa: E402
 from ellgen.qseries import HalfQSeries  # noqa: E402
-from ellgen.theta import ThetaKind, elliptic_factor, theta_numeric  # noqa: E402
+from ellgen.theta import ThetaKind, elliptic_factor, factor_log, theta_numeric  # noqa: E402
 
 ORDERS = (20, 80, 320)
 EVAL_ORDERS = (80, 160, 320)
@@ -245,6 +247,10 @@ def case_table(tmp: Path) -> dict:
             @case(f"theta.elliptic_factor.{kind.name}.z4.N{n}")
             def _(kind=kind, n=n):
                 return lambda: elliptic_factor.__wrapped__(kind, 4, n)
+
+    @case("theta.factor_log.THETA.z4.N320")
+    def _():
+        return lambda: factor_log(ThetaKind.THETA, 4, 320)
 
     for manifold_name, order in (("CP2", 20), ("CP4", 20), ("free", 0)):
         @case(f"cohring.mul.{manifold_name}.N{order}")

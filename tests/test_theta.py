@@ -296,3 +296,67 @@ def _reference_jet(kind, v, tau, terms):
 @settings(max_examples=300)
 def test_theta_jet_equals_the_literal_jet_loop(kind, v, tau, terms):
     assert theta._theta_jet(kind, v, tau, terms) == _reference_jet(kind, v, tau, terms)
+
+
+# -- each factor as the exp of its log ---------------------------------------------
+
+FACTOR_GRID = [(2, 8), (4, 80), (6, 1), (6, 24), (12, 30)]
+
+
+def _factor_by_products(kind, z_degree, order):
+    """The normalized factor as a product of a front series and the exp of
+    the product's log, the odd front by inverting 2 sinh(z/2)/z."""
+    log_part = theta.log_product_series(kind.sign, kind.half, z_degree, order)
+    if kind is ThetaKind.THETA:
+        return a_hat_factor_series(z_degree, order) * (-log_part).exp()
+    if kind.half:
+        return log_part.exp()
+    return theta._half_argument_series(z_degree, order, 0) * log_part.exp()
+
+
+@pytest.mark.parametrize("z_degree, order", FACTOR_GRID)
+@pytest.mark.parametrize("kind", list(ThetaKind))
+def test_elliptic_factor_equals_the_product_construction(kind, z_degree, order):
+    assert elliptic_factor(kind, z_degree, order) == _factor_by_products(kind, z_degree, order)
+
+
+@pytest.mark.parametrize("z_degree, order", FACTOR_GRID)
+@pytest.mark.parametrize("kind", list(ThetaKind))
+def test_factor_log_exponentiates_to_the_factor(kind, z_degree, order):
+    log = theta.factor_log(kind, z_degree, order)
+    assert log.exp() == elliptic_factor(kind, z_degree, order)
+    assert log.is_even_in_z() and log.coeffs[0].is_zero()
+
+
+@pytest.mark.parametrize("kind", list(ThetaKind))
+def test_factor_log_is_the_log_of_the_factor(kind):
+    fs = elliptic_factor(kind, 6, 12)
+    assert fs.log() == theta.factor_log(kind, 6, 12)
+
+
+def test_factor_log_rejects_what_elliptic_factor_rejects():
+    with pytest.raises(ValueError):
+        theta.factor_log(ThetaKind.THETA, 3, 4)
+    with pytest.raises(TypeError):
+        theta.factor_log("theta", 4, 4)
+
+
+@given(st.lists(st.lists(st.fractions(-9, 9, max_denominator=9), min_size=3, max_size=3),
+                max_size=4))
+def test_factor_series_log_and_exp_are_inverse(rest):
+    # z^0 term 1 and random series at z^1 .. z^d, d = len(rest)
+    order = 2
+    coeffs = [HalfQSeries.one(order)] + [HalfQSeries(order, cs) for cs in rest]
+    f = theta.FactorSeries.build(len(rest), order, coeffs)
+    assert f.log().exp() == f
+
+
+@pytest.mark.parametrize(
+    "front", [HalfQSeries(3, [2]), HalfQSeries(3, [1, 1]), HalfQSeries.zero(3)],
+    ids=["two", "one-plus-q-half", "zero"],
+)
+def test_factor_series_log_needs_the_z0_term_one(front):
+    # log(1 + y) sums y^k = (f - 1)^k through k = d: all of it only when z divides y
+    f = theta.FactorSeries.build(4, 3, [front, HalfQSeries.one(3)])
+    with pytest.raises(ValueError, match="z\\^0 term 1"):
+        f.log()
