@@ -16,10 +16,13 @@ next to this script, so the file times the checkout it sits in.  Cases:
 - one ``HalfQSeries`` product of dense operands with 256-bit numerators at
   N = 80 (``qseries.mul.dense_big.N80``);
 - ``elliptic_factor`` of the kinds THETA and THETA2 at z-degree 4 and
-  N = 80, 320, timed through ``elliptic_factor.__wrapped__`` so that the
-  factor is built every time rather than read from its cache;
+  N = 80, 320, timed through ``elliptic_factor.__wrapped__`` with the
+  ``factor_log`` cache cleared, so that the factor and its log are built
+  every time rather than read from their caches;
 - ``factor_log`` of the kind THETA at z-degree 4 and N = 320
-  (``theta.factor_log.THETA.z4.N320``), the log whose exp that factor is;
+  (``theta.factor_log.THETA.z4.N320``), the log whose exp that factor is,
+  built every time through ``inspect.unwrap`` (a checkout whose
+  ``factor_log`` has no cache times the same call);
 - ``CohElement`` multiply on CP2 and CP4 (every surviving monomial, N = 20)
   and on the free ring (every monomial up to degree 12, N = 0);
 - ``CohElement.invert`` of a unit on CP4 with a random dense series on every
@@ -34,6 +37,9 @@ next to this script, so the file times the checkout it sits in.  Cases:
   engine multiplies into its integrand;
 - ``resum_graded`` of that table, the sum of its twisted weights
   (``bundleops.resum_graded.W.rank3.N24``);
+- one warm theta-product ``pell`` of ``pell1`` for a twisted rank-3 bundle
+  on CP4 at N = 320 (``genera.pell_theta.CP4.pell1.rank3.N320``): the
+  tangent factors are cached, so this times the bundle's share of the genus;
 - one warm ``pell(..., method="definition")`` of ``pell1`` for a twisted
   rank-2 bundle on CP4 at N = 24, the definition engine's top order
   (``genera.pell_definition.CP4.pell1.rank2.N24``);
@@ -87,6 +93,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import inspect
 import io
 import json
 import math
@@ -246,11 +253,14 @@ def case_table(tmp: Path) -> dict:
         for n in (80, 320):
             @case(f"theta.elliptic_factor.{kind.name}.z4.N{n}")
             def _(kind=kind, n=n):
-                return lambda: elliptic_factor.__wrapped__(kind, 4, n)
+                def build():
+                    factor_log.cache_clear()
+                    return elliptic_factor.__wrapped__(kind, 4, n)
+                return build
 
     @case("theta.factor_log.THETA.z4.N320")
     def _():
-        return lambda: factor_log(ThetaKind.THETA, 4, 320)
+        return lambda: inspect.unwrap(factor_log)(ThetaKind.THETA, 4, 320)
 
     for manifold_name, order in (("CP2", 20), ("CP4", 20), ("free", 0)):
         @case(f"cohring.mul.{manifold_name}.N{order}")
@@ -288,6 +298,11 @@ def case_table(tmp: Path) -> dict:
         cp2, bundle = cp2_rank3()
         graded = graded_decompose(GradedKind.W, bundle, 24)
         return lambda: resum_graded(graded, cp2.presentation)
+
+    @case("genera.pell_theta.CP4.pell1.rank3.N320")
+    def _():
+        cp4, _, rank3 = cp4_bundles()
+        return lambda: pell(cp4, rank3, GenusKind.PELL1, order=320)
 
     @case("genera.pell_definition.CP4.pell1.rank2.N24")
     def _():

@@ -32,9 +32,9 @@ from .cohring import (
     PresentationMismatch,
     RingPresentation,
     exp_nilpotent,
-    root_square_sum,
+    power_sums,
 )
-from .qseries import eta_like_product, from_numerators
+from .qseries import HalfQSeries, eta_like_product, from_numerators
 from .theta import ThetaKind
 
 
@@ -72,7 +72,8 @@ class ProjBundle:
 
     def pontryagin_shift_class(self, order: int) -> CohElement:
         """The first rational twisted Pontryagin class: sum (y_j + b)^2."""
-        return root_square_sum(self.shifted_roots(), order, self.presentation)
+        squares = power_sums(self.shifted_roots(), self.presentation, 2)[2]
+        return squares.scaled(HalfQSeries.one(order))
 
     def describe(self) -> str:
         roots = ", ".join(str(r) for r in self.roots)

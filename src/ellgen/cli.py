@@ -41,7 +41,7 @@ from .cohring import (
     UnknownManifold,
     builtin_manifold,
     parse_linear_class,
-    root_square_sum,
+    power_sums,
 )
 from .genera import (
     DEFINITION,
@@ -387,7 +387,7 @@ def _suite_half_period(args) -> Rows:
 def _suite_s_transform(args) -> Rows:
     m, e, order = _bundle_input(args, floor=40)
     taus = _parse_tau_list(args.tau)
-    tangent_sq = root_square_sum(m.tangent_roots, 0, m.presentation)
+    tangent_sq = power_sums(m.tangent_roots, m.presentation, 2)[2]
     p1 = pell(m, e, GenusKind.PELL1, THETA_PRODUCT, order).series
     p2 = pell(m, e, GenusKind.PELL2, THETA_PRODUCT, order).series
     multiplier = 2**e.rank

@@ -351,6 +351,11 @@ class CohElement:
                 out.coeffs[mono] = from_numerators(0, (s.nums[k],), s.den)
         return out
 
+    def scaled(self, series: HalfQSeries) -> "CohElement":
+        """This q-free (order-0) element times a series: one rational scaling per monomial."""
+        terms = {mono: series * s.coefficient(0) for mono, s in self.coeffs.items()}
+        return CohElement(self.presentation, series.order, terms)
+
     def scalar_part(self) -> HalfQSeries:
         return self.coefficient(self.presentation.unit_monomial())
 
@@ -399,13 +404,14 @@ class CohElement:
         return f"CohElement({self})"
 
 
-def root_square_sum(roots, order: int, presentation: RingPresentation) -> CohElement:
-    """sum_j root_j^2 for degree-2 classes in the given presentation."""
-    total = CohElement.zero(presentation, order)
+def power_sums(roots, presentation: RingPresentation, k_max: int) -> list[CohElement]:
+    """p_k = sum_i root_i^k for k = 0..k_max, as q-free (order-0) classes."""
+    sums = [CohElement.zero(presentation, 0)] * (k_max + 1)
+    sums[0] = CohElement.scalar(presentation, 0, len(roots))
     for root in roots:
-        e = root.as_element(order)
-        total = total + e * e
-    return total
+        x = root.as_element(0)
+        sums[1:] = map(add, sums[1:], accumulate(repeat(x, k_max - 1), mul, initial=x))
+    return sums
 
 
 # kept as a module-level name: perfbench/tracer.py wraps it by name
@@ -415,13 +421,16 @@ def ring_mul(a: CohElement, b: CohElement) -> CohElement:
 
 def _power_series(x: CohElement, coeffs) -> CohElement:
     """sum_k c_k x^k for a nilpotent x, the rationals or series c_k read lazily
-    from coeffs; the sum stops at the first power of x that vanishes."""
+    from coeffs; the sum stops at the first power of x that vanishes, and raises if
+    a power outlives k > order + top/2 (see exp_nilpotent): a faulty product."""
     coeffs = iter(coeffs)
     total = CohElement.scalar(x.presentation, x.order, next(coeffs))
     power = x
-    for c in coeffs:
+    for k, c in enumerate(coeffs, 1):
         if power.is_zero():
             break
+        if k > x.order + x.presentation.top_degree // 2:
+            raise ArithmeticError(f"x^{k} does not vanish: the ring product is faulty")
         total = total + power * c
         power = power * x
     return total

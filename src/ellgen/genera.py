@@ -2,9 +2,9 @@
 
 Two independent engines compute each twisted elliptic genus:
 
-* theta_product -- one normalized theta factor per stable tangent root
-  times one bundle factor per shifted bundle root, integrated over the
-  manifold.  Fast, no rank guards.
+* theta_product -- the exp of the theta factors' logs, read off the power sums of
+  the tangent and shifted bundle roots (pell's odd bundle factor has no log: root
+  by root), integrated over the manifold.  Fast, no rank guards.
 
 * definition -- the literal construction: the bundle's infinite-product
   prefactor, the A-hat class, the symmetric-power tangent character
@@ -40,6 +40,7 @@ from .cohring import (
     exp_nilpotent,
     free_ring_manifold,
     integrate,
+    power_sums,
 )
 from .qseries import HalfQSeries
 from .theta import FactorSeries, ThetaKind, a_hat_factor_series, elliptic_factor, factor_log
@@ -111,10 +112,16 @@ _MANIFOLD_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
+def _tangent_log(m: Manifold, order: int) -> CohElement:
+    """sum_j c_j s_(2j) over the stable roots' power sums, for log f = sum_j c_j z^(2j)."""
+    sums = power_sums(m.tangent_roots, m.presentation, _z_degree(m))
+    return factor_log(ThetaKind.THETA, _z_degree(m), order).at_power_sums(sums)
+
+
+@functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
 def _tangent_core(m: Manifold, order: int) -> CohElement:
     """Product of the normalized odd theta factors over the stable roots."""
-    factor = elliptic_factor(ThetaKind.THETA, _z_degree(m), order)
-    return _times_root_factors(CohElement.one(m.presentation, order), factor, m.tangent_roots)
+    return exp_nilpotent(_tangent_log(m, order))
 
 
 def a_hat_class(m: Manifold, order: int = 0) -> CohElement:
@@ -162,9 +169,16 @@ def bundle_root_factor(kind: GenusKind, z_degree: int, order: int) -> FactorSeri
 
 
 def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
-    factor = bundle_root_factor(kind, _z_degree(m), order)
-    integrand = _times_root_factors(_tangent_core(m, order), factor, e.shifted_roots())
-    return integrate(integrand, m)
+    if kind is GenusKind.PELL:
+        factor = bundle_root_factor(kind, _z_degree(m), order)
+        integrand = _times_root_factors(_tangent_core(m, order), factor, e.shifted_roots())
+        return integrate(integrand, m)
+    theta = bundleops._GRADED_THETA[_GENUS_GRADED[kind]]
+    sums = power_sums(e.shifted_roots(), m.presentation, _z_degree(m))
+    log = _tangent_log(m, order) + factor_log(theta, _z_degree(m), order).at_power_sums(sums)
+    genus = integrate(exp_nilpotent(log), m)
+    # the half determinant twist makes pell1's bundle factor 2 cosh(w/2): 2 per root
+    return genus * 2**e.rank if kind is GenusKind.PELL1 else genus
 
 
 def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
@@ -266,16 +280,11 @@ class Cancellation12Result:
     residual_divisible: bool | None = None
 
 
-@functools.lru_cache(maxsize=3)
-def _power_sum_log(kind: ThetaKind, side: str, pres: RingPresentation) -> CohElement:
-    """log of the product of the normalized `kind` factor over the roots of side
-    "T" or "E" through u^1 (cached and shared: read-only).  The factor is even
-    in z with constant term 1, log f = sum_j c_j z^(2j), so this is sum_j c_j s(2j)<side>."""
-    log = factor_log(kind, 6, 1).coeffs
-    return CohElement(pres, 1, {
-        tuple(int(g == f"s{2 * j}{side}") for g, _ in pres.generators): log[2 * j]
-        for j in (1, 2, 3)
-    })
+def _free_power_sums(pres: RingPresentation, side: str) -> list[CohElement]:
+    """p_k, k = 0..6, of side "T" or "E": the free generator s<k><side>, else 0."""
+    names = [g for g, _ in pres.generators]
+    return [CohElement(pres, 0, {tuple(int(g == f"s{k}{side}") for g in names): HalfQSeries.one(0)}
+                       if f"s{k}{side}" in names else None) for k in range(7)]
 
 
 def cancellation12_check(l: int, impose_relation: bool = True) -> Cancellation12Result:
@@ -292,9 +301,10 @@ def cancellation12_check(l: int, impose_relation: bool = True) -> Cancellation12
     if l not in (2, 4):
         raise UnsupportedRank("the degree-12 checker supports rank 2 and 4 only")
     pres = free_ring_manifold().presentation
-    tangent = _power_sum_log(ThetaKind.THETA, "T", pres)
-    pell1 = exp_nilpotent(tangent + _power_sum_log(ThetaKind.THETA1, "E", pres)) * 2**l
-    pell2 = exp_nilpotent(tangent + _power_sum_log(ThetaKind.THETA2, "E", pres))
+    tangent, bundle = _free_power_sums(pres, "T"), _free_power_sums(pres, "E")
+    log_t = factor_log(ThetaKind.THETA, 6, 1).at_power_sums(tangent)
+    pell1 = exp_nilpotent(log_t + factor_log(ThetaKind.THETA1, 6, 1).at_power_sums(bundle)) * 2**l
+    pell2 = exp_nilpotent(log_t + factor_log(ThetaKind.THETA2, 6, 1).at_power_sums(bundle))
     lhs = pell1.u_slice(0).degree_component(12)
     rhs = (pell2.u_slice(0) * 8 - pell2.u_slice(1)).degree_component(12) * Fraction(2**l, 8)
 

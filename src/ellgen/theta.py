@@ -5,8 +5,8 @@ element of Q[z]/(z^(d+1)) with HalfQSeries coefficients (a CohElement over
 the one-generator ring `z_ring(d)`), normalized so its value at z = 0 is the
 constant series 1 (and the odd kind is divided by its simple zero).  These
 use the substitution e^(2*pi*i*v) = e^z, which clears every pi and keeps all
-coefficients rational.  Genus integrands are built from them by `at_class`,
-the substitution z -> a Chern root class.
+coefficients rational.  Genus integrands are built from them by `at_class`
+(z -> a Chern root class), or by `at_power_sums` of a log over a side's roots.
 
 Numeric representation: the literal truncated infinite products in (v, tau),
 used to test transformation laws and closed forms.  The bridge between the
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qseries
+from . import cohring, qseries
 from .cohring import CohElement, LinearClass, RingPresentation, _power_series, exp_nilpotent
 from .qseries import HalfQSeries
 
@@ -129,9 +129,15 @@ class FactorSeries:
     def is_even_in_z(self) -> bool:
         return all(c.is_zero() for c in self.coeffs[1::2])
 
+    def at_power_sums(self, sums) -> CohElement:
+        """sum_k c_k p_k, the factor summed over roots w_i whose power sums p_k = sum_i w_i^k
+        are the q-free (order-0) classes `sums`: series-times-rational scalings alone."""
+        terms = [p.scaled(c) for c, p in zip(self.coeffs, sums) if not c.is_zero()]
+        return sum(terms, CohElement.zero(sums[0].presentation, self.order))
+
     def at_class(self, lc: LinearClass) -> CohElement:
         """Substitute the nilpotent slot by a degree-2 class: z -> lc."""
-        return _power_series(lc.as_element(self.order), self.coeffs)
+        return self.at_power_sums(cohring.power_sums([lc], lc.presentation, self.z_degree))
 
     def eval_complex(self, z0: complex, u0: complex) -> complex:
         acc = complex(0)
@@ -180,6 +186,11 @@ def log_product_series(sign: int, half_shift: bool, z_degree: int, order: int) -
     return FactorSeries(CohElement(z_ring(z_degree), order, terms))
 
 
+# Memoized by value (kind, z-degree, order): every genus of one manifold and
+# order shares the factor and its log, so both are read-only.  64 entries hold
+# 4 kinds over the z-degrees and orders of a sweep; the bound keeps a
+# long-lived process from pinning every long-order factor it ever built.
+@functools.lru_cache(maxsize=64)
 def factor_log(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
     """log of the normalized theta factor (see elliptic_factor): the product's log, plus
     log cosh(z/2) for THETA1; for THETA, minus that of 2 sinh(z/2)/z and the product."""
@@ -190,15 +201,12 @@ def factor_log(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
     log_part = log_product_series(kind.sign, kind.half, z_degree, order)
     if kind.half:
         return log_part
-    if kind is ThetaKind.THETA1:
-        return _half_argument_series(z_degree, order, 0).log() + log_part
-    return -(_half_argument_series(z_degree, order, 1).log() + log_part)
+    # the front carries no q: its log is taken at order 0, then lifted to the order
+    front = _half_argument_series(z_degree, 0, int(kind is ThetaKind.THETA)).log()
+    front = FactorSeries(front.elem.scaled(HalfQSeries.one(order)))
+    return front + log_part if kind is ThetaKind.THETA1 else -(front + log_part)
 
 
-# Memoized by value (kind, z-degree, order): every genus of one manifold and
-# order shares the factor.  64 entries hold 4 kinds over the z-degrees and
-# orders of a sweep; the bound keeps a long-lived process from pinning every
-# long-order factor it ever built.
 @functools.lru_cache(maxsize=64)
 def elliptic_factor(kind: ThetaKind, z_degree: int, order: int) -> FactorSeries:
     """exp(factor_log): the normalized theta factor attached to one Chern root.

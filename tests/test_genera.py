@@ -410,14 +410,13 @@ def test_cancellation_residual_matches_oracle_shape():
 
 
 def test_cancellation_leaves_its_cached_factor_logs_unchanged():
-    from ellgen.genera import _power_sum_log
+    # the check reads the cached theta.factor_log of each kind
     from ellgen.theta import ThetaKind
 
-    pres = builtin_manifold("free").presentation
     for rank, impose in ((2, False), (4, True)):
         cancellation12_check(rank, impose_relation=impose)
-    for kind, side in ((ThetaKind.THETA, "T"), (ThetaKind.THETA1, "E"), (ThetaKind.THETA2, "E")):
-        assert _power_sum_log(kind, side, pres) == _power_sum_log.__wrapped__(kind, side, pres)
+    for kind in (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA2):
+        assert theta.factor_log(kind, 6, 1) == theta.factor_log.__wrapped__(kind, 6, 1)
 
 
 @pytest.mark.parametrize("rank", [2, 4])
@@ -522,7 +521,7 @@ def test_engines_agree_at_order_160_on_cp4(cp4, monkeypatch):
 # -- the engines share no inversion ---------------------------------------------------
 
 ENGINE_CACHES = (theta.elliptic_factor, genera.bundle_root_factor, genera._tangent_core,
-                 genera._definition_tangent_part, genera._power_sum_log)
+                 genera._definition_tangent_part, theta.factor_log, genera._tangent_log)
 
 
 def _twisted_rank2(m):
@@ -548,7 +547,8 @@ def test_power_sum_log_equals_the_log_of_the_factor():
                 log.coefficient((2 * j,))
             for j in (1, 2, 3)
         })
-        assert genera._power_sum_log.__wrapped__(kind, side, pres) == expected
+        sums = genera._free_power_sums(pres, side)
+        assert theta.factor_log(kind, 6, 1).at_power_sums(sums) == expected
 
 
 def test_engines_disagree_under_a_mutated_inversion(cp2, cp4, monkeypatch):

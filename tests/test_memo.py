@@ -1,8 +1,8 @@
 """The memoized manifold- and order-only factors of the two genus engines.
 
-The theta-product engine caches `theta.elliptic_factor`,
-`genera.bundle_root_factor` and `genera._tangent_core`; the definition
-engine caches `genera._definition_tangent_part` and
+The theta-product engine caches `theta.elliptic_factor`, `theta.factor_log`,
+`genera.bundle_root_factor`, `genera._tangent_log` and `genera._tangent_core`;
+the definition engine caches `genera._definition_tangent_part` and
 `qseries.eta_like_product`.  The engines must share no cached object, a
 cached value must equal its recomputation, and no caller may mutate one.
 """
@@ -20,7 +20,8 @@ from ellgen.theta import FactorSeries, ThetaKind
 
 ORDER = 20
 KINDS = (GenusKind.PELL, GenusKind.PELL1, GenusKind.PELL2, GenusKind.PELL3)
-THETA_CACHES = (theta.elliptic_factor, genera.bundle_root_factor, genera._tangent_core)
+THETA_CACHES = (theta.elliptic_factor, genera.bundle_root_factor, genera._tangent_core,
+                theta.factor_log, genera._tangent_log)
 DEFINITION_CACHES = (genera._definition_tangent_part, qseries.eta_like_product)
 
 
@@ -80,9 +81,11 @@ def test_cached_values_equal_recomputation_and_stay_unchanged(cp4):
     e = twisted_bundle(cp4)
     z_degree = genera._z_degree(cp4)
     cases = [(theta.elliptic_factor, (kind, z_degree, ORDER)) for kind in ThetaKind]
+    cases += [(theta.factor_log, (kind, z_degree, ORDER)) for kind in ThetaKind]
     cases += [(genera.bundle_root_factor, (kind, z_degree, ORDER)) for kind in KINDS]
     cases += [
         (genera._tangent_core, (cp4, ORDER)),
+        (genera._tangent_log, (cp4, ORDER)),
         (genera._definition_tangent_part, (cp4, ORDER)),
         (qseries.eta_like_product, (-1, False, cp4.dimension, ORDER)),
         (qseries.eta_like_product, (1, True, -2 * e.rank, ORDER)),

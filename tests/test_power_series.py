@@ -203,3 +203,28 @@ def test_a_coefficient_that_truncates_to_zero_is_not_stored(value):
     for elem in (CohElement(pres, 1, {(1,): value}), CohElement.scalar(pres, 1, value)):
         assert elem.coeffs == {}
         assert elem == CohElement.zero(pres, 1)
+
+
+@pytest.mark.parametrize("series_of", [exp_nilpotent, lambda x: (x + 1).invert()],
+                         ids=["exp", "invert"])
+def test_a_product_that_keeps_degrees_above_the_top_raises(series_of, monkeypatch):
+    # with every monomial kept, no power of x vanishes; past the bound
+    # x^k = 0 for k > order + top/2 the power series must raise, not loop
+    product, calls = CohElement.__mul__, []
+
+    def keeps_every_degree(a, b):
+        if not isinstance(b, CohElement):
+            return product(a, b)
+        calls.append(1)
+        assert len(calls) < 100, "the power series did not stop"
+        out = CohElement(a.presentation, min(a.order, b.order))
+        for m1, s1 in a.coeffs.items():
+            for m2, s2 in b.coeffs.items():
+                mono = tuple(i + j for i, j in zip(m1, m2))
+                out.coeffs[mono] = out.coeffs.get(mono, HalfQSeries.zero(out.order)) + s1 * s2
+        return out
+
+    x = LinearClass.generator(projective(2), "x").as_element(1)
+    monkeypatch.setattr(CohElement, "__mul__", keeps_every_degree)
+    with pytest.raises(ArithmeticError, match="does not vanish"):
+        series_of(x)

@@ -105,6 +105,13 @@ def test_bench_kernels_times_the_numeric_theta_product_alone(monkeypatch, capsys
     assert record["kernels"]["theta.theta_numeric.THETA.terms60"] > 0
 
 
+def test_bench_kernels_times_the_warm_theta_engine_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "genera.pell_theta")
+    assert status == 0
+    assert list(record["kernels"]) == ["genera.pell_theta.CP4.pell1.rank3.N320"]
+    assert record["kernels"]["genera.pell_theta.CP4.pell1.rank3.N320"] > 0
+
+
 def test_bench_kernels_times_the_factor_log_alone(monkeypatch, capsys):
     status, record = bench_kernels_record(monkeypatch, capsys, "theta.factor_log")
     assert status == 0
