@@ -30,6 +30,10 @@ next to this script, so the file times the checkout it sits in.  Cases:
 - ``at_class`` of the odd factor (THETA, z-degree 4) at the class 4x/3 on
   CP4 at N = 320 (``theta.at_class.CP4.N320``), the substitution z -> root
   of the theta-product engine;
+- pell's per-root bundle factor at z-degree 4 and N = 320, built through
+  ``bundle_root_factor.__wrapped__`` with the THETA factor read from its
+  cache (``genera.bundle_root_factor.z4.N320.cold``): the inverse, z-shift
+  and sign that make the odd factor;
 - ``graded_decompose`` of kind W for a rank-3 bundle on CP2 at N = 24
   (``bundleops.graded_decompose.W.rank3.N24``);
 - ``gch`` of kinds W and B for that bundle at N = 24
@@ -281,6 +285,10 @@ def case_table(tmp: Path) -> dict:
         factor = elliptic_factor(ThetaKind.THETA, 4, 320)
         root = LinearClass.generator(cp4.presentation, "x", Fraction(4, 3))
         return lambda: factor.at_class(root)
+
+    @case("genera.bundle_root_factor.z4.N320.cold")
+    def _():
+        return lambda: genera.bundle_root_factor.__wrapped__(4, 320)
 
     @case("bundleops.graded_decompose.W.rank3.N24")
     def _():

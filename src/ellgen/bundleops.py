@@ -34,7 +34,7 @@ from .cohring import (
     exp_nilpotent,
     power_sums,
 )
-from .qseries import HalfQSeries, eta_like_product, from_numerators
+from .qseries import eta_like_product, from_numerators
 from .theta import ThetaKind
 
 
@@ -70,10 +70,9 @@ class ProjBundle:
     def shifted_roots(self) -> tuple[LinearClass, ...]:
         return tuple(root + self.twist_b for root in self.roots)
 
-    def pontryagin_shift_class(self, order: int) -> CohElement:
-        """The first rational twisted Pontryagin class: sum (y_j + b)^2."""
-        squares = power_sums(self.shifted_roots(), self.presentation, 2)[2]
-        return squares.scaled(HalfQSeries.one(order))
+    def pontryagin_shift_class(self) -> CohElement:
+        """The first rational twisted Pontryagin class: sum (y_j + b)^2, q-free."""
+        return power_sums(self.shifted_roots(), self.presentation, 2)[2]
 
     def describe(self) -> str:
         roots = ", ".join(str(r) for r in self.roots)

@@ -398,7 +398,7 @@ def _suite_s_transform(args) -> Rows:
     ratios = ", ".join(f"{r:.6f}" for r in report.measured_ratios)
     return [
         (None, "curvature squares match (sum of shifted root squares vs tangent): "
-               f"{'yes' if tangent_sq == e.pontryagin_shift_class(0) else 'no'}"),
+               f"{'yes' if tangent_sq == e.pontryagin_shift_class() else 'no'}"),
         (None, f"measured multiplier (first genus vs second under S): {ratios}"),
         (None, f"expected rank factor 2^l = {multiplier}"),
         (None, f"best-fitting q-power prefactor exponent: {report.best_prefactor_exponent}"),

@@ -431,7 +431,7 @@ def _power_series(x: CohElement, coeffs) -> CohElement:
             break
         if k > x.order + x.presentation.top_degree // 2:
             raise ArithmeticError(f"x^{k} does not vanish: the ring product is faulty")
-        total = total + power * c
+        total = total + (power if c == 1 else power * c)
         power = power * x
     return total
 

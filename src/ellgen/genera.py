@@ -2,9 +2,9 @@
 
 Two independent engines compute each twisted elliptic genus:
 
-* theta_product -- the exp of the theta factors' logs, read off the power sums of
-  the tangent and shifted bundle roots (pell's odd bundle factor has no log: root
-  by root), integrated over the manifold.  Fast, no rank guards.
+* theta_product -- the exp of the theta factors' logs at the power sums of the
+  tangent and shifted bundle roots (`_log_integrand`; pell's odd bundle factor has no
+  log: `bundle_root_factor`, root by root), integrated.  Fast, no rank guards.
 
 * definition -- the literal construction: the bundle's infinite-product
   prefactor, the A-hat class, the symmetric-power tangent character
@@ -144,41 +144,31 @@ def witten_genus(m: Manifold, order: int) -> HalfQSeries:
     return integrate(_tangent_core(m, order), m)
 
 
-# keyed like theta.elliptic_factor: 4 kinds x (z-degrees x orders)
+# keyed by (z-degree, order); 64 entries, as theta.elliptic_factor
 @functools.lru_cache(maxsize=64)
-def bundle_root_factor(kind: GenusKind, z_degree: int, order: int) -> FactorSeries:
-    """Per-shifted-root bundle factor of each genus integrand.
+def bundle_root_factor(z_degree: int, order: int) -> FactorSeries:
+    """pell's factor per shifted root, the odd quotient with the half determinant twist,
+    (e^(-w/2) - e^(w/2)) prod (1-q^u e^w)(1-q^u e^-w)/(1-q^u)^2: it vanishes at w = 0, so
+    it has no log.  The result is cached and shared: treat it as read-only."""
+    return -(elliptic_factor(ThetaKind.THETA, z_degree, order).invert().z_shift(1))
 
-    PELL  : (e^(-w/2) - e^(w/2)) prod (1-q^u e^w)(1-q^u e^-w)/(1-q^u)^2
-    PELL1 : (e^(w/2) + e^(-w/2)) prod (1+q^u e^w)(1+q^u e^-w)/(1+q^u)^2
-    PELL2 : prod (1-q^(u-1/2) e^w)(1-q^(u-1/2) e^-w)/(1-q^(u-1/2))^2
-    PELL3 : prod (1+q^(u-1/2) e^w)(1+q^(u-1/2) e^-w)/(1+q^(u-1/2))^2
 
-    The result is cached and shared: treat it as read-only.
-    """
-    if kind not in _GENUS_GRADED:
-        raise ValueError(f"no bundle factor for {kind!r}")
+def _log_integrand(log_t: CohElement, sums, rank: int, kind: GenusKind, d: int) -> CohElement:
+    """exp(L_T + L_E) of pell1..pell3, L_E the kind's bundle factor log at the power sums
+    of the shifted roots; the half determinant twist makes pell1's factor 2 cosh(w/2)."""
     theta = bundleops._GRADED_THETA[_GENUS_GRADED[kind]]
-    factor = elliptic_factor(theta, z_degree, order)
-    if theta.half:
-        return factor
-    # integer levels carry the half determinant twist, e^(-w/2) + s e^(w/2)
-    if theta.sign > 0:
-        return factor * 2
-    return -(factor.invert().z_shift(1))
+    integrand = exp_nilpotent(log_t + factor_log(theta, d, log_t.order).at_power_sums(sums))
+    return integrand * 2**rank if kind is GenusKind.PELL1 else integrand
 
 
 def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
     if kind is GenusKind.PELL:
-        factor = bundle_root_factor(kind, _z_degree(m), order)
+        factor = bundle_root_factor(_z_degree(m), order)
         integrand = _times_root_factors(_tangent_core(m, order), factor, e.shifted_roots())
-        return integrate(integrand, m)
-    theta = bundleops._GRADED_THETA[_GENUS_GRADED[kind]]
-    sums = power_sums(e.shifted_roots(), m.presentation, _z_degree(m))
-    log = _tangent_log(m, order) + factor_log(theta, _z_degree(m), order).at_power_sums(sums)
-    genus = integrate(exp_nilpotent(log), m)
-    # the half determinant twist makes pell1's bundle factor 2 cosh(w/2): 2 per root
-    return genus * 2**e.rank if kind is GenusKind.PELL1 else genus
+    else:
+        sums = power_sums(e.shifted_roots(), m.presentation, _z_degree(m))
+        integrand = _log_integrand(_tangent_log(m, order), sums, e.rank, kind, _z_degree(m))
+    return integrate(integrand, m)
 
 
 def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
@@ -303,8 +293,8 @@ def cancellation12_check(l: int, impose_relation: bool = True) -> Cancellation12
     pres = free_ring_manifold().presentation
     tangent, bundle = _free_power_sums(pres, "T"), _free_power_sums(pres, "E")
     log_t = factor_log(ThetaKind.THETA, 6, 1).at_power_sums(tangent)
-    pell1 = exp_nilpotent(log_t + factor_log(ThetaKind.THETA1, 6, 1).at_power_sums(bundle)) * 2**l
-    pell2 = exp_nilpotent(log_t + factor_log(ThetaKind.THETA2, 6, 1).at_power_sums(bundle))
+    pell1 = _log_integrand(log_t, bundle, l, GenusKind.PELL1, 6)
+    pell2 = _log_integrand(log_t, bundle, l, GenusKind.PELL2, 6)
     lhs = pell1.u_slice(0).degree_component(12)
     rhs = (pell2.u_slice(0) * 8 - pell2.u_slice(1)).degree_component(12) * Fraction(2**l, 8)
 

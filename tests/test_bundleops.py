@@ -442,9 +442,9 @@ def test_pontryagin_shift_class(cp2, x_class, half_x, zero_class):
     # tangent p1 of CP2, which is what the modular checks require
     matched = ProjBundle(rank=3, roots=(x_class,) * 3, twist_b=zero_class)
     x_sq = x_class.as_element(0) * x_class.as_element(0)
-    assert matched.pontryagin_shift_class(0) == x_sq * 3
+    assert matched.pontryagin_shift_class() == x_sq * 3
     twisted = ProjBundle(rank=1, roots=(half_x,), twist_b=half_x)
-    assert twisted.pontryagin_shift_class(0) == x_sq  # (x/2 + x/2)^2
+    assert twisted.pontryagin_shift_class() == x_sq  # (x/2 + x/2)^2
 
 
 def test_virtual_ranks():

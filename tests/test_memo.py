@@ -1,7 +1,8 @@
 """The memoized manifold- and order-only factors of the two genus engines.
 
 The theta-product engine caches `theta.elliptic_factor`, `theta.factor_log`,
-`genera.bundle_root_factor`, `genera._tangent_log` and `genera._tangent_core`;
+`genera.bundle_root_factor` (pell's odd factor, keyed by z-degree and order),
+`genera._tangent_log` and `genera._tangent_core`;
 the definition engine caches `genera._definition_tangent_part` and
 `qseries.eta_like_product`.  The engines must share no cached object, a
 cached value must equal its recomputation, and no caller may mutate one.
@@ -82,7 +83,7 @@ def test_cached_values_equal_recomputation_and_stay_unchanged(cp4):
     z_degree = genera._z_degree(cp4)
     cases = [(theta.elliptic_factor, (kind, z_degree, ORDER)) for kind in ThetaKind]
     cases += [(theta.factor_log, (kind, z_degree, ORDER)) for kind in ThetaKind]
-    cases += [(genera.bundle_root_factor, (kind, z_degree, ORDER)) for kind in KINDS]
+    cases += [(genera.bundle_root_factor, (z_degree, ORDER))]
     cases += [
         (genera._tangent_core, (cp4, ORDER)),
         (genera._tangent_log, (cp4, ORDER)),

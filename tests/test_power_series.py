@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellgen.cohring import CohElement, LinearClass, RingPresentation, exp_nilpotent
+from ellgen import genera, theta
+from ellgen.bundleops import ProjBundle
+from ellgen.cohring import CohElement, LinearClass, RingPresentation, builtin_manifold, exp_nilpotent
 from ellgen.qseries import HalfQSeries
 from ellgen.theta import FactorSeries
 
@@ -228,3 +230,28 @@ def test_a_product_that_keeps_degrees_above_the_top_raises(series_of, monkeypatc
     monkeypatch.setattr(CohElement, "__mul__", keeps_every_degree)
     with pytest.raises(ArithmeticError, match="does not vanish"):
         series_of(x)
+
+
+def test_no_ring_element_is_scaled_by_exactly_one(monkeypatch):
+    # a coefficient of exactly 1 (every term of invert, the first of exp) adds
+    # the power as it is; a scaling by 1 would be a full pass per monomial
+    product, by_one = CohElement.__mul__, []
+
+    def spy(a, b):
+        if isinstance(b, (int, Fraction)) and b == 1:
+            by_one.append(b)
+        return product(a, b)
+
+    m = builtin_manifold("CP4")
+    x = LinearClass.generator(m.presentation, "x")
+    e = ProjBundle(rank=3, roots=(x, x.scale(Fraction(-1, 2)), x.scale(Fraction(1, 3))),
+                   twist_b=x.scale(Fraction(1, 5)))
+    caches = (theta.elliptic_factor, theta.factor_log, genera.bundle_root_factor,
+              genera._tangent_log, genera._tangent_core)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(CohElement, "__mul__", spy)
+    for kind in (genera.GenusKind.PELL, genera.GenusKind.PELL1,
+                 genera.GenusKind.PELL2, genera.GenusKind.PELL3):
+        genera.pell(m, e, kind, genera.THETA_PRODUCT, 320)
+    assert by_one == []

@@ -117,3 +117,10 @@ def test_bench_kernels_times_the_factor_log_alone(monkeypatch, capsys):
     assert status == 0
     assert list(record["kernels"]) == ["theta.factor_log.THETA.z4.N320"]
     assert record["kernels"]["theta.factor_log.THETA.z4.N320"] > 0
+
+
+def test_bench_kernels_times_the_pell_root_factor_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "genera.bundle_root_factor")
+    assert status == 0
+    assert list(record["kernels"]) == ["genera.bundle_root_factor.z4.N320.cold"]
+    assert record["kernels"]["genera.bundle_root_factor.z4.N320.cold"] > 0
