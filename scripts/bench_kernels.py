@@ -72,6 +72,12 @@ next to this script, so the file times the checkout it sits in.  Cases:
   (``qseries.eval_numeric.N...``);
 - ``theta_numeric`` of the kind THETA at v = 0.13 + 0.04i, tau = 0.3 + 1.2i
   with 60 product terms (``theta.theta_numeric.THETA.terms60``);
+- ``transformation_law_table`` at ``DEFAULT_LAW_SAMPLES`` with 60 product
+  terms (``theta.transformation_law_table.default``): all eight theta laws;
+- ``check_group`` over Gamma0(2) of the exact ``pell1`` series at N = 160 of
+  a twisted rank-2 bundle on CP4 whose shifted roots x and 2x match the
+  tangent p1, built in setup, at three tau samples
+  (``modcheck.check_group.Gamma0_2.CP4.N160``);
 - warm in-process ``cli.main verify`` of every suite, as the README runs
   them (``cli.verify.<suite>``): jacobi at N = 20, theta-laws, consistency
   on ``manifests/cp2_rank2.json`` at N = 12, half-period on
@@ -91,6 +97,11 @@ the batch's wall time to the host speed at which that kernel takes
 between runs cancels.  ``exponents`` holds the least-squares slope of
 log(time) against log(N) for each series case and for
 ``qseries.eval_numeric``, when at least two of its orders were timed.
+
+The JSON line also records the git revision of the checkout (read from
+``.git`` as ``perfbench/run.py`` reads it, "unknown" outside a work tree)
+and ``bytecode_written``: whether this interpreter writes ``.pyc`` files,
+since compiling the sources on every import moves setup timings.
 """
 
 from __future__ import annotations
@@ -132,14 +143,23 @@ from ellgen.bundleops import (  # noqa: E402
 )
 from ellgen.cohring import CohElement, LinearClass, builtin_manifold  # noqa: E402
 from ellgen.genera import DEFINITION, GenusKind, pell  # noqa: E402
+from ellgen.modcheck import GroupSpec, check_group  # noqa: E402
 from ellgen.qseries import HalfQSeries  # noqa: E402
-from ellgen.theta import ThetaKind, elliptic_factor, factor_log, theta_numeric  # noqa: E402
+from ellgen.theta import (  # noqa: E402
+    DEFAULT_LAW_SAMPLES,
+    ThetaKind,
+    elliptic_factor,
+    factor_log,
+    theta_numeric,
+    transformation_law_table,
+)
 
 ORDERS = (20, 80, 320)
 EVAL_ORDERS = (80, 160, 320)
 REPEATS = 5
 BATCH_S = 0.2
 TAU = 0.3 + 1.2j
+GROUP_TAUS = (1.1j, 0.3 + 1.2j, -0.2 + 1.15j)
 VERIFY_ARGS = {
     "jacobi": ["--order", "20"],
     "theta-laws": [],
@@ -374,6 +394,21 @@ def case_table(tmp: Path) -> dict:
     def _():
         return lambda: theta_numeric(ThetaKind.THETA, 0.13 + 0.04j, TAU, 60)
 
+    @case("theta.transformation_law_table.default")
+    def _():
+        return lambda: transformation_law_table(DEFAULT_LAW_SAMPLES, 60)
+
+    @case("modcheck.check_group.Gamma0_2.CP4.N160")
+    def _():
+        cp4 = builtin_manifold("CP4")
+        x = LinearClass.generator(cp4.presentation, "x")
+        twist = Fraction(1, 3)
+        # shifted roots x and 2x: 1 + 4 = 5, the tangent p1 of CP4 in units of x^2
+        bundle = ProjBundle(rank=2, roots=(x.scale(1 - twist), x.scale(2 - twist)),
+                            twist_b=x.scale(twist))
+        f = pell(cp4, bundle, GenusKind.PELL1, order=160).series
+        return lambda: check_group(f, GroupSpec.Gamma0_2, cp4.weight, GROUP_TAUS)
+
     for suite, extra in VERIFY_ARGS.items():
         @case(f"cli.verify.{suite}")
         def _(argv=("verify", "--suite", suite, *extra)):
@@ -393,6 +428,25 @@ def exponents(kernels: dict[str, float]) -> dict[str, float]:
     return {group: round(slope(points), 3) for group, points in groups.items() if len(points) > 1}
 
 
+def git_revision() -> str:
+    """HEAD of the checkout if it is a git work tree, else "unknown"."""
+    git = ROOT / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        loose = git / ref
+        if loose.is_file():
+            return loose.read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the exact kernels of ellgen.")
     parser.add_argument("--only", metavar="SUBSTR",
@@ -408,6 +462,8 @@ def main(argv=None) -> int:
         "unit": "reference-speed us per call, median of batches",
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
+        "revision": git_revision(),
+        "bytecode_written": not sys.dont_write_bytecode,
         "kernels": kernels,
         "exponents": exponents(kernels),
     })

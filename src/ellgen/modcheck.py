@@ -95,13 +95,20 @@ def _eval_with_tail(f: HalfQSeries, tau: complex, tol: float):
     return value
 
 
-def _transform_values(f_left, f_right, g: SL2Matrix, weight: int, tau_samples, tol: float):
-    """(f_left(g tau), (c tau + d)^weight f_right(tau)) at each sample tau."""
-    return [
-        (_eval_with_tail(f_left, g.act(tau), tol),
-         g.cocycle(tau) ** weight * _eval_with_tail(f_right, tau, tol))
-        for tau in tau_samples
-    ]
+def _transform_values(f_left, f_right, g: SL2Matrix, weight: int, tau_samples, tol: float,
+                      right_at=None):
+    """(f_left(g tau), (c tau + d)^weight f_right(tau)) at each sample tau, in order and
+    f_left first; `right_at` (sample index -> f_right(tau)) stands in for evaluations."""
+    if not tau_samples:
+        raise ValueError("at least one tau sample is needed")
+    right_at = {} if right_at is None else right_at
+    values = []
+    for i, tau in enumerate(tau_samples):
+        left = _eval_with_tail(f_left, g.act(tau), tol)
+        if i not in right_at:
+            right_at[i] = _eval_with_tail(f_right, tau, tol)
+        values.append((left, g.cocycle(tau) ** weight * right_at[i]))
+    return values
 
 
 @dataclass
@@ -136,15 +143,18 @@ def check_numeric(
     weight: int,
     tau_samples=DEFAULT_TAU_SAMPLES,
     tol: float = 1e-8,
+    *,
+    _at_samples=None,
 ) -> TransformReport:
     """Measure f(g tau) / ((c tau + d)^weight f(tau)) at each sample.
 
     Passes when the ratios agree with each other within tol and each has
     modulus 1 within tol; the common ratio is reported as the character.
-    A series that vanishes at every sample passes trivially.
+    A series that vanishes at every sample passes trivially.  `_at_samples`
+    is private to check_group: f(tau) by sample index, shared by its checks.
     """
     report = TransformReport(matrix=g, weight=weight, tol=tol, samples=tuple(tau_samples))
-    values = _transform_values(f, f, g, weight, tau_samples, tol)
+    values = _transform_values(f, f, g, weight, report.samples, tol, _at_samples)
     scale = max(max(abs(l), abs(r)) for l, r in values)
     if scale < tol:
         report.trivially_zero = True
@@ -180,11 +190,11 @@ def check_group(
     tau_samples=DEFAULT_TAU_SAMPLES,
     tol: float = 1e-8,
 ) -> GroupReport:
-    """Run check_numeric for each generator of the group."""
-    return GroupReport(
-        group=group,
-        reports=[check_numeric(f, g, weight, tau_samples, tol) for g in group.generators()],
-    )
+    """Run check_numeric for each generator of the group, evaluating each f(tau) once."""
+    tau_samples, at_samples = tuple(tau_samples), {}
+    reports = [check_numeric(f, g, weight, tau_samples, tol, _at_samples=at_samples)
+               for g in group.generators()]
+    return GroupReport(group=group, reports=reports)
 
 
 @dataclass

@@ -13,8 +13,8 @@ A series is stored as FLINT's fmpq_poly stores a polynomial: a tuple `nums`
 of order + 1 integer numerators over one positive integer denominator `den`,
 kept canonical (gcd(den, nums) = 1, and the zero series has den = 1), so
 equality and hashing compare the fields.  `coeffs` is the Fraction view
-nums[k] / den, built on first use and cached; no kernel reads it, and
-numeric evaluation reads `nums`/`den` too, so it never builds the view.
+nums[k] / den, built on first use and cached; no kernel reads it.  Numeric
+evaluation reads the float view nums[k] / den instead, cached the same way.
 
 - A sum works over the lcm of the two denominators; a scalar product
   multiplies the numerators and the denominator.
@@ -101,7 +101,7 @@ def power_label(k: int) -> str:
 class HalfQSeries:
     """A series sum_{k=0}^{N} (nums[k] / den) u^k, stored canonically."""
 
-    __slots__ = ("order", "nums", "den", "_coeffs")
+    __slots__ = ("order", "nums", "den", "_coeffs", "_floats")
 
     def __init__(self, order: int, coeffs=()) -> None:
         if order < 0:
@@ -296,19 +296,22 @@ class HalfQSeries:
         |u|^(N+1) * max|c_k| over the last five tracked terms / (1 - |u|).
         It is a heuristic estimate, not certified; see ROADMAP item 6.
 
-        Each coefficient is the float nums[k] / den, read straight from the
-        numerators; the Fraction view is never built.  Integer true division
-        is correctly rounded, so this is the float of the reduced Fraction,
-        and a coefficient beyond the float range raises OverflowError.
+        Each coefficient is the correctly rounded float nums[k] / den, the float
+        of the reduced Fraction, read from a float view built on first use and
+        cached; the Fraction view is never built.  A coefficient beyond the
+        float range raises OverflowError while the view is built, uncached.
         """
         r = abs(u)
         if r >= 1.0:
             raise DivergentTail(f"|u| = {r} >= 1; truncated tail does not converge")
-        den = self.den
+        try:
+            floats = self._floats
+        except AttributeError:  # left unset by the constructors: no store per new series
+            floats = self._floats = tuple([c / self.den for c in self.nums])
         acc = complex(0)
-        for c in reversed(self.nums):
-            acc = acc * u + c / den
-        peak = max(abs(c / den) for c in self.nums[-5:])
+        for c in reversed(floats):
+            acc = acc * u + c
+        peak = max(abs(c) for c in floats[-5:])
         estimate = r ** (self.order + 1) * peak / (1.0 - r)
         return acc, estimate
 

@@ -243,15 +243,6 @@ def jacobi_identity_exact(order: int) -> bool:
 _Jet = tuple[complex, complex, complex, complex]
 
 
-def _jet_mul(a: _Jet, b: _Jet) -> _Jet:
-    return (
-        a[0] * b[0],
-        a[1] * b[0] + a[0] * b[1],
-        a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
-        a[3] * b[0] + 3 * a[2] * b[1] + 3 * a[1] * b[2] + a[0] * b[3],
-    )
-
-
 def _jet_scale(a: _Jet, s: complex) -> _Jet:
     return (a[0] * s, a[1] * s, a[2] * s, a[3] * s)
 
@@ -273,7 +264,7 @@ def _theta_jet(kind: ThetaKind, v: complex, tau: complex, terms: int) -> _Jet:
 
     sign, half = kind.sign, kind.half
     if half:
-        acc = (1.0, 0j, 0j, 0j)
+        a0, a1, a2, a3 = 1.0, 0j, 0j, 0j
     else:
         # 2 q^(1/8) sin(pi v) for the odd kind, 2 q^(1/8) cos(pi v) for THETA1
         pi = cmath.pi
@@ -282,17 +273,22 @@ def _theta_jet(kind: ThetaKind, v: complex, tau: complex, terms: int) -> _Jet:
             front: _Jet = (s, pi * c, -pi * pi * s, -pi**3 * c)
         else:
             front = (c, -pi * s, -pi * pi * c, pi**3 * s)
-        acc = _jet_scale(front, 2 * cmath.exp(1j * cmath.pi * tau / 4))
+        a0, a1, a2, a3 = _jet_scale(front, 2 * cmath.exp(1j * cmath.pi * tau / 4))
 
+    # Per level the jet (a0, a1, a2, a3), kept in locals, is scaled by 1 - q^j and
+    # Leibniz-multiplied by the level factors 1 + s t e^(+-2 pi i v), the jets
+    # (1 + b0, b1, b2, b3): the float operations of a tuple jet product, in order.
     for j in range(1, terms + 1):
         qj = q**j
         # half-integer q-powers must follow tau, not a principal branch of q
-        level = cmath.exp(2j * cmath.pi * tau * (j - 0.5)) if half else qj
-        acc = _jet_scale(acc, 1.0 - qj)
-        for jet in (jet_plus, jet_minus):  # the level factors 1 + s t e^(+-2 pi i v)
-            t = _jet_scale(jet, sign * level)
-            acc = _jet_mul(acc, (1.0 + t[0], t[1], t[2], t[3]))
-    return acc
+        st = sign * (cmath.exp(2j * cmath.pi * tau * (j - 0.5)) if half else qj)
+        scale = 1.0 - qj
+        a0, a1, a2, a3 = a0 * scale, a1 * scale, a2 * scale, a3 * scale
+        for p0, p1, p2, p3 in (jet_plus, jet_minus):
+            b0, b1, b2, b3 = 1.0 + p0 * st, p1 * st, p2 * st, p3 * st
+            a0, a1, a2, a3 = (a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2 * a1 * b1 + a0 * b2,
+                              a3 * b0 + 3 * a2 * b1 + 3 * a1 * b2 + a0 * b3)
+    return a0, a1, a2, a3
 
 
 def theta_numeric(kind: ThetaKind, v: complex, tau: complex, terms: int = 60) -> complex:
@@ -385,6 +381,9 @@ def transformation_law_tail(samples=DEFAULT_LAW_SAMPLES, terms: int = 60) -> flo
 
 def transformation_law_table(samples=DEFAULT_LAW_SAMPLES, terms: int = 60):
     """Residuals of all eight laws at the given (v, tau) samples."""
+    samples = tuple(samples)
+    if not samples:
+        raise ValueError("at least one (v, tau) sample is needed")
     rows = []
     for kind in ThetaKind:
         for law in ("T", "S"):

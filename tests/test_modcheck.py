@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellgen import theta
 from ellgen.bundleops import ProjBundle
 from ellgen.genera import THETA_PRODUCT, GenusKind, pell
 from ellgen.modcheck import (
@@ -140,3 +141,45 @@ def test_summary_names_the_sample_where_the_series_vanishes():
     report = check_numeric(f, S, 2, (1.1j, 0.3 + 1.2j))
     assert not report.passed and report.character is None
     assert report.summary() == f"FAIL {S.word()} (f vanishes at tau = {1.1j})"
+
+
+THREE_TAUS = (1.1j, 0.3 + 1.2j, -0.2 + 1.15j)
+
+
+def test_group_check_evaluates_f_once_per_sample(cp2, matched_bundle, monkeypatch):
+    p1 = pell(cp2, matched_bundle, GenusKind.PELL1, THETA_PRODUCT, 80).series
+    calls, evaluate = [], HalfQSeries.eval_numeric
+
+    def spy(series, u):
+        calls.append(u)
+        return evaluate(series, u)
+
+    monkeypatch.setattr(HalfQSeries, "eval_numeric", spy)
+    check_group(p1, GroupSpec.Gamma0_2, 2, THREE_TAUS)
+    # f(g tau) per generator and sample, f(tau) once per sample: 2 * 3 + 3
+    assert len(calls) == 9
+
+
+def test_group_check_reports_equal_the_checks_one_by_one(cp2, matched_bundle):
+    p1 = pell(cp2, matched_bundle, GenusKind.PELL1, THETA_PRODUCT, 80).series
+    shared = check_group(p1, GroupSpec.Gamma0_2, 2, THREE_TAUS).reports
+    alone = [check_numeric(p1, g, 2, THREE_TAUS) for g in GroupSpec.Gamma0_2.generators()]
+    assert shared == alone  # dataclass equality: every field, floats by ==
+    assert all(r.passed and r.character is not None for r in shared)
+
+
+def _no_evaluation(*args):
+    raise AssertionError("evaluated with no samples")
+
+
+@pytest.mark.parametrize("check", [
+    lambda f: check_numeric(f, S, 2, []),
+    lambda f: check_group(f, GroupSpec.Gamma0_2, 2, ()),
+    lambda f: cross_transform(f, f, 2, tau_samples=[]),
+    lambda f: theta.transformation_law_table([]),
+], ids=["check_numeric", "check_group", "cross_transform", "transformation_law_table"])
+def test_an_empty_sample_list_is_refused_before_any_evaluation(check, monkeypatch):
+    monkeypatch.setattr(HalfQSeries, "eval_numeric", _no_evaluation)
+    monkeypatch.setattr(theta, "_theta_jet", _no_evaluation)
+    with pytest.raises(ValueError, match="at least one .*sample is needed"):
+        check(HalfQSeries(40, [1, 0, 24]))

@@ -310,3 +310,25 @@ def test_coefficient_beyond_the_float_range_gives_tail_too_large():
     with pytest.raises(modcheck.TailTooLarge, match="cannot be evaluated"):
         modcheck.check_numeric(f, modcheck.S, 2)
     assert f._coeffs is None
+
+
+def test_eval_numeric_builds_the_float_view_once():
+    s = HalfQSeries(8, [Fraction(1, 3), 0, Fraction(-7, 5), 2, 0, 0, Fraction(1, 9)])
+    first = s.eval_numeric(0.2 + 0.1j)
+    view = s._floats
+    assert view == tuple(c / s.den for c in s.nums)
+    assert s.eval_numeric(-0.4j) == fraction_horner(s, -0.4j)
+    assert s._floats is view
+    assert s.eval_numeric(0.2 + 0.1j) == first
+    assert s._coeffs is None
+
+
+def test_a_coefficient_beyond_the_float_range_caches_no_float_view():
+    f = qseries.from_numerators(8, (1,) + (0,) * 7 + (2**1100,), 1)
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            f.eval_numeric(0.1j)
+        assert not hasattr(f, "_floats")
+    with pytest.raises(modcheck.TailTooLarge, match="cannot be evaluated"):
+        modcheck.check_numeric(f, modcheck.S, 2)
+    assert not hasattr(f, "_floats") and f._coeffs is None

@@ -6,13 +6,15 @@ in this process, with one batch of one call per case."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, cwd):
@@ -124,3 +126,27 @@ def test_bench_kernels_times_the_pell_root_factor_alone(monkeypatch, capsys):
     assert status == 0
     assert list(record["kernels"]) == ["genera.bundle_root_factor.z4.N320.cold"]
     assert record["kernels"]["genera.bundle_root_factor.z4.N320.cold"] > 0
+
+
+def test_bench_kernels_times_the_law_table_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "theta.transformation_law_table")
+    assert status == 0
+    assert list(record["kernels"]) == ["theta.transformation_law_table.default"]
+    assert record["kernels"]["theta.transformation_law_table.default"] > 0
+
+
+def test_bench_kernels_times_the_group_check_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "modcheck.check_group")
+    assert status == 0
+    assert list(record["kernels"]) == ["modcheck.check_group.Gamma0_2.CP4.N160"]
+    assert record["kernels"]["modcheck.check_group.Gamma0_2.CP4.N160"] > 0
+
+
+def test_bench_kernels_records_the_revision_and_the_bytecode_setting(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "theta.theta_numeric")
+    assert status == 0
+    assert record["bytecode_written"] is (not sys.dont_write_bytecode)
+    if (ROOT / ".git" / "HEAD").is_file():
+        assert re.fullmatch(r"[0-9a-f]{40}", record["revision"])
+    else:
+        assert record["revision"] == "unknown"

@@ -257,10 +257,19 @@ def _jet_add(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
+def _jet_mul(a, b):
+    return (
+        a[0] * b[0],
+        a[1] * b[0] + a[0] * b[1],
+        a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
+        a[3] * b[0] + 3 * a[2] * b[1] + 3 * a[1] * b[2] + a[0] * b[3],
+    )
+
+
 def _reference_jet(kind, v, tau, terms):
     """The jet loop as first written: every factor a full jet product, with
     the scalars 1 and 1 - q^j as constant jets and 1 + s t e^(+-w) as a jet sum."""
-    mul, scale = theta._jet_mul, theta._jet_scale
+    mul, scale = _jet_mul, theta._jet_scale
     q = cmath.exp(2j * cmath.pi * tau)
     a = 2j * cmath.pi
     w_plus = cmath.exp(a * v)
