@@ -25,6 +25,10 @@ next to this script, so the file times the checkout it sits in.  Cases:
   ``factor_log`` has no cache times the same call);
 - ``CohElement`` multiply on CP2 and CP4 (every surviving monomial, N = 20)
   and on the free ring (every monomial up to degree 12, N = 0);
+- ``sum_of_products`` of the 3 pairs (s_lam(U), s_lam'(V)), lam a partition
+  of 4 in the 3 x 3 box, on the six-generator ring of
+  ``tensor_exterior_identity_check(3, 3, 4)`` at order 0
+  (``cohring.sum_of_products.schur6``): its right side in one pass;
 - ``CohElement.invert`` of a unit on CP4 with a random dense series on every
   monomial at N = 80 (``cohring.invert.CP4.N80``);
 - ``at_class`` of the odd factor (THETA, z-degree 4) at the class 4x/3 on
@@ -135,13 +139,21 @@ from ellgen.bundleops import (  # noqa: E402
     ProjBundle,
     gch,
     gch_closed_form,
+    conjugate_partition,
     graded_decompose,
     log_lambda_sum,
+    partitions_in_box,
     resum_graded,
     schur_character,
     tensor_exterior_identity_check,
 )
-from ellgen.cohring import CohElement, LinearClass, builtin_manifold  # noqa: E402
+from ellgen.cohring import (  # noqa: E402
+    CohElement,
+    LinearClass,
+    RingPresentation,
+    builtin_manifold,
+    sum_of_products,
+)
 from ellgen.genera import DEFINITION, GenusKind, pell  # noqa: E402
 from ellgen.modcheck import GroupSpec, check_group  # noqa: E402
 from ellgen.qseries import HalfQSeries  # noqa: E402
@@ -293,6 +305,18 @@ def case_table(tmp: Path) -> dict:
             manifold = builtin_manifold(manifold_name)
             x, y = full_element(rng, manifold, order), full_element(rng, manifold, order)
             return lambda: x * y
+
+    @case("cohring.sum_of_products.schur6")
+    def _():
+        names = ("u1", "u2", "u3", "v1", "v2", "v3")
+        pres = RingPresentation(generators=tuple((name, 2) for name in names), top_degree=12)
+        roots = [LinearClass.generator(pres, name) for name in names]
+        zero = LinearClass.zero(pres)
+        u = ProjBundle(rank=3, roots=tuple(roots[:3]), twist_b=zero)
+        v = ProjBundle(rank=3, roots=tuple(roots[3:]), twist_b=zero)
+        pairs = [(schur_character(lam, u, 0), schur_character(conjugate_partition(lam), v, 0))
+                 for lam in partitions_in_box(4, 3, 3)]
+        return lambda: sum_of_products(pairs)
 
     @case("cohring.invert.CP4.N80")
     def _():

@@ -33,6 +33,7 @@ from .cohring import (
     RingPresentation,
     exp_nilpotent,
     power_sums,
+    sum_of_products,
 )
 from .qseries import eta_like_product, from_numerators
 from .theta import ThetaKind
@@ -260,12 +261,11 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
     for w in e.shifted_roots():
         exp_w = exp_class(w, order)
         parts = [(a, _adams_series(exp_w, [(a, c, k)])) for a, c, k in terms]
-        grown: dict[int, CohElement] = {}
+        pairs: dict[int, list] = {}
         for m, elem in table.items():
             for a, f in parts:
-                term = elem * f
-                grown[m + a] = grown[m + a] + term if m + a in grown else term
-        table = grown
+                pairs.setdefault(m + a, []).append((elem, f))
+        table = {m: sum_of_products(p) for m, p in pairs.items()}
     return GradedTable(kind=kind, rank=e.rank, order=order, weights=table)
 
 
@@ -338,14 +338,14 @@ def schur_polynomial(lam, nvars: int) -> dict[tuple[int, ...], int]:
 def _psi_sum(exps, poly, order: int, pres: RingPresentation) -> CohElement:
     """sum_a c_a prod_i psi^(a_i)(exps_i) for an integer polynomial {a: c_a}:
     the polynomial at X_i = exps_i, each power read off exps_i by psi^(a_i)."""
-    total = CohElement.zero(pres, order)
+    one, pairs = CohElement.one(pres, order), []
     for a, c in poly.items():
-        term = CohElement.scalar(pres, order, c)
-        for exp_r, a_i in zip(exps, a):
-            if a_i:
-                term = term * (exp_r if a_i == 1 else _exp_multiple(exp_r, a_i))
-        total = total + term
-    return total
+        # the factors but the last, times c, paired with the last factor
+        *rest, last = [exp_r if a_i == 1 else _exp_multiple(exp_r, a_i)
+                       for exp_r, a_i in zip(exps, a) if a_i] or [one]
+        head = prod(rest[1:], start=rest[0]) if rest else one
+        pairs.append((head if c == 1 else head * c, last))
+    return sum_of_products(pairs) if pairs else CohElement.zero(pres, order)
 
 
 def _schur_from_roots(roots, lam, order: int, pres: RingPresentation) -> CohElement:
@@ -406,11 +406,11 @@ def _exterior_of_tensor(exp_u, exp_v, n: int, order: int, pres: RingPresentation
     I (4.2')), mu in the box where m_mu(X) and e_mu(Y) can be nonzero."""
     elementary = [_psi_sum(exp_v, _monomial_symmetric((1,) * k, len(exp_v)), order, pres)
                   for k in range(len(exp_v) + 1)]
-    total = CohElement.zero(pres, order)
-    for mu in partitions_in_box(n, len(exp_u), len(exp_v)):
-        m_mu = _psi_sum(exp_u, _monomial_symmetric(mu, len(exp_u)), order, pres)
-        total = total + m_mu * prod(elementary[k] for k in mu)
-    return total
+    # the empty mu (n = 0) pairs m_() = 1 with the empty product e_0 = 1
+    return sum_of_products([
+        (_psi_sum(exp_u, _monomial_symmetric(mu, len(exp_u)), order, pres),
+         prod((elementary[k] for k in mu[1:]), start=elementary[mu[0] if mu else 0]))
+        for mu in partitions_in_box(n, len(exp_u), len(exp_v))])
 
 
 def tensor_exterior_identity_check(rank_u: int, rank_v: int, n: int) -> bool:
@@ -427,9 +427,8 @@ def tensor_exterior_identity_check(rank_u: int, rank_v: int, n: int) -> bool:
     pres, order = RingPresentation(generators=gens, top_degree=2 * n + 4), 0
     exps = [exp_class(LinearClass.generator(pres, name), order) for name, _ in gens]
     exp_u, exp_v = exps[:rank_u], exps[rank_u:]
-    rhs = CohElement.zero(pres, order)
-    for lam in partitions_in_box(n, rank_u, rank_v):
-        s_u = _psi_sum(exp_u, schur_polynomial(lam, rank_u), order, pres)
-        s_v = _psi_sum(exp_v, schur_polynomial(conjugate_partition(lam), rank_v), order, pres)
-        rhs = rhs + s_u * s_v
+    rhs = sum_of_products([
+        (_psi_sum(exp_u, schur_polynomial(lam, rank_u), order, pres),
+         _psi_sum(exp_v, schur_polynomial(conjugate_partition(lam), rank_v), order, pres))
+        for lam in partitions_in_box(n, rank_u, rank_v)])
     return _exterior_of_tensor(exp_u, exp_v, n, order, pres) == rhs

@@ -6,12 +6,13 @@ rationals.  Elements are finite monomial -> series maps; everything of
 degree above the top degree is identically zero, which makes degree-2
 classes nilpotent and exponentials finite.
 
-A product multiplies the integer numerators of each monomial pair
-(`qseries._int_product`) and keeps the (numerators, denominator) parts per
-result monomial; each result monomial is then summed once, over the lcm of
-its parts' denominators, into one canonical series.  Every stored
-coefficient is nonzero and has exactly the element's order, so a sum copies
-a same-order operand's terms without truncating them.
+`sum_of_products` forms sum_i a_i * b_i in one pass: it multiplies the
+integer numerators of each monomial pair of each pair (`qseries._int_product`)
+and keeps the (numerators, denominator) parts per result monomial; each
+result monomial is then summed once, over the lcm of its parts'
+denominators, into one canonical series.  A product is its one-pair case.
+Every stored coefficient is nonzero and has exactly the element's order, so
+a sum copies a same-order operand's terms without truncating them.
 
 Manifolds are presented by their ring, a dimension 4r equal to the top
 degree, and a list of stable tangent Chern roots.  Zero roots (padding for
@@ -222,10 +223,6 @@ class CohElement:
             out.coeffs[presentation.unit_monomial()] = series
         return out
 
-    def _check(self, other: "CohElement"):
-        if self.presentation != other.presentation:
-            raise PresentationMismatch("elements live in different rings")
-
     def coefficient(self, mono: Monomial) -> HalfQSeries:
         return self.coeffs.get(mono, HalfQSeries.zero(self.order))
 
@@ -238,7 +235,8 @@ class CohElement:
             other = CohElement.scalar(self.presentation, n, other.truncate(n))
         elif isinstance(other, (int, Fraction)):
             other = CohElement.scalar(self.presentation, self.order, other)
-        self._check(other)
+        if self.presentation != other.presentation:
+            raise PresentationMismatch("elements live in different rings")
         n = min(self.order, other.order)
         out = CohElement(self.presentation, n)
         terms = self._truncated_terms(n)
@@ -282,42 +280,7 @@ class CohElement:
                 if not prod.is_zero():
                     out.coeffs[mono] = prod
             return out
-        self._check(other)
-        n = min(self.order, other.order)
-        pres = self.presentation
-        degree = pres.monomial_degree
-        top = pres.top_degree
-        # a relation of degree above the top is already enforced by the degree test
-        relations = [v for v in pres.vanishing_monomials if degree(v) <= top]
-        right = sorted(((degree(m), m, s.nums[: n + 1], s.den) for m, s in other.coeffs.items()),
-                       key=itemgetter(0))
-        # result monomial -> (integer numerators, denominator) of each pair product
-        parts: dict[Monomial, list[tuple[tuple, int]]] = defaultdict(list)
-        for m1, s1 in self.coeffs.items():
-            room = top - degree(m1)
-            nums1, den1 = s1.nums[: n + 1], s1.den
-            for d2, m2, nums2, den2 in right:
-                if d2 > room:
-                    break
-                prod_mono = tuple(map(add, m1, m2))
-                if relations and any(
-                    all(m >= v for m, v in zip(prod_mono, van)) for van in relations
-                ):
-                    continue
-                parts[prod_mono].append((_int_product(nums1, nums2), den1 * den2))
-        out = CohElement(pres, n)
-        for mono, bucket in parts.items():
-            # one sum per result monomial, over the lcm of its parts' denominators
-            nums, den = bucket[0]
-            if len(bucket) > 1:
-                den = lcm(*[d for _, d in bucket])
-                scaled = [p if d == den else map((den // d).__mul__, p) for p, d in bucket]
-                nums = list(map(add, scaled[0], scaled[1]))
-                for p in scaled[2:]:
-                    nums = list(map(add, nums, p))
-            if any(nums):
-                out.coeffs[mono] = from_numerators(n, tuple(nums), den)
-        return out
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -402,6 +365,51 @@ class CohElement:
 
     def __repr__(self) -> str:
         return f"CohElement({self})"
+
+
+def sum_of_products(pairs) -> CohElement:
+    """sum_i a_i * b_i over a nonempty list of pairs (a_i, b_i), in one pass,
+    at the least order of all operands (see the module docstring)."""
+    if not pairs:
+        raise ValueError("at least one pair of elements is needed")
+    pres = pairs[0][0].presentation
+    if any(a.presentation != pres or b.presentation != pres for a, b in pairs):
+        raise PresentationMismatch("elements live in different rings")
+    n = min(min(a.order, b.order) for a, b in pairs)
+    degree = pres.monomial_degree
+    top = pres.top_degree
+    # a relation of degree above the top is already enforced by the degree test
+    relations = [v for v in pres.vanishing_monomials if degree(v) <= top]
+    # result monomial -> (integer numerators, denominator) of each pair product
+    parts: dict[Monomial, list[tuple[tuple, int]]] = defaultdict(list)
+    for left, other in pairs:
+        right = sorted(((degree(m), m, s.nums[: n + 1], s.den) for m, s in other.coeffs.items()),
+                       key=itemgetter(0))
+        for m1, s1 in left.coeffs.items():
+            room = top - degree(m1)
+            nums1, den1 = s1.nums[: n + 1], s1.den
+            for d2, m2, nums2, den2 in right:
+                if d2 > room:
+                    break
+                prod_mono = tuple(map(add, m1, m2))
+                if relations and any(
+                    all(m >= v for m, v in zip(prod_mono, van)) for van in relations
+                ):
+                    continue
+                parts[prod_mono].append((_int_product(nums1, nums2), den1 * den2))
+    out = CohElement(pres, n)
+    for mono, bucket in parts.items():
+        # one sum per result monomial, over the lcm of its parts' denominators
+        nums, den = bucket[0]
+        if len(bucket) > 1:
+            den = lcm(*[d for _, d in bucket])
+            scaled = [p if d == den else map((den // d).__mul__, p) for p, d in bucket]
+            nums = list(map(add, scaled[0], scaled[1]))
+            for p in scaled[2:]:
+                nums = list(map(add, nums, p))
+        if any(nums):
+            out.coeffs[mono] = from_numerators(n, tuple(nums), den)
+    return out
 
 
 def power_sums(roots, presentation: RingPresentation, k_max: int) -> list[CohElement]:

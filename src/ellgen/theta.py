@@ -372,6 +372,8 @@ def transformation_law_tail(samples=DEFAULT_LAW_SAMPLES, terms: int = 60) -> flo
     """The largest product_tail over every (v, tau) at which
     transformation_law_table evaluates a product: (v, tau), (v, tau + 1),
     (v, -1/tau) and (tau v, tau) per sample; tau + 1 has the tail of tau."""
+    if not (samples := tuple(samples)):
+        raise ValueError("at least one (v, tau) sample is needed")
     return max(
         product_tail(point_v, point_tau, terms)
         for v, tau in samples
@@ -381,8 +383,7 @@ def transformation_law_tail(samples=DEFAULT_LAW_SAMPLES, terms: int = 60) -> flo
 
 def transformation_law_table(samples=DEFAULT_LAW_SAMPLES, terms: int = 60):
     """Residuals of all eight laws at the given (v, tau) samples."""
-    samples = tuple(samples)
-    if not samples:
+    if not (samples := tuple(samples)):
         raise ValueError("at least one (v, tau) sample is needed")
     rows = []
     for kind in ThetaKind:

@@ -29,7 +29,14 @@ from ellgen.bundleops import (
     tensor_exterior_identity_check,
     witten_bundle_ch,
 )
-from ellgen.cohring import CohElement, LinearClass, RingPresentation, builtin_manifold, exp_nilpotent
+from ellgen.cohring import (
+    CohElement,
+    LinearClass,
+    RingPresentation,
+    builtin_manifold,
+    exp_nilpotent,
+    sum_of_products,
+)
 from ellgen.qseries import HalfQSeries, eta_like_product
 from ellgen.theta import ThetaKind
 
@@ -410,6 +417,83 @@ def test_tensor_exterior_identity_fails_with_e_of_the_conjugate(monkeypatch):
     monkeypatch.setattr(bundleops, "_exterior_of_tensor", on_conjugate)
     assert not tensor_exterior_identity_check(2, 2, 2)
     assert not tensor_exterior_identity_check(3, 3, 4)
+
+
+def test_fused_psi_sum_carries_the_repeat_counts_and_the_identity_fails(monkeypatch):
+    # negative control at the fused _psi_sum: the repeats reach it as
+    # coefficients c != 1, which it scales each term's head by
+    def with_repeats(mu, nvars):
+        padded = tuple(mu) + (0,) * (nvars - len(mu))
+        return Counter(itertools.permutations(padded))
+
+    real, coefficients = bundleops._psi_sum, set()
+
+    def spy(exps, poly, order, pres):
+        coefficients.update(poly.values())
+        return real(exps, poly, order, pres)
+
+    monkeypatch.setattr(bundleops, "_monomial_symmetric", with_repeats)
+    monkeypatch.setattr(bundleops, "_psi_sum", spy)
+    assert not tensor_exterior_identity_check(2, 2, 2)
+    assert not tensor_exterior_identity_check(3, 3, 4)
+    assert max(coefficients) > 1
+
+
+def test_identity_fails_with_e_of_the_conjugate_summed_in_one_pass(monkeypatch):
+    # negative control: sum_mu m_mu(X) e_mu'(Y) through the fused _psi_sum and
+    # one sum_of_products, as the left side itself is built
+    psi_sum, m = bundleops._psi_sum, bundleops._monomial_symmetric
+
+    def left_side(shape):
+        def one_pass(exp_u, exp_v, n, order, pres):
+            elementary = [psi_sum(exp_v, m((1,) * k, len(exp_v)), order, pres)
+                          for k in range(max(len(exp_u), len(exp_v)) + 1)]
+            return sum_of_products([
+                (psi_sum(exp_u, m(mu, len(exp_u)), order, pres),
+                 math.prod((elementary[k] for k in shape(mu)), start=elementary[0]))
+                for mu in partitions_in_box(n, len(exp_u), len(exp_v))])
+        return one_pass
+
+    monkeypatch.setattr(bundleops, "_exterior_of_tensor", left_side(conjugate_partition))
+    assert not tensor_exterior_identity_check(2, 2, 2)
+    assert not tensor_exterior_identity_check(3, 3, 4)
+    # the same one-pass sum over e_mu itself passes, so the control is not vacuous
+    monkeypatch.setattr(bundleops, "_exterior_of_tensor", left_side(tuple))
+    assert tensor_exterior_identity_check(2, 2, 2)
+    assert tensor_exterior_identity_check(3, 3, 4)
+
+
+def _literal_graded_weights(kind, e, order):
+    """The weight table as running sums: weight m + a collects each
+    weight-m entry times the weight-a term of each shifted root, one
+    element sum per term, starting at E(u)^(-rank)."""
+    terms = bundleops._theta_terms(kind, e, order)
+    table = {0: CohElement.scalar(e.presentation, order,
+                                  eta_like_product(-1, False, -e.rank, order))}
+    for w in e.shifted_roots():
+        exp_w = exp_class(w, order)
+        parts = [(a, bundleops._adams_series(exp_w, [(a, c, k)])) for a, c, k in terms]
+        grown = {}
+        for m, elem in table.items():
+            for a, f in parts:
+                term = elem * f
+                grown[m + a] = grown[m + a] + term if m + a in grown else term
+        table = grown
+    return table
+
+
+@pytest.mark.parametrize("kind", list(GradedKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("manifold, order", [("CP2", 12), ("CP4", 8)])
+def test_graded_weights_match_the_literal_running_sums(kind, manifold, order):
+    m = builtin_manifold(manifold)
+    x = LinearClass.generator(m.presentation, "x")
+    e = ProjBundle(rank=3, roots=(x, x.scale(-1), x.scale(Fraction(1, 2))),
+                   twist_b=x.scale(Fraction(1, 3)))
+    got = graded_decompose(kind, e, order).weights
+    expected = _literal_graded_weights(kind, e, order)
+    assert list(got) == list(expected)  # same weights, in the same order
+    assert got == expected
+    assert all(w.order == order for w in got.values())
 
 
 @pytest.mark.parametrize("lam", [(2, -1), (1.5,), (2, Fraction(1, 2))])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ellgen import cohring
 from ellgen.cohring import (
     CohElement,
     LinearClass,
@@ -16,6 +17,7 @@ from ellgen.cohring import (
     builtin_manifold,
     exp_nilpotent,
     integrate,
+    sum_of_products,
 )
 from ellgen.qseries import HalfQSeries, ZeroConstantTerm
 
@@ -408,3 +410,75 @@ def test_presentation_rejects_duplicate_names_and_integration_keys():
     with pytest.raises(ValueError, match="integration table keys"):
         RingPresentation(generators=(("a", 2),), top_degree=4,
                          integration_table=(((2,), Fraction(1)), ((2,), Fraction(3))))
+
+
+# -- sums of products in one pass against the brute-force pair loop and sum ---
+
+
+def _as_element(pres, brute):
+    n, terms = brute
+    return CohElement(pres, n, {m: HalfQSeries(n, cs) for m, cs in terms.items()})
+
+
+@pytest.mark.parametrize("ring", sorted(KERNEL_RINGS) + ["schur6"])
+@given(data=st.data())
+def test_sum_of_products_matches_the_brute_sum_of_brute_products(ring, data):
+    pres, max_order = (SCHUR_RING, 0) if ring == "schur6" else (KERNEL_RINGS[ring], 4)
+    pairs = data.draw(st.lists(st.tuples(mixed_element(pres, max_order),
+                                         mixed_element(pres, max_order)),
+                               min_size=1, max_size=4))
+    products = [_as_element(pres, _brute_product(a, b)) for a, b in pairs]
+    expected = functools.reduce(lambda x, y: _as_element(pres, _brute_sum(x, y)), products)
+    result = sum_of_products(pairs)
+    assert result.order == min(x.order for pair in pairs for x in pair)
+    assert result == expected
+    _assert_stored_canonical(result)
+
+
+def test_sum_of_products_drops_parts_that_cancel(cp2):
+    pres = cp2.presentation
+    a = CohElement(pres, 3, {(0,): HalfQSeries(3, [1, Fraction(1, 3)]), (1,): HalfQSeries(3, [2])})
+    b = CohElement(pres, 2, {(1,): HalfQSeries(2, [Fraction(-5, 6), 0, 7])})
+    c = CohElement(pres, 4, {(2,): HalfQSeries(4, [0, 0, 3])})
+    # a*b and b*(-a) cancel monomial by monomial, over the denominator 18
+    cancelled = sum_of_products([(a, b), (b, -a)])
+    assert cancelled.is_zero() and cancelled.order == 2
+    assert cancelled == CohElement.zero(pres, 2)
+    # c*a and (-a)*c cancel as well, in whichever order the pairs come
+    rest = sum_of_products([(a, b), (c, a), (-a, b), (-a, c)])
+    assert rest.is_zero() and rest.order == 2
+    # what does not cancel is kept, at the least order of all six operands
+    survivor = sum_of_products([(a, b), (-a, b), (a, c)])
+    assert survivor == CohElement(pres, 2, _as_element(pres, _brute_product(a, c)).coeffs)
+    assert not survivor.is_zero()
+    _assert_stored_canonical(survivor)
+
+
+def test_sum_of_products_refuses_a_pair_from_another_ring(cp2, cp4):
+    a, b = x_elem(cp2), x_elem(cp2, 2)
+    other = x_elem(cp4)
+    for pairs in ([(a, b), (other, a)], [(a, b), (a, other)], [(other, other), (a, b)]):
+        with pytest.raises(PresentationMismatch):
+            sum_of_products(pairs)
+
+
+def test_sum_of_products_refuses_an_empty_pair_list():
+    # with no pair there is no ring and no order to give the zero element
+    with pytest.raises(ValueError, match="at least one pair of elements is needed"):
+        sum_of_products([])
+
+
+def test_a_product_is_the_one_pair_sum(cp2, monkeypatch):
+    seen = []
+    real = cohring.sum_of_products
+
+    def spy(pairs):
+        seen.append(list(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(cohring, "sum_of_products", spy)
+    a, b = x_elem(cp2) + 1, x_elem(cp2, 2, order=3)
+    assert a * b == real([(a, b)])
+    assert seen == [[(a, b)]]
+    # a scalar factor does not go through the pair loop
+    assert a * 3 == a + a + a and len(seen) == 1

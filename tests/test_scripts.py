@@ -85,6 +85,13 @@ def test_bench_kernels_times_the_schur_suite_alone(monkeypatch, capsys):
     assert record["kernels"]["cli.verify.schur"] > 0
 
 
+def test_bench_kernels_times_the_sum_of_products_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.sum_of_products")
+    assert status == 0
+    assert list(record["kernels"]) == ["cohring.sum_of_products.schur6"]
+    assert record["kernels"]["cohring.sum_of_products.schur6"] > 0
+
+
 def test_bench_kernels_times_the_ring_inverse_alone(monkeypatch, capsys):
     status, record = bench_kernels_record(monkeypatch, capsys, "cohring.invert")
     assert status == 0

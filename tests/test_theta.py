@@ -369,3 +369,21 @@ def test_factor_series_log_needs_the_z0_term_one(front):
     f = theta.FactorSeries.build(4, 3, [front, HalfQSeries.one(3)])
     with pytest.raises(ValueError, match="z\\^0 term 1"):
         f.log()
+
+
+@pytest.mark.parametrize("empty", [[], (), iter(())], ids=["list", "tuple", "iterator"])
+def test_law_tail_refuses_an_empty_sample_list_like_the_table(empty, monkeypatch):
+    def no_tail(*args):
+        raise AssertionError("a tail was estimated with no samples")
+
+    monkeypatch.setattr(theta, "product_tail", no_tail)
+    with pytest.raises(ValueError) as table_err:
+        transformation_law_table([])
+    with pytest.raises(ValueError) as tail_err:
+        transformation_law_tail(empty)
+    assert str(tail_err.value) == str(table_err.value) == "at least one (v, tau) sample is needed"
+
+
+def test_law_tail_reads_a_sample_iterator_once():
+    samples = DEFAULT_LAW_SAMPLES[:2]
+    assert transformation_law_tail(iter(samples), 30) == transformation_law_tail(samples, 30)
