@@ -48,6 +48,10 @@ next to this script, so the file times the checkout it sits in.  Cases:
 - one warm theta-product ``pell`` of ``pell1`` for a twisted rank-3 bundle
   on CP4 at N = 320 (``genera.pell_theta.CP4.pell1.rank3.N320``): the
   tangent factors are cached, so this times the bundle's share of the genus;
+- ``exp_nilpotent`` of that genus's log integrand, the tangent log plus the
+  THETA1 factor log at the shifted roots' power sums, built in setup
+  (``cohring.exp_nilpotent.CP4.pell1.rank3.N320``): the power series and its
+  one element sum;
 - one warm ``pell(..., method="definition")`` of ``pell1`` for a twisted
   rank-2 bundle on CP4 at N = 24, the definition engine's top order
   (``genera.pell_definition.CP4.pell1.rank2.N24``);
@@ -152,6 +156,8 @@ from ellgen.cohring import (  # noqa: E402
     LinearClass,
     RingPresentation,
     builtin_manifold,
+    exp_nilpotent,
+    power_sums,
     sum_of_products,
 )
 from ellgen.genera import DEFINITION, GenusKind, pell  # noqa: E402
@@ -355,6 +361,14 @@ def case_table(tmp: Path) -> dict:
     def _():
         cp4, _, rank3 = cp4_bundles()
         return lambda: pell(cp4, rank3, GenusKind.PELL1, order=320)
+
+    @case("cohring.exp_nilpotent.CP4.pell1.rank3.N320")
+    def _():
+        cp4, _, rank3 = cp4_bundles()
+        sums = power_sums(rank3.shifted_roots(), cp4.presentation, 4)
+        bundle_log = factor_log(ThetaKind.THETA1, 4, 320).at_power_sums(sums)
+        log = genera._tangent_log(cp4, 320) + bundle_log
+        return lambda: exp_nilpotent(log)
 
     @case("genera.pell_definition.CP4.pell1.rank2.N24")
     def _():

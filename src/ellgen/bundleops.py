@@ -33,6 +33,7 @@ from .cohring import (
     RingPresentation,
     exp_nilpotent,
     power_sums,
+    sum_of_elements,
     sum_of_products,
 )
 from .qseries import eta_like_product, from_numerators
@@ -107,8 +108,8 @@ def ch(e: ProjBundle, order: int, weight: int = 1) -> CohElement:
 
 def adams_power_sum(roots, k: int, order: int, presentation: RingPresentation) -> CohElement:
     """sum_j exp(k * root_j) = psi^k(sum_j exp(root_j)): one exp per root."""
-    total = sum((exp_class(root, order) for root in roots), CohElement.zero(presentation, order))
-    return _exp_multiple(total, k)
+    exps = [exp_class(root, order) for root in roots]
+    return _exp_multiple(sum_of_elements([CohElement.zero(presentation, order)] + exps), k)
 
 
 def log_lambda_sum(
@@ -143,16 +144,17 @@ def _log_lambda(exps: CohElement, sign: int, half: bool) -> CohElement:
 def _adams_series(char: CohElement, terms, den: int = 1) -> CohElement:
     """sum (c / den) u^e psi^k(char) over the integer triples (k, c, e).
 
-    psi^k scales the degree-2i part of char by k^i, so that part is
-    multiplied by the one series sum_(k, c, e) c k^i u^e / den."""
+    psi^k scales the degree-2i part of char by k^i, so each monomial of
+    degree 2i is multiplied by the one series sum_(k, c, e) c k^i u^e / den."""
     pres, order = char.presentation, char.order
-    total = CohElement.zero(pres, order)
+    weights = []
     for i in range(pres.top_degree // 2 + 1):
         nums = [0] * (order + 1)
         for k, c, e in terms:
             nums[e] += c * k**i
-        total = total + char.degree_component(2 * i) * from_numerators(order, tuple(nums), den)
-    return total
+        weights.append(from_numerators(order, tuple(nums), den))
+    return CohElement(pres, order, {mono: s * weights[pres.monomial_degree(mono) // 2]
+                                    for mono, s in char.coeffs.items()})
 
 
 def witten_bundle_ch(kind: ThetaKind, e: ProjBundle, order: int) -> CohElement:
@@ -272,7 +274,7 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
 def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohElement:
     """Resum a decomposition table into its graded character: the sum of
     its twisted weights (the q-step slices of a weight add back up to it)."""
-    return sum(table.weights.values(), CohElement.zero(presentation, table.order))
+    return sum_of_elements([CohElement.zero(presentation, table.order), *table.weights.values()])
 
 
 def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
@@ -290,9 +292,8 @@ def gch_closed_form(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
     """The w -> e^b substituted form: shifted-root characters directly,
     with one exp per shifted root."""
     exps = [exp_class(w, order) for w in e.shifted_roots()]
-    total = sum(exps, CohElement.zero(e.presentation, order))
     theta = _GRADED_THETA[kind]
-    theta_char = _witten_ch(theta, total, e.rank)
+    theta_char = _witten_ch(theta, sum_of_elements(exps), e.rank)
     if theta.half:
         return theta_char
     for exp_w in exps:

@@ -346,7 +346,7 @@ Rows = list[tuple[bool | None, str]]
 
 def _suite_theta_laws(args) -> Rows:
     taus = _parse_tau_list(args.tau)
-    samples = tuple((v, tau) for tau in taus for v in (0.13 + 0.04j, 0.21, 0.08 - 0.05j))
+    samples = tuple((v, tau) for tau in taus for v, _ in theta.DEFAULT_LAW_SAMPLES)
     try:
         rows = theta.transformation_law_table(samples)
         tail = theta.transformation_law_tail(samples)

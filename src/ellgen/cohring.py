@@ -6,13 +6,14 @@ rationals.  Elements are finite monomial -> series maps; everything of
 degree above the top degree is identically zero, which makes degree-2
 classes nilpotent and exponentials finite.
 
-`sum_of_products` forms sum_i a_i * b_i in one pass: it multiplies the
-integer numerators of each monomial pair of each pair (`qseries._int_product`)
-and keeps the (numerators, denominator) parts per result monomial; each
-result monomial is then summed once, over the lcm of its parts'
-denominators, into one canonical series.  A product is its one-pair case.
-Every stored coefficient is nonzero and has exactly the element's order, so
-a sum copies a same-order operand's terms without truncating them.
+One n-ary sum per layer: `sum_of_elements` adds a list of elements in one
+pass at their least order, and `a + b` is its two-term case.  Every stored
+coefficient is nonzero and of exactly the element's order, so a monomial
+held by one element of that order passes through; every other monomial is
+one `qseries.sum_of_numerators`.  `sum_of_products` forms sum_i a_i * b_i
+in one pass from the integer products of monomial pairs
+(`qseries._int_product`), one `sum_of_numerators` per result monomial; a
+product is its one-pair case.
 
 Manifolds are presented by their ring, a dimension 4r equal to the top
 degree, and a list of stable tangent Chern roots.  Zero roots (padding for
@@ -26,10 +27,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from math import lcm
 from operator import add, itemgetter, mul, truediv
 
-from .qseries import HalfQSeries, _int_product, from_numerators, parse_rational
+from .qseries import HalfQSeries, _int_product, from_numerators, parse_rational, sum_of_numerators
 
 Monomial = tuple[int, ...]
 
@@ -235,31 +235,9 @@ class CohElement:
             other = CohElement.scalar(self.presentation, n, other.truncate(n))
         elif isinstance(other, (int, Fraction)):
             other = CohElement.scalar(self.presentation, self.order, other)
-        if self.presentation != other.presentation:
-            raise PresentationMismatch("elements live in different rings")
-        n = min(self.order, other.order)
-        out = CohElement(self.presentation, n)
-        terms = self._truncated_terms(n)
-        for mono, s in other._truncated_terms(n).items():
-            mine = terms.get(mono)
-            if mine is None:
-                terms[mono] = s
-                continue
-            total = mine + s
-            if total.is_zero():
-                del terms[mono]
-            else:
-                terms[mono] = total
-        out.coeffs = terms
-        return out
+        return sum_of_elements([self, other])
 
     __radd__ = __add__
-
-    def _truncated_terms(self, n: int) -> dict[Monomial, HalfQSeries]:
-        """monomial -> series truncated to order n, dropping series that vanish there."""
-        if n == self.order:
-            return dict(self.coeffs)
-        return {m: t for m, s in self.coeffs.items() if not (t := s.truncate(n)).is_zero()}
 
     def __neg__(self):
         out = CohElement(self.presentation, self.order)
@@ -332,16 +310,13 @@ class CohElement:
         gens = self.presentation.generators
         if gens[src][1] != gens[dst][1]:
             raise ValueError("substitution requires generators of equal degree")
-        out = CohElement(self.presentation, self.order)
+        terms = [CohElement(self.presentation, self.order)]
         for mono, s in self.coeffs.items():
             m = list(mono)
             m[dst] += m[src]
             m[src] = 0
-            key = tuple(m)
-            existing = out.coeffs.get(key)
-            out.coeffs[key] = s if existing is None else existing + s
-        out.coeffs = {m: s for m, s in out.coeffs.items() if not s.is_zero()}
-        return out
+            terms.append(CohElement(self.presentation, self.order, {tuple(m): s}))
+        return sum_of_elements(terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohElement):
@@ -367,15 +342,41 @@ class CohElement:
         return f"CohElement({self})"
 
 
+def _ring_and_order(elems) -> tuple[RingPresentation, int]:
+    """The one ring of a nonempty list of elements and their least order."""
+    pres = elems[0].presentation
+    for elem in elems:
+        if elem.presentation is not pres and elem.presentation != pres:
+            raise PresentationMismatch("elements live in different rings")
+    return pres, min([elem.order for elem in elems])
+
+
+def sum_of_elements(elems) -> CohElement:
+    """sum_i a_i over a nonempty list of elements, in one pass, at their least
+    order: a monomial held by one element of that order passes through, and any
+    other monomial is one `sum_of_numerators` of its series."""
+    if not elems:
+        raise ValueError("at least one element is needed")
+    pres, n = _ring_and_order(elems)
+    parts: dict[Monomial, list[HalfQSeries]] = defaultdict(list)
+    for elem in elems:
+        for mono, s in elem.coeffs.items():
+            parts[mono].append(s)
+    out = CohElement(pres, n)
+    for mono, series in parts.items():
+        total = (series[0] if len(series) == 1 and series[0].order == n
+                 else sum_of_numerators(n, [(s.nums, s.den) for s in series]))
+        if not total.is_zero():
+            out.coeffs[mono] = total
+    return out
+
+
 def sum_of_products(pairs) -> CohElement:
     """sum_i a_i * b_i over a nonempty list of pairs (a_i, b_i), in one pass,
     at the least order of all operands (see the module docstring)."""
     if not pairs:
         raise ValueError("at least one pair of elements is needed")
-    pres = pairs[0][0].presentation
-    if any(a.presentation != pres or b.presentation != pres for a, b in pairs):
-        raise PresentationMismatch("elements live in different rings")
-    n = min(min(a.order, b.order) for a, b in pairs)
+    pres, n = _ring_and_order([x for pair in pairs for x in pair])
     degree = pres.monomial_degree
     top = pres.top_degree
     # a relation of degree above the top is already enforced by the degree test
@@ -399,27 +400,19 @@ def sum_of_products(pairs) -> CohElement:
                 parts[prod_mono].append((_int_product(nums1, nums2), den1 * den2))
     out = CohElement(pres, n)
     for mono, bucket in parts.items():
-        # one sum per result monomial, over the lcm of its parts' denominators
-        nums, den = bucket[0]
-        if len(bucket) > 1:
-            den = lcm(*[d for _, d in bucket])
-            scaled = [p if d == den else map((den // d).__mul__, p) for p, d in bucket]
-            nums = list(map(add, scaled[0], scaled[1]))
-            for p in scaled[2:]:
-                nums = list(map(add, nums, p))
-        if any(nums):
-            out.coeffs[mono] = from_numerators(n, tuple(nums), den)
+        total = sum_of_numerators(n, bucket)
+        if not total.is_zero():
+            out.coeffs[mono] = total
     return out
 
 
 def power_sums(roots, presentation: RingPresentation, k_max: int) -> list[CohElement]:
     """p_k = sum_i root_i^k for k = 0..k_max, as q-free (order-0) classes."""
-    sums = [CohElement.zero(presentation, 0)] * (k_max + 1)
-    sums[0] = CohElement.scalar(presentation, 0, len(roots))
-    for root in roots:
-        x = root.as_element(0)
-        sums[1:] = map(add, sums[1:], accumulate(repeat(x, k_max - 1), mul, initial=x))
-    return sums
+    zero = CohElement.zero(presentation, 0)
+    xs = [root.as_element(0) for root in roots]
+    powers = [list(accumulate(repeat(x, k_max - 1), mul, initial=x)) for x in xs]
+    return [CohElement.scalar(presentation, 0, len(roots))] + [
+        sum_of_elements([zero] + [p[k] for p in powers]) for k in range(k_max)]
 
 
 # kept as a module-level name: perfbench/tracer.py wraps it by name
@@ -432,16 +425,16 @@ def _power_series(x: CohElement, coeffs) -> CohElement:
     from coeffs; the sum stops at the first power of x that vanishes, and raises if
     a power outlives k > order + top/2 (see exp_nilpotent): a faulty product."""
     coeffs = iter(coeffs)
-    total = CohElement.scalar(x.presentation, x.order, next(coeffs))
+    terms = [CohElement.scalar(x.presentation, x.order, next(coeffs))]
     power = x
     for k, c in enumerate(coeffs, 1):
         if power.is_zero():
             break
         if k > x.order + x.presentation.top_degree // 2:
             raise ArithmeticError(f"x^{k} does not vanish: the ring product is faulty")
-        total = total + (power if c == 1 else power * c)
+        terms.append(power if c == 1 else power * c)
         power = power * x
-    return total
+    return sum_of_elements(terms)
 
 
 def exp_nilpotent(a: CohElement) -> CohElement:
@@ -484,14 +477,10 @@ def integrate(a: CohElement, m: Manifold) -> HalfQSeries:
     """Pair the top-degree component with the integration table."""
     if a.presentation != m.presentation:
         raise PresentationMismatch("element does not live on this manifold")
-    total = HalfQSeries.zero(a.order)
-    for mono, series in a.coeffs.items():
-        if m.presentation.monomial_degree(mono) != m.presentation.top_degree:
-            continue
-        weight = m.presentation.integral_of(mono)
-        if weight != 0:
-            total = total + series * weight
-    return total
+    # every table key has the top degree; each weight p/q is folded into its part
+    weights = [(s, m.presentation.integral_of(mono)) for mono, s in a.coeffs.items()]
+    parts = [([c * w.numerator for c in s.nums], s.den * w.denominator) for s, w in weights if w]
+    return sum_of_numerators(a.order, parts) if parts else HalfQSeries.zero(a.order)
 
 
 def projective_space(n: int) -> Manifold:

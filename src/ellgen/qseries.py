@@ -16,7 +16,8 @@ equality and hashing compare the fields.  `coeffs` is the Fraction view
 nums[k] / den, built on first use and cached; no kernel reads it.  Numeric
 evaluation reads the float view nums[k] / den instead, cached the same way.
 
-- A sum works over the lcm of the two denominators; a scalar product
+- Every sum is one `sum_of_numerators` over the lcm of its parts'
+  denominators, and `a + b` is its two-part case; a scalar product
   multiplies the numerators and the denominator.
 - A series product multiplies the denominators and the integer numerator
   polynomials.  When both operands have more than _SPARSE_TERMS nonzero
@@ -183,17 +184,8 @@ class HalfQSeries:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = HalfQSeries.constant(other, self.order)
-        # zip and map stop at the shorter tuple: the sum has the smaller order
         n = min(self.order, other.order)
-        da, db = self.den, other.den
-        if da == db:
-            nums = list(map(operator.add, self.nums, other.nums))
-            return from_numerators(n, tuple(nums), da)
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        return from_numerators(
-            n, tuple([a * fa + b * fb for a, b in zip(self.nums, other.nums)]), den
-        )
+        return sum_of_numerators(n, ((self.nums, self.den), (other.nums, other.den)))
 
     __radd__ = __add__
 
@@ -361,6 +353,23 @@ def from_numerators(order: int, nums: tuple, den: int) -> HalfQSeries:
             den //= g
             nums = tuple([c // g for c in nums])
     return _series(order, nums, den)
+
+
+def sum_of_numerators(order: int, parts) -> HalfQSeries:
+    """sum_i nums_i / den_i over a nonempty list of (numerators, denominator) parts,
+    each at least order + 1 numerators long, truncated to order: one pass per part
+    over the lcm of the denominators, and one `from_numerators`."""
+    (first, d0), rest = parts[0], parts[1:]
+    den = lcm(d0, *[d for _, d in rest]) if rest else d0
+    f = den // d0
+    total = first[: order + 1] if f == 1 else [c * f for c in first[: order + 1]]
+    for nums, d in rest:
+        f = den // d
+        if f == 1:
+            total = list(map(operator.add, total, nums))  # map stops at the end of total
+        else:
+            total = [t + c * f for t, c in zip(total, nums)]
+    return from_numerators(order, tuple(total), den)
 
 
 def _digit_bytes(bound: int) -> int:

@@ -133,7 +133,7 @@ class FactorSeries:
         """sum_k c_k p_k, the factor summed over roots w_i whose power sums p_k = sum_i w_i^k
         are the q-free (order-0) classes `sums`: series-times-rational scalings alone."""
         terms = [p.scaled(c) for c, p in zip(self.coeffs, sums) if not c.is_zero()]
-        return sum(terms, CohElement.zero(sums[0].presentation, self.order))
+        return cohring.sum_of_elements([CohElement.zero(sums[0].presentation, self.order)] + terms)
 
     def at_class(self, lc: LinearClass) -> CohElement:
         """Substitute the nilpotent slot by a degree-2 class: z -> lc."""

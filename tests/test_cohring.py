@@ -17,6 +17,7 @@ from ellgen.cohring import (
     builtin_manifold,
     exp_nilpotent,
     integrate,
+    sum_of_elements,
     sum_of_products,
 )
 from ellgen.qseries import HalfQSeries, ZeroConstantTerm
@@ -482,3 +483,115 @@ def test_a_product_is_the_one_pair_sum(cp2, monkeypatch):
     assert seen == [[(a, b)]]
     # a scalar factor does not go through the pair loop
     assert a * 3 == a + a + a and len(seen) == 1
+
+
+# -- one n-ary element sum against the brute-force pairwise sum -----------------
+
+
+@pytest.mark.parametrize("ring", sorted(KERNEL_RINGS) + ["schur6"])
+@given(data=st.data())
+def test_sum_of_elements_matches_the_brute_sum(ring, data):
+    pres, max_order = (SCHUR_RING, 0) if ring == "schur6" else (KERNEL_RINGS[ring], 4)
+    elems = data.draw(st.lists(mixed_element(pres, max_order), min_size=1, max_size=5))
+    # the negation of a drawn element makes monomials cancel across the list
+    if data.draw(st.booleans()):
+        elems.insert(data.draw(st.integers(0, len(elems))), -data.draw(st.sampled_from(elems)))
+    expected = functools.reduce(lambda x, y: _as_element(pres, _brute_sum(x, y)), elems)
+    result = sum_of_elements(elems)
+    assert result.order == min(elem.order for elem in elems)
+    assert result == expected
+    _assert_stored_canonical(result)
+
+
+def test_sum_of_elements_truncates_a_monomial_held_once_and_drops_cancelled_ones(cp2):
+    pres = cp2.presentation
+    long = CohElement(pres, 4, {(1,): HalfQSeries(4, [0, 0, 1, 2]), (2,): HalfQSeries(4, [3])})
+    short = CohElement(pres, 1, {(0,): HalfQSeries(1, [5]), (2,): HalfQSeries(1, [-3, 7])})
+    # x is held by the order-4 element alone and vanishes at order 1; x^2 keeps only u^1
+    for elems in ([long, short], [short, long]):
+        total = sum_of_elements(elems)
+        assert total == CohElement(pres, 1, {(0,): HalfQSeries(1, [5]),
+                                             (2,): HalfQSeries(1, [0, 7])})
+        assert set(total.coeffs) == {(0,), (2,)}
+        _assert_stored_canonical(total)
+    assert sum_of_elements([long, -long, long]) == long
+    assert sum_of_elements([long, short, -long, -short]).coeffs == {}
+
+
+def test_sum_of_elements_refuses_an_empty_list_and_another_ring(cp2, cp4):
+    with pytest.raises(ValueError, match="at least one element is needed"):
+        sum_of_elements([])
+    a, b, other = x_elem(cp2), x_elem(cp2, 2), x_elem(cp4)
+    for elems in ([other, a, b], [a, other, b], [a, b, other]):
+        with pytest.raises(PresentationMismatch):
+            sum_of_elements(elems)
+    with pytest.raises(PresentationMismatch):
+        a + other
+
+
+def test_both_sums_accept_an_equal_ring_held_in_another_object(cp2):
+    pres = cp2.presentation
+    twin = RingPresentation(pres.generators, pres.top_degree, pres.vanishing_monomials,
+                            pres.integration_table)
+    assert twin is not pres and twin == pres
+    a, b = x_elem(cp2) + 1, CohElement(twin, ORDER, x_elem(cp2).coeffs)
+    assert sum_of_elements([a, b]) == x_elem(cp2) * 2 + 1
+    assert sum_of_elements([b, a]) == a + b
+    assert sum_of_products([(a, b), (b, a)]) == (x_elem(cp2, 2) + x_elem(cp2)) * 2
+
+
+def test_exp_nilpotent_adds_no_element_pairwise(cp4, monkeypatch):
+    calls = []
+    real = CohElement.__add__
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    pres = cp4.presentation
+    a = CohElement(pres, 5, {(1,): HalfQSeries(5, [1, Fraction(1, 2), 0, -3]),
+                             (2,): HalfQSeries(5, [0, Fraction(2, 3)]),
+                             (0,): HalfQSeries(5, [0, 1, 0, 0, 0, Fraction(-1, 7)])})
+    monkeypatch.setattr(CohElement, "__add__", spy)
+    monkeypatch.setattr(CohElement, "__radd__", spy)
+    result = exp_nilpotent(a)
+    assert calls == []
+    monkeypatch.undo()
+    # exp(a) exp(-a) = 1 checks the result with the real sum
+    assert result * exp_nilpotent(-a) == CohElement.one(pres, 5)
+
+
+# integration weights 1/3, 0 and -5/2 on the top monomials of a two-generator ring
+ZERO_WEIGHT_RING = RingPresentation(
+    generators=(("a", 2), ("b", 2)), top_degree=4,
+    integration_table=(((2, 0), Fraction(1, 3)), ((1, 1), Fraction(0)), ((0, 2), Fraction(-5, 2))),
+)
+
+
+@given(data=st.data())
+def test_integrate_matches_the_per_monomial_fraction_sum(data):
+    pres = ZERO_WEIGHT_RING
+    manifold = cohring.Manifold(name="zero-weight", presentation=pres, dimension=4)
+    elem = data.draw(mixed_element(pres, 4))
+    expected = [Fraction(0)] * (elem.order + 1)
+    for mono, s in elem.coeffs.items():
+        weight = dict(pres.integration_table).get(mono, Fraction(0))
+        expected = [e + weight * c for e, c in zip(expected, s.coeffs)]
+    got = integrate(elem, manifold)
+    assert got == HalfQSeries(elem.order, expected)
+    # a class held only on the zero-weight monomial integrates to the zero series
+    held = CohElement(pres, 3, {(1, 1): HalfQSeries(3, [1, 2]), (1, 0): HalfQSeries(3, [4])})
+    assert integrate(held, manifold) == HalfQSeries.zero(3)
+
+
+def test_remap_generator_sums_the_monomials_it_merges():
+    pres = RingPresentation(generators=(("a", 2), ("b", 2)), top_degree=8)
+    elem = CohElement(pres, 1, {(2, 1): HalfQSeries(1, [1, Fraction(1, 2)]),
+                                (1, 2): HalfQSeries(1, [Fraction(1, 3), 2]),
+                                (0, 3): HalfQSeries(1, [-1]), (1, 0): HalfQSeries(1, [0, 5])})
+    moved = elem.remap_generator(0, 1)
+    assert moved == CohElement(pres, 1, {(0, 3): HalfQSeries(1, [Fraction(1, 3), Fraction(5, 2)]),
+                                         (0, 1): HalfQSeries(1, [0, 5])})
+    _assert_stored_canonical(moved)
+    # merged monomials that cancel are dropped
+    assert (elem - elem.remap_generator(0, 1)).remap_generator(0, 1).is_zero()

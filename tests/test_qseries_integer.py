@@ -332,3 +332,48 @@ def test_a_coefficient_beyond_the_float_range_caches_no_float_view():
     with pytest.raises(modcheck.TailTooLarge, match="cannot be evaluated"):
         modcheck.check_numeric(f, modcheck.S, 2)
     assert not hasattr(f, "_floats") and f._coeffs is None
+
+
+# -- one n-ary sum: sum_of_numerators against a Fraction reference -------------
+
+
+@st.composite
+def numerator_parts(draw):
+    """(order, parts): 1-5 parts of mixed lengths (some longer than order + 1)
+    and denominators, and sometimes the negation of an earlier part, so that the
+    sum cancels in part or in full."""
+    order = draw(st.integers(min_value=0, max_value=8))
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        if parts and draw(st.booleans()):
+            nums, den = draw(st.sampled_from(parts))
+            parts.append((tuple(-c for c in nums), den * draw(st.sampled_from([1, 1, 3]))))
+            continue
+        size = order + 1 + draw(st.integers(min_value=0, max_value=3))
+        nums = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=size, max_size=size))
+        parts.append((tuple(nums), draw(st.sampled_from([1, 2, 3, 4, 6, 10, 12]))))
+    return order, parts
+
+
+@given(numerator_parts())
+def test_sum_of_numerators_matches_the_fraction_sum(case):
+    order, parts = case
+    got = qseries.sum_of_numerators(order, parts)
+    expected = [sum((Fraction(nums[k], den) for nums, den in parts), Fraction(0))
+                for k in range(order + 1)]
+    assert got.order == order
+    assert got.coeffs == tuple(expected)
+    assert_canonical(got)
+
+
+def test_sum_of_numerators_cancels_to_the_canonical_zero():
+    parts = [((1, -2, 3, 5), 6), ((-2, 4, -6, 1), 12), ((0, 0, 0, 7), 4)]
+    # the first two cancel through u^2; u^3 is past the order
+    got = qseries.sum_of_numerators(2, parts)
+    assert got == HalfQSeries.zero(2) and got.den == 1
+    assert_canonical(got)
+    # one part longer than the order is its own truncation
+    assert qseries.sum_of_numerators(1, parts[:1]) == HalfQSeries(1, [Fraction(1, 6),
+                                                                      Fraction(-1, 3)])
+    a, b = HalfQSeries(3, [Fraction(1, 2), 3]), HalfQSeries(2, [Fraction(1, 3), 0, 1])
+    assert a + b == qseries.sum_of_numerators(2, [(a.nums, a.den), (b.nums, b.den)])

@@ -121,6 +121,13 @@ def test_bench_kernels_times_the_warm_theta_engine_alone(monkeypatch, capsys):
     assert record["kernels"]["genera.pell_theta.CP4.pell1.rank3.N320"] > 0
 
 
+def test_bench_kernels_times_the_exp_nilpotent_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.exp_nilpotent")
+    assert status == 0
+    assert list(record["kernels"]) == ["cohring.exp_nilpotent.CP4.pell1.rank3.N320"]
+    assert record["kernels"]["cohring.exp_nilpotent.CP4.pell1.rank3.N320"] > 0
+
+
 def test_bench_kernels_times_the_factor_log_alone(monkeypatch, capsys):
     status, record = bench_kernels_record(monkeypatch, capsys, "theta.factor_log")
     assert status == 0
