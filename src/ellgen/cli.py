@@ -34,7 +34,6 @@ from .bundleops import (
     tensor_exterior_identity_check,
 )
 from .cohring import (
-    LinearClass,
     Manifold,
     PresentationMismatch,
     RingPresentation,
@@ -54,7 +53,7 @@ from .genera import (
     pell,
     witten_genus,
 )
-from .qseries import HalfQSeries, format_rational, power_label
+from .qseries import HalfQSeries, power_label
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -62,9 +61,6 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_UNSUPPORTED = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process SIGPIPE ends
-
-BUILTIN_NAMES = ("CP2", "CP4", "free")
-
 
 class ManifestError(ValueError):
     pass
@@ -105,18 +101,6 @@ def _monomial_from_dict(names: list[str], data: dict) -> tuple[int, ...]:
     for name, exponent in data.items():
         mono[names.index(name)] = _json_int(exponent, f"exponent of {name}")
     return tuple(mono)
-
-
-def _monomial_to_dict(pres: RingPresentation, mono) -> dict:
-    return {name: e for e, (name, _) in zip(mono, pres.generators) if e != 0}
-
-
-def _linear_class_to_dict(lc: LinearClass) -> dict:
-    return {
-        name: format_rational(c)
-        for c, (name, _) in zip(lc.coeffs, lc.presentation.generators)
-        if c != 0
-    }
 
 
 def _load_manifold(spec) -> Manifold:
@@ -178,43 +162,6 @@ def load_manifest(path: str) -> Manifest:
         bundle = _load_bundle(data["bundle"], manifold)
     order = _json_int(data.get("order", default_order()), "order")
     return Manifest(manifold=manifold, bundle=bundle, order=order)
-
-
-def manifest_to_dict(man: Manifest) -> dict:
-    m = man.manifold
-    if m.name in BUILTIN_NAMES and m == builtin_manifold(m.name):
-        manifold_spec = m.name
-    else:
-        pres = m.presentation
-        manifold_spec = {
-            "name": m.name,
-            "generators": [[n, d] for n, d in pres.generators],
-            "top_degree": pres.top_degree,
-            "vanishing_monomials": [
-                _monomial_to_dict(pres, mono) for mono in pres.vanishing_monomials
-            ],
-            "integration_table": [
-                [_monomial_to_dict(pres, mono), format_rational(v)]
-                for mono, v in pres.integration_table
-            ],
-            "tangent_roots": [_linear_class_to_dict(r) for r in m.tangent_roots],
-        }
-    out = {"manifold": manifold_spec, "order": man.order}
-    if man.bundle is not None:
-        out["bundle"] = {
-            "rank": man.bundle.rank,
-            "roots": [_linear_class_to_dict(r) for r in man.bundle.roots],
-            "twist_b": _linear_class_to_dict(man.bundle.twist_b),
-        }
-    else:
-        out["bundle"] = None
-    return out
-
-
-def save_manifest(man: Manifest, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest_to_dict(man), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

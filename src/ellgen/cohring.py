@@ -151,13 +151,10 @@ class LinearClass:
         return LinearClass(self.presentation, [c * f for c in self.coeffs])
 
     def as_element(self, order: int) -> "CohElement":
-        out = CohElement.zero(self.presentation, order)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = tuple(1 if j == i else 0 for j in range(len(self.coeffs)))
-            out.coeffs[mono] = HalfQSeries.constant(c, order)
-        return out
+        n = len(self.coeffs)
+        return CohElement(self.presentation, order, {
+            tuple(int(j == i) for j in range(n)): HalfQSeries.constant(c, order)
+            for i, c in enumerate(self.coeffs) if c != 0})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearClass):
@@ -299,11 +296,6 @@ class CohElement:
 
     def scalar_part(self) -> HalfQSeries:
         return self.coefficient(self.presentation.unit_monomial())
-
-    def map_series(self, fn) -> "CohElement":
-        """fn of every coefficient, truncated to the element order; ValueError if shorter."""
-        terms = {mono: fn(s) for mono, s in self.coeffs.items()}
-        return CohElement(self.presentation, self.order, terms)
 
     def remap_generator(self, src: int, dst: int) -> "CohElement":
         """Substitute generator #src by generator #dst (must share a degree)."""

@@ -3,7 +3,7 @@
 Every series in this package lives in one scalar ring: dense polynomials in
 the half-power variable u (so q = u^2) truncated at a fixed order, with
 exact rational coefficients.  A series "lives in Q[[q]]" exactly when all
-odd-index coefficients vanish; `is_integral` tests that.
+odd-index coefficients vanish, that is when `nums[1::2]` is all zero.
 
 Binary operations truncate to the minimum of the two orders.  We never pad
 a shorter series with assumed zeros: coefficients beyond a series' stated
@@ -165,10 +165,6 @@ class HalfQSeries:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def is_integral(self) -> bool:
-        """True iff the series lies in Q[[q]] (odd u-coefficients vanish)."""
-        return not any(self.nums[1::2])
 
     def truncate(self, order: int) -> "HalfQSeries":
         if order >= self.order:

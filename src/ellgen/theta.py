@@ -126,9 +126,6 @@ class FactorSeries:
         coeffs = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, self.z_degree + 1)]
         return FactorSeries(_power_series(self.elem - 1, coeffs))
 
-    def is_even_in_z(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs[1::2])
-
     def at_power_sums(self, sums) -> CohElement:
         """sum_k c_k p_k, the factor summed over roots w_i whose power sums p_k = sum_i w_i^k
         are the q-free (order-0) classes `sums`: series-times-rational scalings alone."""
@@ -138,12 +135,6 @@ class FactorSeries:
     def at_class(self, lc: LinearClass) -> CohElement:
         """Substitute the nilpotent slot by a degree-2 class: z -> lc."""
         return self.at_power_sums(cohring.power_sums([lc], lc.presentation, self.z_degree))
-
-    def eval_complex(self, z0: complex, u0: complex) -> complex:
-        acc = complex(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z0 + c.eval_numeric(u0)[0]
-        return acc
 
 
 def _half_argument_series(z_degree: int, order: int, shift: int) -> FactorSeries:

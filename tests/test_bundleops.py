@@ -196,7 +196,8 @@ def test_gch_pure_twist_level_zero(cp2, zero_class, half_x):
 @pytest.mark.parametrize("twist", [0, Fraction(1, 2)])
 def test_gch_half_period_exchange(cp2, x_class, twist):
     e = ProjBundle(rank=2, roots=(x_class, x_class.scale(-1)), twist_b=x_class.scale(twist))
-    flipped = gch(GradedKind.B, e, 6).map_series(lambda s: s.tau_plus_one())
+    b = gch(GradedKind.B, e, 6)
+    flipped = CohElement(b.presentation, b.order, {m: s.tau_plus_one() for m, s in b.coeffs.items()})
     assert flipped == gch(GradedKind.C, e, 6)
 
 

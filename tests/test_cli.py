@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ellgen import cli
-from ellgen.cohring import LinearClass, RingPresentation, Manifold
+from ellgen.bundleops import ProjBundle
+from ellgen.cohring import LinearClass, Manifold, RingPresentation, builtin_manifold
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -186,15 +187,42 @@ def test_decompose_b_kind_trivial_scalar_table():
     assert "m =   1  virtual rank -1" in text
 
 
-def test_manifest_round_trip(tmp_path):
-    man = cli.load_manifest(manifest("cp2_rank2.json"))
-    path = tmp_path / "copy.json"
-    cli.save_manifest(man, str(path))
-    again = cli.load_manifest(str(path))
-    assert again == man
+def load_literal(tmp_path, data):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data))
+    return cli.load_manifest(str(path))
 
 
-def test_manifest_round_trip_custom_presentation(tmp_path):
+def test_manifest_loads_a_builtin_manifold(tmp_path):
+    data = {
+        "manifold": "CP2",
+        "bundle": {"rank": 2, "roots": [{"x": "1"}, {"x": "-1/2"}], "twist_b": {"x": "1/2"}},
+        "order": 12,
+    }
+    cp2 = builtin_manifold("CP2")
+    x = LinearClass.generator(cp2.presentation, "x")
+    half = Fraction(1, 2)
+    expected = cli.Manifest(
+        manifold=cp2,
+        bundle=ProjBundle(rank=2, roots=(x, x.scale(-half)), twist_b=x.scale(half)),
+        order=12,
+    )
+    assert load_literal(tmp_path, data) == expected
+
+
+def test_manifest_loads_a_custom_presentation(tmp_path):
+    data = {
+        "manifold": {
+            "name": "custom",
+            "generators": [["a", 2], ["p", 4]],
+            "top_degree": 8,
+            "vanishing_monomials": [{"a": 3}],
+            "integration_table": [[{"a": 2, "p": 1}, "1/2"], [{"a": 4}, "3"]],
+            "tangent_roots": [{"a": "1"}, {"a": "1"}],
+        },
+        "bundle": {"rank": 1, "roots": [{"a": "-2/3"}], "twist_b": {"a": "2"}},
+        "order": 10,
+    }
     pres = RingPresentation(
         generators=(("a", 2), ("p", 4)),
         top_degree=8,
@@ -203,17 +231,12 @@ def test_manifest_round_trip_custom_presentation(tmp_path):
     )
     a = LinearClass.generator(pres, "a")
     manifold = Manifold(name="custom", presentation=pres, dimension=8, tangent_roots=(a, a))
-    from ellgen.bundleops import ProjBundle
-
     man = cli.Manifest(
         manifold=manifold,
         bundle=ProjBundle(rank=1, roots=(a.scale(Fraction(-2, 3)),), twist_b=a.scale(2)),
         order=10,
     )
-    path = tmp_path / "custom.json"
-    cli.save_manifest(man, str(path))
-    again = cli.load_manifest(str(path))
-    assert again == man
+    assert load_literal(tmp_path, data) == man
 
 
 def test_env_default_order(tmp_path, monkeypatch):

@@ -35,7 +35,12 @@ CUSTOM = {
     "bundle": {"rank": 1, "roots": [{"a": "1"}], "twist_b": {"a": "1/2"}},
     "order": 4,
 }
-BASES = {"CP2": CP2, "custom": CUSTOM}
+# a ring whose only generator vanishes: every class is zero, and so is every integral
+POINT = {
+    "manifold": {"generators": [["a", 2]], "top_degree": 0},
+    "bundle": {"rank": 1, "roots": [{"a": "1"}]},
+}
+BASES = {"CP2": CP2, "custom": CUSTOM, "point": POINT}
 
 COMMANDS = (
     ["compute", "--genus", "pell1", "--method", "theta"],
@@ -103,6 +108,7 @@ json_values = st.recursive(
 @example(("CP2", ("bundle", "twist_b")), ["x"], 4)
 @example(("custom", ("manifold", "tangent_roots", 0)), None, 2)
 @example(("CP2", ("bundle", "roots", 0, "x")), "1e400", 6)
+@example(("point", ("bundle", "rank")), 1, 4)
 @settings(max_examples=80, deadline=None)
 def test_any_manifest_value_gives_a_documented_exit_code(position, value, order):
     name, path = position

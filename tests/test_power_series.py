@@ -186,7 +186,8 @@ def test_equality_reads_the_canonical_form(data):
         other,
         (a + other) - other,
         a * CohElement.one(pres, order) + CohElement.zero(pres, order),
-        a.map_series(lambda s: HalfQSeries(order + 2, list(s.coeffs) + [1, -1])),
+        CohElement(pres, order, {m: HalfQSeries(order + 2, list(s.coeffs) + [1, -1])
+                                 for m, s in a.coeffs.items()}),
         CohElement(pres, max(order - 1, 0), a.coeffs),
         a + a.degree_component(2),
     ]
