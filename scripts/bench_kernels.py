@@ -29,6 +29,9 @@ next to this script, so the file times the checkout it sits in.  Cases:
   of 4 in the 3 x 3 box, on the six-generator ring of
   ``tensor_exterior_identity_check(3, 3, 4)`` at order 0
   (``cohring.sum_of_products.schur6``): its right side in one pass;
+- ``power_sums`` of the three shifted roots of a twisted rank-3 bundle on CP4
+  up to k = 4 (``cohring.power_sums.CP4.rank3.k4``), the power sums the
+  theta-product engine reads a bundle side's factor log at;
 - ``CohElement.invert`` of a unit on CP4 with a random dense series on every
   monomial at N = 80 (``cohring.invert.CP4.N80``);
 - ``at_class`` of the odd factor (THETA, z-degree 4) at the class 4x/3 on
@@ -73,6 +76,8 @@ next to this script, so the file times the checkout it sits in.  Cases:
   bundle on CP4 at N = 320 (``cli.compute_json.CP4.pell1.N320``): the
   memoized manifold- and order-only factors are filled by the first call,
   so this times the bundle's share of the genus plus the rendering;
+- ``load_manifest`` of that twisted rank-3 bundle on the builtin CP4, read
+  from a JSON file (``cli.load_manifest.CP4.rank3``);
 - the render alone of that job's coefficient block, 321 coefficients
   written from the integer numerators (``cli.render_coefficients.N320``);
 - ``HalfQSeries.eval_numeric`` of the exact ``pell3`` series of that bundle
@@ -262,7 +267,8 @@ def cp4_bundles():
 def case_table(tmp: Path) -> dict:
     """Case name -> setup: a function that builds the operands and returns the timed call.
 
-    ``tmp`` is a directory for the manifest that the ``cli.compute_json`` case reads.
+    ``tmp`` is a directory for the manifests that the ``cli.compute_json`` and
+    ``cli.load_manifest`` cases read.
     """
     table = {}
 
@@ -323,6 +329,12 @@ def case_table(tmp: Path) -> dict:
         pairs = [(schur_character(lam, u, 0), schur_character(conjugate_partition(lam), v, 0))
                  for lam in partitions_in_box(4, 3, 3)]
         return lambda: sum_of_products(pairs)
+
+    @case("cohring.power_sums.CP4.rank3.k4")
+    def _():
+        cp4, _, rank3 = cp4_bundles()
+        shifted = rank3.shifted_roots()
+        return lambda: power_sums(shifted, cp4.presentation, 4)
 
     @case("cohring.invert.CP4.N80")
     def _():
@@ -413,6 +425,17 @@ def case_table(tmp: Path) -> dict:
         }), encoding="utf-8")
         argv = ["compute", "--input", str(path), "--genus", "pell1", "--json"]
         return lambda: cli.main(argv, out=io.StringIO())
+
+    @case("cli.load_manifest.CP4.rank3")
+    def _():
+        path = tmp / "cp4_rank3.json"
+        path.write_text(json.dumps({
+            "manifold": "CP4",
+            "bundle": {"rank": 3, "roots": [{"x": "1"}, {"x": "-1"}, {"x": "1/2"}],
+                       "twist_b": {"x": "1/3"}},
+            "order": 320,
+        }), encoding="utf-8")
+        return lambda: cli.load_manifest(str(path))
 
     @case("cli.render_coefficients.N320")
     def _():

@@ -27,6 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, repeat
+from math import factorial, lcm, prod
 from operator import add, itemgetter, mul, truediv
 
 from .qseries import HalfQSeries, _int_product, from_numerators, parse_rational, sum_of_numerators
@@ -399,12 +400,28 @@ def sum_of_products(pairs) -> CohElement:
 
 
 def power_sums(roots, presentation: RingPresentation, k_max: int) -> list[CohElement]:
-    """p_k = sum_i root_i^k for k = 0..k_max, as q-free (order-0) classes."""
-    zero = CohElement.zero(presentation, 0)
-    xs = [root.as_element(0) for root in roots]
-    powers = [list(accumulate(repeat(x, k_max - 1), mul, initial=x)) for x in xs]
-    return [CohElement.scalar(presentation, 0, len(roots))] + [
-        sum_of_elements([zero] + [p[k] for p in powers]) for k in range(k_max)]
+    """p_k = sum_i root_i^k, k = 0..k_max, as order-0 classes: with root_i = sum_g n_ig x_g / d
+    over a common d, x^a (|a| = k) has (k!/a!) sum_i prod_g n_ig^(a_g) / d^k, all integers.
+    The degree-k monomials grow from the surviving degree-(k-1) ones, one generator each
+    in nondecreasing order: a multiple of a vanishing monomial vanishes too."""
+    d = lcm(*[c.denominator for root in roots for c in root.coeffs])
+    nums = [[c.numerator * (d // c.denominator) for c in root.coeffs] for root in roots]
+    gens = sorted({g for row in nums for g, n in enumerate(row) if n})
+    level = [(0, presentation.unit_monomial(), [1] * len(nums))]
+    sums = [CohElement.scalar(presentation, 0, len(roots))]
+    for k in range(1, k_max + 1):
+        grown = []
+        for first, old, products in level:
+            for i in range(first, len(gens)):
+                g = gens[i]
+                mono = old[:g] + (old[g] + 1,) + old[g + 1:]
+                if not presentation.is_zero_monomial(mono):
+                    grown.append((i, mono, [p * row[g] for p, row in zip(products, nums)]))
+        level = grown
+        sums.append(CohElement(presentation, 0, {
+            mono: from_numerators(0, (factorial(k) // prod(map(factorial, mono)) * sum(ps),), d**k)
+            for _, mono, ps in level}))
+    return sums
 
 
 # kept as a module-level name: perfbench/tracer.py wraps it by name
@@ -501,20 +518,19 @@ FREE_RING_GENERATORS = (
 )
 
 
-def free_ring_manifold() -> Manifold:
-    pres = RingPresentation(generators=FREE_RING_GENERATORS, top_degree=12)
-    return Manifold(name="free", presentation=pres, dimension=12)
+_BUILTINS = {
+    "cp2": projective_space(2),
+    "cp4": projective_space(4),
+    "free": Manifold("free", RingPresentation(FREE_RING_GENERATORS, 12), dimension=12),
+}
 
 
 def builtin_manifold(name: str) -> Manifold:
-    key = name.strip().lower()
-    if key == "cp2":
-        return projective_space(2)
-    if key == "cp4":
-        return projective_space(4)
-    if key == "free":
-        return free_ring_manifold()
-    raise UnknownManifold(f"no builtin manifold named {name!r}")
+    """One frozen Manifold per builtin name (case and outer space ignored), shared by all."""
+    try:
+        return _BUILTINS[name.strip().lower()]
+    except KeyError:
+        raise UnknownManifold(f"no builtin manifold named {name!r}") from None
 
 
 def parse_linear_class(presentation: RingPresentation, data: dict) -> LinearClass:

@@ -37,8 +37,8 @@ from .cohring import (
     Manifold,
     PresentationMismatch,
     RingPresentation,
+    builtin_manifold,
     exp_nilpotent,
-    free_ring_manifold,
     integrate,
     power_sums,
 )
@@ -290,7 +290,7 @@ def cancellation12_check(l: int, impose_relation: bool = True) -> Cancellation12
     """
     if l not in (2, 4):
         raise UnsupportedRank("the degree-12 checker supports rank 2 and 4 only")
-    pres = free_ring_manifold().presentation
+    pres = builtin_manifold("free").presentation
     tangent, bundle = _free_power_sums(pres, "T"), _free_power_sums(pres, "E")
     log_t = factor_log(ThetaKind.THETA, 6, 1).at_power_sums(tangent)
     pell1 = _log_integrand(log_t, bundle, l, GenusKind.PELL1, 6)

@@ -71,6 +71,27 @@ def _reference_coefficients(series):
     series=qseries.from_numerators(3, (-1, 0, 5, -2), 1),
     names=["k", "m", "g", "M", "b"], weight=2, with_bundle=True, checks=[{"n": [1, None]}],
 )
+# order 320: every odd coefficient zero; den = 1; a den that shares factors with
+# only some numerators (those are reduced, the rest keep den)
+@example(
+    series=qseries.from_numerators(320, tuple([0 if k & 1 else k - 7 for k in range(321)]), 6),
+    names=["pell1", "m", "g", "M", "b"], weight=4, with_bundle=True, checks=[],
+)
+@example(
+    series=qseries.from_numerators(320, tuple(range(-160, 161)), 1),
+    names=["pell2", "m", "g", "M", "b"], weight=4, with_bundle=True, checks=[],
+)
+@example(
+    series=qseries.from_numerators(320, tuple([(-1) ** k * k**3 for k in range(321)]),
+                                   2**4 * 3**5 * 5 * 7),
+    names=["pell3", "m", "g", "M", "b"], weight=4, with_bundle=True, checks=[],
+)
+# a den too long to print whose every reduced coefficient prints: 1/a and 1/b
+@example(
+    series=qseries.from_numerators(1, (10**2500 + 3, 10**2500 + 1),
+                                   (10**2500 + 1) * (10**2500 + 3)),
+    names=["pell", "m", "g", "M", "b"], weight=4, with_bundle=True, checks=[],
+)
 def test_compute_json_matches_json_dumps(series, names, weight, with_bundle, checks):
     kind, method, group, manifold, bundle = names
     head = {"kind": kind, "method": method, "weight": weight, "group": group}

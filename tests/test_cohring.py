@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from ellgen.cohring import (
     builtin_manifold,
     exp_nilpotent,
     integrate,
+    power_sums,
     sum_of_elements,
     sum_of_products,
 )
@@ -608,3 +611,85 @@ def test_remap_generator_sums_the_monomials_it_merges():
     _assert_stored_canonical(moved)
     # merged monomials that cancel are dropped
     assert (elem - elem.remap_generator(0, 1)).remap_generator(0, 1).is_zero()
+
+
+# -- power sums in closed form against sums of ring-product powers -----------
+
+POWER_SUM_RINGS = {
+    "CP2": builtin_manifold("CP2").presentation,
+    "CP4": builtin_manifold("CP4").presentation,
+    "CP2xCP2": RingPresentation(generators=(("x", 2), ("y", 2)), top_degree=8,
+                                vanishing_monomials=((3, 0), (0, 3))),
+    # x*y^2 = 0 kills some monomials of a power and keeps their neighbours
+    "xyz": RingPresentation(generators=(("x", 2), ("y", 2), ("z", 2)), top_degree=8,
+                            vanishing_monomials=((1, 2, 0),)),
+    # (CP1)^3: x^2 = y^2 = z^2 = 0, so only square-free monomials survive
+    "CP1^3": RingPresentation(generators=(("x", 2), ("y", 2), ("z", 2)), top_degree=6,
+                              vanishing_monomials=((2, 0, 0), (0, 2, 0), (0, 0, 2))),
+}
+
+root_coeff = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(min_value=-7, max_value=7), st.sampled_from([1, 2, 3, 5, 12])),
+)
+
+
+def _ring_power(root, k):
+    x = root.as_element(0)
+    return functools.reduce(operator.mul, [x] * k, CohElement.one(root.presentation, 0))
+
+
+@pytest.mark.parametrize("ring", sorted(POWER_SUM_RINGS))
+@given(data=st.data())
+def test_power_sums_match_the_sum_of_ring_powers(ring, data):
+    pres = POWER_SUM_RINGS[ring]
+    n = len(pres.generators)
+    # zero roots, mixed denominators and the empty list all come up
+    roots = data.draw(st.lists(
+        st.lists(root_coeff, min_size=n, max_size=n).map(lambda cs: LinearClass(pres, cs)),
+        max_size=4))
+    top = pres.top_degree // 2
+    sums = power_sums(roots, pres, top)
+    assert len(sums) == top + 1
+    for k, p in enumerate(sums):
+        expected = sum_of_elements([CohElement.zero(pres, 0)]
+                                   + [_ring_power(root, k) for root in roots])
+        assert p == expected, k
+        _assert_stored_canonical(p)
+
+
+def test_power_sums_weigh_mixed_monomials_by_the_multinomial():
+    pres = POWER_SUM_RINGS["CP2xCP2"]
+    # (x + y/2)^k + (x/3)^k over the common denominator 6
+    roots = [LinearClass(pres, [1, Fraction(1, 2)]), LinearClass(pres, [Fraction(1, 3), 0])]
+    p0, p1, p2, p3 = power_sums(roots, pres, 3)
+
+    def elem(terms):
+        return CohElement(pres, 0, {m: HalfQSeries.constant(c, 0) for m, c in terms.items()})
+
+    assert p0 == CohElement.scalar(pres, 0, 2)
+    assert p1 == elem({(1, 0): Fraction(4, 3), (0, 1): Fraction(1, 2)})
+    assert p2 == elem({(2, 0): Fraction(10, 9), (1, 1): 1, (0, 2): Fraction(1, 4)})
+    # x^3 = y^3 = 0 drops the pure cubes
+    assert p3 == elem({(2, 1): Fraction(3, 2), (1, 2): Fraction(3, 4)})
+
+
+def test_power_sums_grow_only_the_surviving_monomials():
+    # (CP1)^10: C(10, k) monomials survive in degree 2k, of the C(9 + k, k)
+    # products of k generators; each survivor tries at most 10 generators
+    n = 10
+    tried = []
+
+    class CountingPresentation(RingPresentation):
+        def is_zero_monomial(self, mono):
+            tried.append(mono)
+            return super().is_zero_monomial(mono)
+
+    pres = CountingPresentation(
+        generators=tuple([(f"x{i}", 2) for i in range(n)]), top_degree=2 * n,
+        vanishing_monomials=tuple([tuple([2 * (i == j) for j in range(n)]) for i in range(n)]))
+    roots = [LinearClass(pres, [Fraction(i + 1, j + 1) for j in range(n)]) for i in range(3)]
+    sums = power_sums(roots, pres, n)
+    assert [len(p.coeffs) for p in sums] == [math.comb(n, k) for k in range(n + 1)]
+    # the growth and the element constructor, against 184755 for every product
+    assert len(tried) <= (n + 1) * 2**n

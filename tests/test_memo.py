@@ -6,13 +6,17 @@ The theta-product engine caches `theta.elliptic_factor`, `theta.factor_log`,
 the definition engine caches `genera._definition_tangent_part` and
 `qseries.eta_like_product`.  The engines must share no cached object, a
 cached value must equal its recomputation, and no caller may mutate one.
+A builtin manifold is built once per process and shared by both engines as
+an input, not as a result: it is frozen.
 """
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
-from ellgen import genera, qseries, theta
+from ellgen import cli, genera, qseries, theta
 from ellgen.bundleops import ProjBundle
 from ellgen.cohring import LinearClass, builtin_manifold
 from ellgen.genera import DEFINITION, THETA_PRODUCT, GenusKind, pell, witten_genus
@@ -109,3 +113,17 @@ def test_cached_values_equal_recomputation_and_stay_unchanged(cp4):
         assert _snapshot(value) == snap
         assert value == fn.__wrapped__(*args)
 
+
+def test_builtin_manifolds_are_built_once_and_frozen(tmp_path):
+    assert builtin_manifold("CP4") is builtin_manifold(" cp4 ")
+    assert builtin_manifold("CP2") is not builtin_manifold("CP4")
+    manifolds = []
+    for i, name in enumerate(["CP4", "  Cp4"]):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps({"manifold": name, "order": 2}), encoding="utf-8")
+        manifolds.append(cli.load_manifest(str(path)).manifold)
+    assert manifolds[0] is manifolds[1] is builtin_manifold("CP4")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        manifolds[0].name = "CP5"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        manifolds[0].presentation.top_degree = 10

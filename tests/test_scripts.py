@@ -92,6 +92,20 @@ def test_bench_kernels_times_the_sum_of_products_alone(monkeypatch, capsys):
     assert record["kernels"]["cohring.sum_of_products.schur6"] > 0
 
 
+def test_bench_kernels_times_the_power_sums_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.power_sums")
+    assert status == 0
+    assert list(record["kernels"]) == ["cohring.power_sums.CP4.rank3.k4"]
+    assert record["kernels"]["cohring.power_sums.CP4.rank3.k4"] > 0
+
+
+def test_bench_kernels_times_the_manifest_load_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cli.load_manifest")
+    assert status == 0
+    assert list(record["kernels"]) == ["cli.load_manifest.CP4.rank3"]
+    assert record["kernels"]["cli.load_manifest.CP4.rank3"] > 0
+
+
 def test_bench_kernels_times_the_ring_inverse_alone(monkeypatch, capsys):
     status, record = bench_kernels_record(monkeypatch, capsys, "cohring.invert")
     assert status == 0
