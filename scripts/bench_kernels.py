@@ -78,6 +78,8 @@ next to this script, so the file times the checkout it sits in.  Cases:
   so this times the bundle's share of the genus plus the rendering;
 - ``load_manifest`` of that twisted rank-3 bundle on the builtin CP4, read
   from a JSON file (``cli.load_manifest.CP4.rank3``);
+- the parse alone of a theta-sweep ``compute --json`` command line
+  (``cli.parse_args.compute``), with the parser built once per process;
 - the render alone of that job's coefficient block, 321 coefficients
   written from the integer numerators (``cli.render_coefficients.N320``);
 - ``HalfQSeries.eval_numeric`` of the exact ``pell3`` series of that bundle
@@ -436,6 +438,12 @@ def case_table(tmp: Path) -> dict:
             "order": 320,
         }), encoding="utf-8")
         return lambda: cli.load_manifest(str(path))
+
+    @case("cli.parse_args.compute")
+    def _():
+        argv = ["compute", "--input", str(tmp / "cp4_rank2.json"), "--genus", "pell1",
+                "--order", "320", "--json"]
+        return lambda: cli.parse_args(argv)
 
     @case("cli.render_coefficients.N320")
     def _():

@@ -10,6 +10,9 @@ Exit codes: 0 ok, 1 verification failed, 2 input error, 3 guard violation
 that the truncated series cannot evaluate, a coefficient too long to print,
 or an order too large to allocate), 4 unsupported rank; the entry point
 exits 141 (128 + SIGPIPE, nothing on stderr) when stdout's reader closes it.
+
+compute --json writes json.dumps(payload, indent=2) one value at a time, each
+scalar through json's C encoder; a subcommand's parser reads its argv alone.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ def load_manifest(path: str) -> Manifest:
     bundle = None
     if data.get("bundle") is not None:
         bundle = _load_bundle(data["bundle"], manifold)
-    order = _json_int(data.get("order", default_order()), "order")
+    order = _json_int(data["order"] if "order" in data else default_order(), "order")
     return Manifest(manifold=manifold, bundle=bundle, order=order)
 
 
@@ -190,15 +193,17 @@ def compute_json(payload: dict) -> str:
     """json.dumps(payload, indent=2), byte for byte, where a HalfQSeries value
     stands for its coefficient list and is written by _coefficients_json.
 
-    Every other value goes through json.dumps; re-indenting its lines by two
-    spaces is what the encoder does one level deep.
+    A list, tuple or dict goes through json.dumps(value, indent=2), re-indented by two
+    spaces as the encoder does one level deep; a scalar through the C encoder.
     """
     items = []
     for key, value in payload.items():
         if isinstance(value, HalfQSeries):
             text = _coefficients_json(value)
-        else:
+        elif isinstance(value, (list, tuple, dict)):
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        else:
+            text = json.dumps(value)
         items.append(f"{json.dumps(key)}: {text}")
     return "{\n  " + ",\n  ".join(items) + "\n}"
 
@@ -435,8 +440,8 @@ def cmd_cancel12(args, out) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once: it holds no defaults read from the environment."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name, built once (no environment defaults)."""
     parser = argparse.ArgumentParser(
         prog="ellgen",
         description="Exact q-series computations of twisted elliptic genera.",
@@ -469,13 +474,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_can.add_argument("--rank", type=int, required=True)
     p_can.add_argument("--no-relation", action="store_true")
     p_can.set_defaults(func=cmd_cancel12)
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parser's parse_args(argv); a leading subcommand's own parser reads the rest."""
+    parser, commands = build_parser()
+    if not argv or argv[0] not in commands:  # only the top level answers these
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:  # reported as the top-level parse reports them
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if getattr(args, "order", None) is not None:
             _json_int(args.order, "--order")

@@ -69,6 +69,8 @@ class RingPresentation:
         for mono, _ in self.integration_table:
             if self.monomial_degree(mono) != self.top_degree:
                 raise ValueError("integration table keys must have top degree")
+            if self.is_zero_monomial(mono):  # every element drops it, so its weight is never read
+                raise ValueError(f"integration table key {self.monomial_str(mono)} vanishes")
         if len({mono for mono, _ in self.integration_table}) < len(self.integration_table):
             raise ValueError("integration table keys must be distinct")
 
@@ -109,7 +111,7 @@ class RingPresentation:
 
 
 class LinearClass:
-    """A rational linear combination of the degree-2 generators."""
+    """A rational linear combination of the degree-2 generators, immutable."""
 
     __slots__ = ("presentation", "coeffs")
 
@@ -120,8 +122,13 @@ class LinearClass:
         for c, (name, deg) in zip(cs, presentation.generators):
             if c != 0 and deg != 2:
                 raise ValueError(f"{name} has degree {deg}; linear classes are degree 2")
-        self.presentation = presentation
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value=None):  # also __delattr__(self, name)
+        raise AttributeError(f"LinearClass is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def zero(cls, presentation: RingPresentation) -> "LinearClass":
@@ -487,8 +494,9 @@ def integrate(a: CohElement, m: Manifold) -> HalfQSeries:
     if a.presentation != m.presentation:
         raise PresentationMismatch("element does not live on this manifold")
     # every table key has the top degree; each weight p/q is folded into its part
-    weights = [(s, m.presentation.integral_of(mono)) for mono, s in a.coeffs.items()]
-    parts = [([c * w.numerator for c in s.nums], s.den * w.denominator) for s, w in weights if w]
+    weights = [(s, w.numerator, w.denominator) for mono, s in a.coeffs.items()
+               if (w := m.presentation.integral_of(mono))]
+    parts = [(s.nums if p == 1 else [c * p for c in s.nums], s.den * q) for s, p, q in weights]
     return sum_of_numerators(a.order, parts) if parts else HalfQSeries.zero(a.order)
 
 

@@ -217,7 +217,7 @@ def test_manifest_loads_a_custom_presentation(tmp_path):
             "generators": [["a", 2], ["p", 4]],
             "top_degree": 8,
             "vanishing_monomials": [{"a": 3}],
-            "integration_table": [[{"a": 2, "p": 1}, "1/2"], [{"a": 4}, "3"]],
+            "integration_table": [[{"a": 2, "p": 1}, "1/2"], [{"p": 2}, "3"]],
             "tangent_roots": [{"a": "1"}, {"a": "1"}],
         },
         "bundle": {"rank": 1, "roots": [{"a": "-2/3"}], "twist_b": {"a": "2"}},
@@ -227,7 +227,7 @@ def test_manifest_loads_a_custom_presentation(tmp_path):
         generators=(("a", 2), ("p", 4)),
         top_degree=8,
         vanishing_monomials=((3, 0),),
-        integration_table=(((2, 1), Fraction(1, 2)), ((4, 0), Fraction(3))),
+        integration_table=(((2, 1), Fraction(1, 2)), ((0, 2), Fraction(3))),
     )
     a = LinearClass.generator(pres, "a")
     manifold = Manifold(name="custom", presentation=pres, dimension=8, tangent_roots=(a, a))
@@ -531,3 +531,104 @@ def test_an_allocation_failure_is_guard_violation(capsys, monkeypatch, argv, tar
     assert code == cli.EXIT_GUARD
     assert text == "" and captured.out == ""
     assert captured.err == "guard violation: out of memory\n"
+
+
+def test_manifest_order_leaves_the_environment_unread(capsys, monkeypatch):
+    # ELLGEN_ORDER_DEFAULT applies only to manifests without an "order"
+    monkeypatch.setenv("ELLGEN_ORDER_DEFAULT", "abc")
+    assert cli.load_manifest(manifest("cp4_rank2.json")).order == 24
+    code, text = run(["compute", "--input", manifest("cp4_rank2.json"), "--genus", "pell1",
+                      "--order", "4"])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert len([line for line in text.splitlines() if line.startswith("q^")]) == 5
+
+
+def test_vanishing_integration_key_is_an_input_error(tmp_path, capsys):
+    # a^4 has the top degree, but a^3 = 0 makes it vanish: its weight could never be read
+    manifold = {"generators": [["a", 2]], "top_degree": 8, "vanishing_monomials": [{"a": 3}],
+                "integration_table": [[{"a": 4}, "3"]]}
+    path = tmp_path / "vanishing_key.json"
+    path.write_text(json.dumps({"manifold": manifold, "order": 2}))
+    code, text = run(["compute", "--input", str(path), "--genus", "ahat"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert text == ""
+    assert err == "input error: bad manifold spec: integration table key a^4 vanishes\n"
+
+
+TOP_USAGE = "usage: ellgen [-h] {compute,verify,decompose,cancel12} ...\n"
+COMPUTE_USAGE = (
+    "usage: ellgen compute [-h] --input INPUT --genus\n"
+    "                      {ahat,pell,pell1,pell2,pell3,witten}\n"
+    "                      [--method {definition,theta}] [--order ORDER] [--json]\n"
+)
+CHOICES = "(choose from 'compute', 'verify', 'decompose', 'cancel12')"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["compute", "--input", "m.json", "--genus", "pell2", "--bogus"],
+         TOP_USAGE + "ellgen: error: unrecognized arguments: --bogus\n"),
+        (["verify", "--suite", "jacobi", "--bogus", "1"],
+         TOP_USAGE + "ellgen: error: unrecognized arguments: --bogus 1\n"),
+        (["compute", "--genus", "pell2"],
+         COMPUTE_USAGE + "ellgen compute: error: the following arguments are required: --input\n"),
+        (["compute", "--input", "m.json", "--genus", "pell2", "--order", "abc"],
+         COMPUTE_USAGE + "ellgen compute: error: argument --order: invalid int value: 'abc'\n"),
+        (["bogus"],
+         TOP_USAGE + f"ellgen: error: argument command: invalid choice: 'bogus' {CHOICES}\n"),
+        (["comp", "--input", "m.json"],
+         TOP_USAGE + f"ellgen: error: argument command: invalid choice: 'comp' {CHOICES}\n"),
+        ([], TOP_USAGE + "ellgen: error: the following arguments are required: command\n"),
+    ],
+    ids=["unknown-flag", "unknown-flag-and-value", "missing-input", "bad-order", "unknown-command",
+         "abbreviated-command", "no-arguments"],
+)
+def test_argparse_errors(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the terminal width
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize(
+    "argv, help_text",
+    [
+        (["compute", "--help"], COMPUTE_USAGE + (
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --input INPUT         manifest JSON file\n"
+            "  --genus {ahat,pell,pell1,pell2,pell3,witten}\n"
+            "  --method {definition,theta}\n"
+            "  --order ORDER\n"
+            "  --json\n")),
+        (["-h"], TOP_USAGE + (
+            "\n"
+            "Exact q-series computations of twisted elliptic genera.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {compute,verify,decompose,cancel12}\n"
+            "    compute             compute one genus from a manifest\n"
+            "    verify              run a verification suite\n"
+            "    decompose           print a determinant-weight table\n"
+            "    cancel12            degree-12 cancellation identity\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n")),
+    ],
+    ids=["compute", "top-level"],
+)
+def test_argparse_help(capsys, monkeypatch, argv, help_text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out == help_text
+    assert captured.err == ""

@@ -693,3 +693,29 @@ def test_power_sums_grow_only_the_surviving_monomials():
     assert [len(p.coeffs) for p in sums] == [math.comb(n, k) for k in range(n + 1)]
     # the growth and the element constructor, against 184755 for every product
     assert len(tried) <= (n + 1) * 2**n
+
+
+@pytest.mark.parametrize(
+    "relations, key",
+    [(((3, 0),), (4, 0)), (((1, 1),), (2, 1))],
+    ids=["power-of-a-relation", "multiple-of-a-relation"],
+)
+def test_an_integration_key_that_vanishes_is_refused(relations, key):
+    # every element drops a vanishing monomial, so its weight could never be read
+    with pytest.raises(ValueError, match="vanishes"):
+        RingPresentation(generators=(("a", 2), ("p", 4)), top_degree=8,
+                         vanishing_monomials=relations, integration_table=((key, Fraction(3)),))
+
+
+def test_linear_classes_are_immutable():
+    cp2 = builtin_manifold("CP2")
+    for root in (cp2.tangent_roots[0], LinearClass.generator(cp2.presentation, "x", 3)):
+        coeffs = root.coeffs
+        with pytest.raises(AttributeError, match="immutable"):
+            root.coeffs = (Fraction(5),)
+        with pytest.raises(AttributeError, match="immutable"):
+            root.presentation = builtin_manifold("CP4").presentation
+        with pytest.raises(AttributeError, match="immutable"):
+            del root.coeffs
+        assert root.coeffs is coeffs and root.presentation is cp2.presentation
+    assert builtin_manifold(" cp2 ").tangent_roots[0].coeffs == (Fraction(1),)

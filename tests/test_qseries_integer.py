@@ -152,6 +152,18 @@ def test_dense_products_with_large_mixed_sign_coefficients(xs, ys, da, db):
     assert_canonical(got)
 
 
+@given(st.lists(big_ints.filter(bool), min_size=SWITCH + 1, max_size=24))
+@example([2**80] * (SWITCH + 1))
+@example([(-1) ** i * 2**80 for i in range(24)])
+def test_kronecker_square_of_one_tuple(xs):
+    # a square hands the same tuple to both sides and packs it once
+    a, twin = tuple(xs), tuple(list(xs))
+    assert twin is not a
+    square = qseries._int_product(a, a)
+    assert square == qseries._int_product(a, twin)
+    assert list(square) == naive_product(a, a, len(a) - 1)
+
+
 # -- the sparse/Kronecker switch ----------------------------------------------
 
 

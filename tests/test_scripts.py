@@ -106,6 +106,13 @@ def test_bench_kernels_times_the_manifest_load_alone(monkeypatch, capsys):
     assert record["kernels"]["cli.load_manifest.CP4.rank3"] > 0
 
 
+def test_bench_kernels_times_the_parse_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cli.parse_args")
+    assert status == 0
+    assert list(record["kernels"]) == ["cli.parse_args.compute"]
+    assert record["kernels"]["cli.parse_args.compute"] > 0
+
+
 def test_bench_kernels_times_the_ring_inverse_alone(monkeypatch, capsys):
     status, record = bench_kernels_record(monkeypatch, capsys, "cohring.invert")
     assert status == 0
