@@ -3,11 +3,20 @@
 
     python3 scripts/bench_kernels.py
     python3 scripts/bench_kernels.py --only cohring.mul.free > BENCH_x.json
+    python3 scripts/bench_kernels.py --only bundleops.exp_class --against ../parent
 
 ``--only SUBSTR`` times just the cases whose names contain SUBSTR, so one
 case can be timed alone in its own process, with no earlier case filling
 caches or the heap before it.  ellgen is imported from the ``src`` directory
-next to this script, so the file times the checkout it sits in.  Cases:
+next to this script, so the file times the checkout it sits in.
+
+``--against PATH`` pairs this checkout with the one at PATH (for example a
+clone of the parent commit): for each selected case it runs PAIRS pairs of
+child processes, one process per case and side, the side that runs first
+alternating from pair to pair.  Each child is this script with ``--only``
+the case name and ``ELLGEN_BENCH_SRC`` naming the side's ``src``, so both
+sides run the same case code and the same calibration.  The JSON line then
+holds the pairs per case instead of ``kernels``.  Cases:
 
 - ``HalfQSeries`` multiply and invert at N = 20, 80, 320, on dense operands
   (every coefficient a random nonzero rational) and on sparse ones (random
@@ -55,6 +64,9 @@ next to this script, so the file times the checkout it sits in.  Cases:
   THETA1 factor log at the shifted roots' power sums, built in setup
   (``cohring.exp_nilpotent.CP4.pell1.rank3.N320``): the power series and its
   one element sum;
+- ``exp_class`` of the two shifted roots of that twisted rank-2 bundle on CP4
+  at N = 24 (``bundleops.exp_class.CP4.rank2.N24``), the exp every character
+  of the definition engine starts from;
 - one warm ``pell(..., method="definition")`` of ``pell1`` for a twisted
   rank-2 bundle on CP4 at N = 24, the definition engine's top order
   (``genera.pell_definition.CP4.pell1.rank2.N24``);
@@ -76,6 +88,10 @@ next to this script, so the file times the checkout it sits in.  Cases:
   bundle on CP4 at N = 320 (``cli.compute_json.CP4.pell1.N320``): the
   memoized manifold- and order-only factors are filled by the first call,
   so this times the bundle's share of the genus plus the rendering;
+- one warm ``cli.main decompose --kind W`` of a twisted rank-2 bundle on CP2
+  at N = 12, as dual-engine's decompose jobs run it
+  (``cli.decompose.W.rank2.N12``): the weight table, its check against the
+  closed form and the rendered table;
 - ``load_manifest`` of that twisted rank-3 bundle on the builtin CP4, read
   from a JSON file (``cli.load_manifest.CP4.rank3``);
 - the parse alone of a theta-sweep ``compute --json`` command line
@@ -132,6 +148,7 @@ import platform
 import random
 import re
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -140,7 +157,9 @@ from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+SRC_ENV = "ELLGEN_BENCH_SRC"
+SRC = Path(os.environ.get(SRC_ENV) or ROOT / "src")
+sys.path.insert(0, str(SRC))
 sys.path.append(str(ROOT / "perfbench"))
 
 import speed  # noqa: E402  (perfbench/speed.py, read only)
@@ -148,6 +167,7 @@ from ellgen import cli, genera  # noqa: E402
 from ellgen.bundleops import (  # noqa: E402
     GradedKind,
     ProjBundle,
+    exp_class,
     gch,
     gch_closed_form,
     conjugate_partition,
@@ -183,6 +203,7 @@ ORDERS = (20, 80, 320)
 EVAL_ORDERS = (80, 160, 320)
 REPEATS = 5
 BATCH_S = 0.2
+PAIRS = 10
 TAU = 0.3 + 1.2j
 GROUP_TAUS = (1.1j, 0.3 + 1.2j, -0.2 + 1.15j)
 VERIFY_ARGS = {
@@ -384,6 +405,12 @@ def case_table(tmp: Path) -> dict:
         log = genera._tangent_log(cp4, 320) + bundle_log
         return lambda: exp_nilpotent(log)
 
+    @case("bundleops.exp_class.CP4.rank2.N24")
+    def _():
+        _, rank2, _ = cp4_bundles()
+        shifted = rank2.shifted_roots()
+        return lambda: [exp_class(w, 24) for w in shifted]
+
     @case("genera.pell_definition.CP4.pell1.rank2.N24")
     def _():
         cp4, rank2, _ = cp4_bundles()
@@ -426,6 +453,17 @@ def case_table(tmp: Path) -> dict:
             "order": 320,
         }), encoding="utf-8")
         argv = ["compute", "--input", str(path), "--genus", "pell1", "--json"]
+        return lambda: cli.main(argv, out=io.StringIO())
+
+    @case("cli.decompose.W.rank2.N12")
+    def _():
+        path = tmp / "cp2_rank2.json"
+        path.write_text(json.dumps({
+            "manifold": "CP2",
+            "bundle": {"rank": 2, "roots": [{"x": "3/2"}, {"x": "-1"}],
+                       "twist_b": {"x": "1/3"}},
+        }), encoding="utf-8")
+        argv = ["decompose", "--input", str(path), "--kind", "W", "--order", "12"]
         return lambda: cli.main(argv, out=io.StringIO())
 
     @case("cli.load_manifest.CP4.rank3")
@@ -497,9 +535,9 @@ def exponents(kernels: dict[str, float]) -> dict[str, float]:
     return {group: round(slope(points), 3) for group, points in groups.items() if len(points) > 1}
 
 
-def git_revision() -> str:
-    """HEAD of the checkout if it is a git work tree, else "unknown"."""
-    git = ROOT / ".git"
+def git_revision(root: Path = ROOT) -> str:
+    """HEAD of the checkout at root if it is a git work tree, else "unknown"."""
+    git = root / ".git"
     try:
         head = (git / "HEAD").read_text().strip()
         if not head.startswith("ref: "):
@@ -516,25 +554,63 @@ def git_revision() -> str:
     return "unknown"
 
 
+def child_time(name: str, src: Path) -> float:
+    """The time of the one case ``name`` in a new process importing ellgen from src."""
+    result = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--only", name],
+        env={**os.environ, SRC_ENV: str(src)}, capture_output=True, text=True, check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])["kernels"][name]
+
+
+def paired(names: list[str], against: Path) -> dict:
+    """Per case, PAIRS pairs of child times for this checkout and the one at
+    ``against``, the side that runs first alternating from pair to pair."""
+    sides = {"this": ROOT / "src", "against": against / "src"}
+    out = {}
+    for name in names:
+        times, first = {"this": [], "against": []}, []
+        for i in range(PAIRS):
+            order = ("this", "against") if i % 2 == 0 else ("against", "this")
+            first.append(order[0])
+            for side in order:
+                times[side].append(child_time(name, sides[side]))
+        out[name] = {
+            **times, "first_in_pair": first,
+            "this_median": statistics.median(times["this"]),
+            "against_median": statistics.median(times["against"]),
+            "this_faster_pairs": sum(t < a for t, a in zip(times["this"], times["against"])),
+        }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the exact kernels of ellgen.")
     parser.add_argument("--only", metavar="SUBSTR",
                         help="time only the cases whose names contain SUBSTR")
+    parser.add_argument("--against", metavar="PATH", type=Path,
+                        help="pair this checkout with the checkout at PATH, case by case")
     args = parser.parse_args(argv)
+    if args.against and not (args.against / "src" / "ellgen" / "__init__.py").is_file():
+        parser.error(f"no ellgen package under {args.against / 'src'}")
     with tempfile.TemporaryDirectory() as tmp:
         table = case_table(Path(tmp))
         names = [name for name in table if args.only is None or args.only in name]
         if not names:
             parser.error(f"no case name contains {args.only!r}")
-        kernels = {name: round(time_call(table[name]()) * 1e6, 2) for name in names}
+        if args.against:
+            record = {"pairs": paired(names, args.against.resolve()),
+                      "against_revision": git_revision(args.against.resolve())}
+        else:
+            kernels = {name: round(time_call(table[name]()) * 1e6, 2) for name in names}
+            record = {"kernels": kernels, "exponents": exponents(kernels)}
     line = json.dumps({
         "unit": "reference-speed us per call, median of batches",
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "revision": git_revision(),
+        "revision": git_revision(SRC.parent),
         "bytecode_written": not sys.dont_write_bytecode,
-        "kernels": kernels,
-        "exponents": exponents(kernels),
+        **record,
     })
     print(line)
     return 0

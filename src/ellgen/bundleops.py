@@ -24,7 +24,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import factorial, isqrt, lcm, prod
 
 from .cohring import (
     CohElement,
@@ -82,8 +82,15 @@ class ProjBundle:
 
 
 def exp_class(lc: LinearClass, order: int) -> CohElement:
-    """exp of a degree-2 class (finite by nilpotency)."""
-    return exp_nilpotent(lc.as_element(order))
+    """exp of a degree-2 class in closed form: sum_k lc^k / k!, lc^k the integer
+    multinomial `power_sums([lc], ...)[k]`, each coefficient one constant series.
+    Reading `power_sums` keeps the engines independent: it is exact ring arithmetic
+    like the ring product, reads no `factor_log`, and multi-generator tests pin it."""
+    pres, pad, out = lc.presentation, (0,) * order, CohElement(lc.presentation, order)
+    for k, lc_k in enumerate(power_sums([lc], pres, pres.top_degree // 2)):
+        for mono, s in lc_k.coeffs.items():
+            out.coeffs[mono] = from_numerators(order, (s.nums[0],) + pad, s.den * factorial(k))
+    return out
 
 
 def _exp_multiple(char: CohElement, a: int) -> CohElement:
@@ -226,9 +233,6 @@ class GradedTable:
 
     def step_count(self) -> int:
         return self.order // self.upower(1) + 1
-
-    def weights_at(self, n: int) -> list[int]:
-        return sorted(m for (m, nn) in self.entries if nn == n)
 
 
 def _theta_terms(kind: GradedKind, e: ProjBundle, order: int) -> list[tuple[int, int, int]]:
@@ -417,7 +421,8 @@ def _exterior_of_tensor(exp_u, exp_v, n: int, order: int, pres: RingPresentation
 def tensor_exterior_identity_check(rank_u: int, rank_v: int, n: int) -> bool:
     """Check ch Lambda^n(U (x) V) = sum_mu m_mu(e^u) e_mu(e^v) (Macdonald I (4.2'))
     against sum_lam s_lam(e^u) s_lam'(e^v) (I (4.3')), over partitions of n in the
-    rank box, for generic independent roots; both sides share one exp per root."""
+    rank box, for generic independent roots; both sides share one exp per root, and
+    each closed-form exp must first equal the ring's own (a falsification test of it)."""
     if n < 0 or rank_u < 1 or rank_v < 1:
         raise ValueError("tensor identity check needs n >= 0 and ranks >= 1")
     if rank_u > 4 or rank_v > 4:
@@ -426,7 +431,10 @@ def tensor_exterior_identity_check(rank_u: int, rank_v: int, n: int) -> bool:
         raise GuardExceeded("n exceeds the rank of the tensor product")
     gens = tuple((f"{c}{i}", 2) for c, r in zip("uv", (rank_u, rank_v)) for i in range(1, r + 1))
     pres, order = RingPresentation(generators=gens, top_degree=2 * n + 4), 0
-    exps = [exp_class(LinearClass.generator(pres, name), order) for name, _ in gens]
+    roots = [LinearClass.generator(pres, name) for name, _ in gens]
+    exps = [exp_class(root, order) for root in roots]
+    if any(e != exp_nilpotent(root.as_element(order)) for e, root in zip(exps, roots)):
+        return False
     exp_u, exp_v = exps[:rank_u], exps[rank_u:]
     rhs = sum_of_products([
         (_psi_sum(exp_u, schur_polynomial(lam, rank_u), order, pres),

@@ -403,15 +403,13 @@ def cmd_decompose(args, out) -> int:
         step_label = "q^(n/2)" if table.upower(1) == 1 else "q^n"
         lines = [f"graded decomposition {kind.value} of {bundle.describe()} "
                  f"on {manifold.name}, order {order} (steps in {step_label})"]
-        for n in range(table.step_count()):
-            weights = table.weights_at(n)
-            if not weights:
-                continue
-            lines.append(f"n = {n}:")
-            for m in weights:
-                entry = table.entries[(m, n)]
-                rank = entry.scalar_part().coefficient(0)
-                lines.append(f"  m = {m:3d}  virtual rank {rank}  {entry}")
+        step = None
+        # one pass by step, then weight; an entry's order-0 scalar part prints as its value
+        for (m, n), entry in sorted(table.entries.items(), key=lambda item: item[0][::-1]):
+            if n != step:
+                step = n
+                lines.append(f"n = {n}:")
+            lines.append(f"  m = {m:3d}  virtual rank {entry.scalar_part()}  {entry}")
         lines.append(f"gch == closed form: {'yes' if agree else 'NO'}")
         return "\n".join(lines)
 

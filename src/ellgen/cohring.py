@@ -116,7 +116,7 @@ class LinearClass:
     __slots__ = ("presentation", "coeffs")
 
     def __init__(self, presentation: RingPresentation, coeffs) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) != len(presentation.generators):
             raise ValueError("one coefficient per generator required")
         for c, (name, deg) in zip(cs, presentation.generators):
@@ -545,7 +545,7 @@ def parse_linear_class(presentation: RingPresentation, data: dict) -> LinearClas
     """{generator name: "p/q"} -> LinearClass; TypeError if data is no object."""
     if not isinstance(data, dict):
         raise TypeError(f"a linear class must be an object, got {data!r}")
-    coeffs = [Fraction(0)] * len(presentation.generators)
+    coeffs = [0] * len(presentation.generators)
     for gen_name, value in data.items():
         coeffs[presentation.generator_index(gen_name)] = parse_rational(value)
     return LinearClass(presentation, coeffs)

@@ -10,7 +10,9 @@ Two independent engines compute each twisted elliptic genus:
   prefactor, the A-hat class, the symmetric-power tangent character
   (normalized inside its log, so a zero root's tower is 1), the half
   determinant twist, and the graded twisted character: the product over
-  shifted bundle roots of triple-product sums.  Slower, guarded, coded
+  shifted bundle roots of triple-product sums.  Each root's character starts
+  from the closed-form exp of its q-free class (`bundleops.exp_class`, read off
+  the integer power sums; no factor log).  Slower, guarded, coded
   independently; agreement of the two engines is the central cross-check
   of the package.
 

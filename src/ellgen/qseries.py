@@ -13,8 +13,8 @@ A series is stored as FLINT's fmpq_poly stores a polynomial: a tuple `nums`
 of order + 1 integer numerators over one positive integer denominator `den`,
 kept canonical (gcd(den, nums) = 1, and the zero series has den = 1), so
 equality and hashing compare the fields.  `coeffs` is the Fraction view
-nums[k] / den, built on first use and cached; no kernel reads it.  Numeric
-evaluation reads the float view nums[k] / den instead, cached the same way.
+nums[k] / den, built on first use and cached; no kernel or str reads it.
+Numeric evaluation reads the float view nums[k] / den instead, cached alike.
 
 - Every sum is one `sum_of_numerators` over the lcm of its parts'
   denominators, and `a + b` is its two-part case; a scalar product
@@ -314,17 +314,17 @@ class HalfQSeries:
         ]
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        """The nonzero terms "p/q*label" from the integer numerators: one gcd per term."""
+        den, parts = self.den, []
+        for k, c in enumerate(self.nums):
+            if not c:
                 continue
-            mag = str(abs(c)) if k == 0 else (
-                power_label(k) if abs(c) == 1 else f"{abs(c)}*{power_label(k)}"
-            )
+            g = gcd(c, den)
+            mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+            if k:
+                mag = power_label(k) if mag == "1" else f"{mag}*{power_label(k)}"
             parts.append(("- " if c < 0 else "+ ") + mag)
-        text = " ".join(parts)
+        text = " ".join(parts) or "+ 0"  # the zero series prints "0"
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
     def __repr__(self) -> str:

@@ -148,7 +148,7 @@ def test_witten_multiplicativity(kind, roots_e, roots_f):
 def test_graded_rank1_w_level_zero(cp2, o1_bundle, x_class, half_x):
     twisted = ProjBundle(rank=1, roots=(x_class,), twist_b=half_x)
     table = graded_decompose(GradedKind.W, twisted, 4)
-    assert table.weights_at(0) == [0, 1]
+    assert sorted(m for m, n in table.entries if n == 0) == [0, 1]
     assert table.entries[(0, 0)] == CohElement.one(cp2.presentation, 0)
     # the m = 1 entry is -exp(y + b): twist exp(b) applied to -exp(y)
     assert table.entries[(1, 0)] == -exp_class(x_class + half_x, 0)
@@ -158,7 +158,7 @@ def test_graded_b_kind_level_zero(cp2):
     x = LinearClass.generator(cp2.presentation, "x")
     e = ProjBundle(rank=3, roots=(x, x.scale(-1), x), twist_b=x.scale(Fraction(1, 3)))
     table = graded_decompose(GradedKind.B, e, 4)
-    assert table.weights_at(0) == [0]
+    assert sorted(m for m, n in table.entries if n == 0) == [0]
     assert table.entries[(0, 0)] == CohElement.one(cp2.presentation, 0)
 
 

@@ -263,3 +263,48 @@ def test_power_invert_truncate_match_naive_reference(a, exponent):
     for _ in range(abs(exponent)):
         expected = naive_product(expected, base, a.order)
     assert_canonical(a**exponent, a.order, expected)
+
+
+def fraction_view_str(series):
+    """HalfQSeries.__str__ written over the Fraction view, as it was before it read
+    the integer numerators: the reference the numerator rendering must match."""
+    if series.is_zero():
+        return "0"
+    parts = []
+    for k, c in enumerate(series.coeffs):
+        if c == 0:
+            continue
+        mag = str(abs(c)) if k == 0 else (
+            power_label(k) if abs(c) == 1 else f"{abs(c)}*{power_label(k)}"
+        )
+        parts.append(("- " if c < 0 else "+ ") + mag)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+# zeros, unit magnitudes, integers (den 1 when alone) and proper fractions of either sign
+render_coefficients_st = st.one_of(
+    st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.integers(min_value=-40, max_value=40).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@given(st.integers(min_value=0, max_value=9).flatmap(
+    lambda order: st.lists(render_coefficients_st, max_size=order + 1).map(
+        lambda cs: HalfQSeries(order, cs))))
+def test_str_matches_the_fraction_view_rendering(series):
+    assert str(series) == fraction_view_str(series)
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ([], "0"),
+    ([0, 0, 0], "0"),
+    ([-1], "-1"),
+    ([0, 1], "q^{1/2}"),
+    ([0, -1, Fraction(3, 2)], "-q^{1/2} + 3/2*q^1"),
+    ([2, 0, -4, Fraction(-1, 3)], "2 - 4*q^1 - 1/3*q^{3/2}"),
+])
+def test_str_of_chosen_series(coeffs, text):
+    series = HalfQSeries(5, coeffs)
+    assert str(series) == text == fraction_view_str(series)

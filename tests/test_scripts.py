@@ -185,3 +185,49 @@ def test_bench_kernels_records_the_revision_and_the_bytecode_setting(monkeypatch
         assert re.fullmatch(r"[0-9a-f]{40}", record["revision"])
     else:
         assert record["revision"] == "unknown"
+
+
+def test_bench_kernels_times_the_closed_form_exp_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "bundleops.exp_class")
+    assert status == 0
+    assert list(record["kernels"]) == ["bundleops.exp_class.CP4.rank2.N24"]
+    assert record["kernels"]["bundleops.exp_class.CP4.rank2.N24"] > 0
+
+
+def test_bench_kernels_times_the_decompose_command_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cli.decompose")
+    assert status == 0
+    assert list(record["kernels"]) == ["cli.decompose.W.rank2.N12"]
+    assert record["kernels"]["cli.decompose.W.rank2.N12"] > 0
+
+
+def test_bench_kernels_pairs_two_checkouts_case_by_case(monkeypatch, capsys):
+    """One pair of child processes, this checkout against itself: the first side
+    alternates from pair to pair, so one pair starts with this side."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPTS / "bench_kernels.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "PAIRS", 1)
+    assert bench.main(["--only", "qseries.mul.dense.N20", "--against", str(ROOT)]) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert "kernels" not in record
+    assert record["against_revision"] == record["revision"]
+    pair = record["pairs"]["qseries.mul.dense.N20"]
+    assert list(record["pairs"]) == ["qseries.mul.dense.N20"]
+    assert pair["first_in_pair"] == ["this"]
+    assert len(pair["this"]) == len(pair["against"]) == 1
+    assert pair["this"][0] > 0 and pair["against"][0] > 0
+    assert pair["this_faster_pairs"] in (0, 1)
+
+
+def test_bench_kernels_refuses_a_path_without_ellgen(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--only", "qseries.mul.dense.N20",
+         "--against", str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "no ellgen package" in result.stderr
