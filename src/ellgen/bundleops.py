@@ -32,6 +32,7 @@ from .cohring import (
     PresentationMismatch,
     RingPresentation,
     exp_nilpotent,
+    power_sum_numerators,
     power_sums,
     sum_of_elements,
     sum_of_products,
@@ -83,13 +84,14 @@ class ProjBundle:
 
 def exp_class(lc: LinearClass, order: int) -> CohElement:
     """exp of a degree-2 class in closed form: sum_k lc^k / k!, lc^k the integer
-    multinomial `power_sums([lc], ...)[k]`, each coefficient one constant series.
-    Reading `power_sums` keeps the engines independent: it is exact ring arithmetic
-    like the ring product, reads no `factor_log`, and multi-generator tests pin it."""
+    numerators of `power_sum_numerators([lc], ...)` over d^k, each coefficient one
+    constant series over d^k * k!.  Reading the power sums keeps the engines independent:
+    it is exact ring arithmetic like the ring product, reads no `factor_log`, and
+    multi-generator tests pin it."""
     pres, pad, out = lc.presentation, (0,) * order, CohElement(lc.presentation, order)
-    for k, lc_k in enumerate(power_sums([lc], pres, pres.top_degree // 2)):
-        for mono, s in lc_k.coeffs.items():
-            out.coeffs[mono] = from_numerators(order, (s.nums[0],) + pad, s.den * factorial(k))
+    for k, (dk, terms) in enumerate(power_sum_numerators([lc], pres, pres.top_degree // 2)):
+        for mono, c in terms:
+            out.coeffs[mono] = from_numerators(order, (c,) + pad, dk * factorial(k))
     return out
 
 

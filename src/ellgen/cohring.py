@@ -11,9 +11,12 @@ pass at their least order, and `a + b` is its two-term case.  Every stored
 coefficient is nonzero and of exactly the element's order, so a monomial
 held by one element of that order passes through; every other monomial is
 one `qseries.sum_of_numerators`.  `sum_of_products` forms sum_i a_i * b_i
-in one pass from the integer products of monomial pairs
-(`qseries._int_product`), one `sum_of_numerators` per result monomial; a
-product is its one-pair case.
+in one pass; a product is its one-pair case.  At order 0 (q-free) it runs on
+plain integers over one denominator: one multiply-add per monomial pair, and
+per result monomial one relation test and one gcd.  Above order 0 it keeps one
+denominator per monomial, multiplies each pair's numerators
+(`qseries._int_product`) and makes one `sum_of_numerators` per result
+monomial: a common denominator per operand inflates long numerators.
 
 Manifolds are presented by their ring, a dimension 4r equal to the top
 degree, and a list of stable tangent Chern roots.  Zero roots (padding for
@@ -27,10 +30,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from math import factorial, lcm, prod
-from operator import add, itemgetter, mul, truediv
+from math import factorial, gcd, lcm, prod
+from operator import add, ge, itemgetter, mul, truediv
 
-from .qseries import HalfQSeries, _int_product, from_numerators, parse_rational, sum_of_numerators
+from .qseries import (HalfQSeries, _int_product, _series, from_numerators, parse_rational,
+                      sum_of_numerators)
 
 Monomial = tuple[int, ...]
 
@@ -372,8 +376,9 @@ def sum_of_elements(elems) -> CohElement:
 
 
 def sum_of_products(pairs) -> CohElement:
-    """sum_i a_i * b_i over a nonempty list of pairs (a_i, b_i), in one pass,
-    at the least order of all operands (see the module docstring)."""
+    """sum_i a_i * b_i over a nonempty list of pairs (a_i, b_i), in one pass, at the
+    least order of all operands: at order 0 on plain integers, above it on integer
+    series (see the module docstring)."""
     if not pairs:
         raise ValueError("at least one pair of elements is needed")
     pres, n = _ring_and_order([x for pair in pairs for x in pair])
@@ -381,6 +386,25 @@ def sum_of_products(pairs) -> CohElement:
     top = pres.top_degree
     # a relation of degree above the top is already enforced by the degree test
     relations = [v for v in pres.vanishing_monomials if degree(v) <= top]
+    out = CohElement(pres, n)
+    if n == 0:  # one denominator: the lcm over the pairs of d_left * d_right
+        sides = [(_over_lcm(left), _over_lcm(right)) for left, right in pairs]
+        den = lcm(*[dl * dr for (dl, _), (dr, _) in sides])
+        acc: dict[Monomial, int] = defaultdict(int)
+        for (dl, left), (dr, right) in sides:
+            scale = den // (dl * dr)
+            right = sorted([(degree(m), m, c) for m, c in right], key=itemgetter(0))
+            for m1, c1 in left:
+                room, c1 = top - degree(m1), c1 * scale
+                for d2, m2, c2 in right:
+                    if d2 > room:
+                        break
+                    acc[tuple(map(add, m1, m2))] += c1 * c2
+        for mono, c in acc.items():
+            if c and not (relations and any(all(map(ge, mono, van)) for van in relations)):
+                g = gcd(c, den)
+                out.coeffs[mono] = _series(0, (c // g,), den // g)
+        return out
     # result monomial -> (integer numerators, denominator) of each pair product
     parts: dict[Monomial, list[tuple[tuple, int]]] = defaultdict(list)
     for left, other in pairs:
@@ -398,7 +422,6 @@ def sum_of_products(pairs) -> CohElement:
                 ):
                     continue
                 parts[prod_mono].append((_int_product(nums1, nums2), den1 * den2))
-    out = CohElement(pres, n)
     for mono, bucket in parts.items():
         total = sum_of_numerators(n, bucket)
         if not total.is_zero():
@@ -406,16 +429,23 @@ def sum_of_products(pairs) -> CohElement:
     return out
 
 
-def power_sums(roots, presentation: RingPresentation, k_max: int) -> list[CohElement]:
-    """p_k = sum_i root_i^k, k = 0..k_max, as order-0 classes: with root_i = sum_g n_ig x_g / d
-    over a common d, x^a (|a| = k) has (k!/a!) sum_i prod_g n_ig^(a_g) / d^k, all integers.
+def _over_lcm(elem: CohElement) -> tuple[int, list]:
+    """The lcm d of a q-free element's denominators and its (monomial, numerator over d)."""
+    d = lcm(*[s.den for s in elem.coeffs.values()])
+    return d, [(m, s.nums[0] * (d // s.den)) for m, s in elem.coeffs.items()]
+
+
+def power_sum_numerators(roots, presentation: RingPresentation, k_max: int):
+    """Yield, per k = 0..k_max, (d^k, [(x^a, c_a)]) with sum_i root_i^k = sum_a c_a x^a / d^k:
+    each x^a a surviving monomial of degree k and each c_a a nonzero integer, the multinomial
+    (k!/a!) sum_i prod_g n_ig^(a_g) for root_i = sum_g n_ig x_g / d over a common d.
     The degree-k monomials grow from the surviving degree-(k-1) ones, one generator each
     in nondecreasing order: a multiple of a vanishing monomial vanishes too."""
     d = lcm(*[c.denominator for root in roots for c in root.coeffs])
     nums = [[c.numerator * (d // c.denominator) for c in root.coeffs] for root in roots]
     gens = sorted({g for row in nums for g, n in enumerate(row) if n})
     level = [(0, presentation.unit_monomial(), [1] * len(nums))]
-    sums = [CohElement.scalar(presentation, 0, len(roots))]
+    yield 1, [(presentation.unit_monomial(), len(roots))] if roots else []
     for k in range(1, k_max + 1):
         grown = []
         for first, old, products in level:
@@ -425,10 +455,15 @@ def power_sums(roots, presentation: RingPresentation, k_max: int) -> list[CohEle
                 if not presentation.is_zero_monomial(mono):
                     grown.append((i, mono, [p * row[g] for p, row in zip(products, nums)]))
         level = grown
-        sums.append(CohElement(presentation, 0, {
-            mono: from_numerators(0, (factorial(k) // prod(map(factorial, mono)) * sum(ps),), d**k)
-            for _, mono, ps in level}))
-    return sums
+        yield d**k, [(mono, c) for _, mono, ps in level
+                     if (c := factorial(k) // prod(map(factorial, mono)) * sum(ps))]
+
+
+def power_sums(roots, presentation: RingPresentation, k_max: int) -> list[CohElement]:
+    """p_k = sum_i root_i^k, k = 0..k_max, as order-0 classes, each coefficient one
+    `from_numerators` of its `power_sum_numerators` numerator over d^k."""
+    return [CohElement(presentation, 0, {mono: from_numerators(0, (c,), dk) for mono, c in terms})
+            for dk, terms in power_sum_numerators(roots, presentation, k_max)]
 
 
 # kept as a module-level name: perfbench/tracer.py wraps it by name

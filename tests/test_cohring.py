@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ellgen import cohring
@@ -437,38 +437,68 @@ def _as_element(pres, brute):
     return CohElement(pres, n, {m: HalfQSeries(n, cs) for m, cs in terms.items()})
 
 
+def _order0_edge_pairs(ring, pres):
+    """Pair lists whose least order is 0, at the edges of the q-free route: a zero
+    operand, one order-0 operand among order-3 ones, and in a_p_top_relation the
+    pair p * p, whose only product p^2 a relation of exactly the top degree kills."""
+    monos = _low_monomials(pres)
+
+    def full(order, shift, den):
+        return CohElement(pres, order, {
+            m: HalfQSeries(order, [Fraction(i + k + shift, den) for k in range(order + 1)])
+            for i, m in enumerate(monos)})
+
+    # pairs over different denominators, so each pair has its own scale
+    a0, a3, b3 = full(0, 1, 6), full(3, -2, 4), full(3, 5, 5)
+    zero = CohElement.zero(pres, 0)
+    edges = [[(zero, a0)], [(a0, zero), (a0, a0)], [(a3, b3), (a0, b3), (b3, a3)]]
+    if ring == "a_p_top_relation":
+        p = CohElement(pres, 0, {(0, 1): HalfQSeries(0, [Fraction(3, 2)])})
+        edges += [[(p, p)], [(p, p), (a0, p)]]
+    return edges
+
+
 @pytest.mark.parametrize("ring", sorted(KERNEL_RINGS) + ["schur6"])
 @given(data=st.data())
+@example(data=None)  # the order-0 edges of _order0_edge_pairs, on every run
 def test_sum_of_products_matches_the_brute_sum_of_brute_products(ring, data):
     pres, max_order = (SCHUR_RING, 0) if ring == "schur6" else (KERNEL_RINGS[ring], 4)
-    pairs = data.draw(st.lists(st.tuples(mixed_element(pres, max_order),
-                                         mixed_element(pres, max_order)),
-                               min_size=1, max_size=4))
-    products = [_as_element(pres, _brute_product(a, b)) for a, b in pairs]
-    expected = functools.reduce(lambda x, y: _as_element(pres, _brute_sum(x, y)), products)
-    result = sum_of_products(pairs)
-    assert result.order == min(x.order for pair in pairs for x in pair)
-    assert result == expected
-    _assert_stored_canonical(result)
+    cases = _order0_edge_pairs(ring, pres) if data is None else [
+        data.draw(st.lists(st.tuples(mixed_element(pres, max_order),
+                                     mixed_element(pres, max_order)),
+                           min_size=1, max_size=4))]
+    for pairs in cases:
+        products = [_as_element(pres, _brute_product(a, b)) for a, b in pairs]
+        expected = functools.reduce(lambda x, y: _as_element(pres, _brute_sum(x, y)), products)
+        result = sum_of_products(pairs)
+        assert result.order == min(x.order for pair in pairs for x in pair)
+        assert result == expected
+        _assert_stored_canonical(result)
 
 
 def test_sum_of_products_drops_parts_that_cancel(cp2):
     pres = cp2.presentation
-    a = CohElement(pres, 3, {(0,): HalfQSeries(3, [1, Fraction(1, 3)]), (1,): HalfQSeries(3, [2])})
-    b = CohElement(pres, 2, {(1,): HalfQSeries(2, [Fraction(-5, 6), 0, 7])})
-    c = CohElement(pres, 4, {(2,): HalfQSeries(4, [0, 0, 3])})
-    # a*b and b*(-a) cancel monomial by monomial, over the denominator 18
-    cancelled = sum_of_products([(a, b), (b, -a)])
-    assert cancelled.is_zero() and cancelled.order == 2
-    assert cancelled == CohElement.zero(pres, 2)
-    # c*a and (-a)*c cancel as well, in whichever order the pairs come
-    rest = sum_of_products([(a, b), (c, a), (-a, b), (-a, c)])
-    assert rest.is_zero() and rest.order == 2
-    # what does not cancel is kept, at the least order of all six operands
-    survivor = sum_of_products([(a, b), (-a, b), (a, c)])
-    assert survivor == CohElement(pres, 2, _as_element(pres, _brute_product(a, c)).coeffs)
-    assert not survivor.is_zero()
-    _assert_stored_canonical(survivor)
+    series = (  # least order 2: the series path
+        CohElement(pres, 3, {(0,): HalfQSeries(3, [1, Fraction(1, 3)]), (1,): HalfQSeries(3, [2])}),
+        CohElement(pres, 2, {(1,): HalfQSeries(2, [Fraction(-5, 6), 0, 7])}),
+        CohElement(pres, 4, {(2,): HalfQSeries(4, [0, 0, 3])}))
+    q_free = (  # order 0: the integer route
+        CohElement(pres, 0, {(0,): HalfQSeries(0, [1]), (1,): HalfQSeries(0, [2])}),
+        CohElement(pres, 0, {(1,): HalfQSeries(0, [Fraction(-5, 6)])}),
+        CohElement(pres, 0, {(2,): HalfQSeries(0, [Fraction(3, 4)])}))
+    for (a, b, c), n in ((series, 2), (q_free, 0)):
+        # a*b and b*(-a) cancel monomial by monomial, over the denominator 18 or 6
+        cancelled = sum_of_products([(a, b), (b, -a)])
+        assert cancelled.is_zero() and cancelled.order == n
+        assert cancelled == CohElement.zero(pres, n)
+        # c*a and (-a)*c cancel as well, in whichever order the pairs come
+        rest = sum_of_products([(a, b), (c, a), (-a, b), (-a, c)])
+        assert rest.is_zero() and rest.order == n
+        # what does not cancel is kept, at the least order of all six operands
+        survivor = sum_of_products([(a, b), (-a, b), (a, c)])
+        assert survivor == CohElement(pres, n, _as_element(pres, _brute_product(a, c)).coeffs)
+        assert not survivor.is_zero()
+        _assert_stored_canonical(survivor)
 
 
 def test_sum_of_products_refuses_a_pair_from_another_ring(cp2, cp4):

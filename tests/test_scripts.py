@@ -231,3 +231,76 @@ def test_bench_kernels_refuses_a_path_without_ellgen(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "no ellgen package" in result.stderr
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    return pairs
+
+
+def canned_run(jobs_per_s, job_p50_ms, correct=True, failed=0, revision="abc"):
+    return {"correct": correct, "failed": failed, "revision": revision,
+            "metrics": {"jobs_per_s": jobs_per_s, "job_p50_ms": job_p50_ms}}
+
+
+def test_bench_pairs_summarizes_canned_runs(monkeypatch, capsys, tmp_path):
+    """Three canned pairs, no benchmark run: each side's median and quartiles,
+    the wins in each metric's direction with a tie for neither side, and the
+    first side alternating from pair to pair."""
+    pairs = load_bench_pairs()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    canned = {
+        pairs.ROOT: iter([canned_run(160, 3.0, revision="new"), canned_run(170, 3.5, revision="new"),
+                          canned_run(150, 2.9, revision="new")]),
+        tmp_path.resolve(): iter([canned_run(120, 3.4, revision="old"),
+                                  canned_run(170, 3.4, revision="old"),
+                                  canned_run(125, 3.4, revision="old")]),
+    }
+    calls = []
+
+    def fake_run_side(root, workload, seed, seconds):
+        calls.append((root, workload, seed, seconds))
+        return next(canned[root])
+
+    monkeypatch.setattr(pairs, "run_side", fake_run_side)
+    status = pairs.main(["--against", str(tmp_path), "--workload", "schur-identity",
+                         "--seed", "7919", "--pairs", "3"])
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert status == 0 and record["all_correct"]
+    assert [run["first"] for run in record["runs"]] == ["this", "against", "this"]
+    assert [root == pairs.ROOT for root, *_ in calls] == [True, False, False, True, True, False]
+    run_seconds = json.loads((pairs.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert {call[1:] for call in calls} == {("schur-identity", 7919, run_seconds)}
+    assert record["seconds"] == run_seconds
+    assert (record["revision"], record["against_revision"]) == ("new", "old")
+    assert record["roots"] == {"this": str(pairs.ROOT), "against": str(tmp_path.resolve())}
+    assert sorted(record["metrics"]) == ["job_p50_ms", "jobs_per_s"]
+    jobs = record["metrics"]["jobs_per_s"]
+    assert jobs["this"] == {"median": 160, "q1": 155, "q3": 165}
+    assert jobs["against"] == {"median": 125, "q1": 122.5, "q3": 147.5}
+    assert jobs["this_wins"] == 2  # 170 against 170 is a tie
+    p50 = record["metrics"]["job_p50_ms"]
+    assert p50["this"]["median"] == 3.0 and p50["against"]["median"] == 3.4
+    assert p50["this_wins"] == 2  # lower is better: 3.0 and 2.9 win, 3.5 loses
+
+
+def test_bench_pairs_fails_unless_every_run_is_correct():
+    pairs = load_bench_pairs()
+    end_to_end = [{"name": "jobs_per_s", "better": "higher"}]
+    good = {"first": "this", "this": canned_run(2, 1), "against": canned_run(1, 1)}
+    assert pairs.report([good], end_to_end)[1] == 0
+    for bad in (canned_run(2, 1, correct=False), canned_run(2, 1, failed=3)):
+        record, status = pairs.report([good, {**good, "against": bad}], end_to_end)
+        assert status == 1 and not record["all_correct"]
+        assert record["metrics"]["jobs_per_s"]["this"]["median"] == 2
+
+
+def test_bench_pairs_refuses_a_path_without_the_benchmark(tmp_path, capsys):
+    pairs = load_bench_pairs()
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--against", str(tmp_path), "--workload", "schur-identity", "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "no perfbench/run.py" in capsys.readouterr().err
