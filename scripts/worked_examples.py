@@ -19,11 +19,9 @@ from ellgen.genera import (  # noqa: E402
     DEFINITION,
     THETA_PRODUCT,
     GenusKind,
-    PseudoDiffSpec,
     a_hat_integral,
     cancellation12_check,
     pell,
-    pseudodiff_genus,
     witten_genus,
 )
 from ellgen.qseries import power_label  # noqa: E402
@@ -59,11 +57,8 @@ def main():
         print(f"    definition engine agrees: {a == b}")
 
     print("== spin-c Dirac operator reduction ==")
-    spec = PseudoDiffSpec(
-        manifold=cp2,
-        bundle=ProjBundle(rank=1, roots=(zero,), twist_b=zero),
-        operator_name="spin-c dirac",
-    )
+    # an operator's genera are pell on its reduced bundle: the trivial line here
+    trivial = ProjBundle(rank=1, roots=(zero,), twist_b=zero)
     w = witten_genus(cp2, ORDER)
     for kind, label in [
         (GenusKind.PELL, "Ell"),
@@ -71,7 +66,7 @@ def main():
         (GenusKind.PELL2, "Ell_2"),
         (GenusKind.PELL3, "Ell_3"),
     ]:
-        series = pseudodiff_genus(spec, kind, ORDER).series
+        series = pell(cp2, trivial, kind, THETA_PRODUCT, ORDER).series
         note = ""
         if series == w:
             note = "  (= W)"

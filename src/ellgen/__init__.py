@@ -7,7 +7,7 @@ graded characters, Schur functor identities, a degree-12 cancellation
 checker, and numeric modular-transformation verification.
 """
 
-from .qseries import HalfQSeries, Rational, eta_like_product
+from .qseries import HalfQSeries, eta_like_product
 from .cohring import (
     CohElement,
     LinearClass,
@@ -33,12 +33,10 @@ from .bundleops import (
 from .genera import (
     GenusKind,
     GenusReport,
-    PseudoDiffSpec,
     a_hat_integral,
     cancellation12_check,
     classical_recovery_check,
     pell,
-    pseudodiff_genus,
     witten_genus,
 )
 from .modcheck import GroupSpec, SL2Matrix, check_T_exact, check_group, check_numeric
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HalfQSeries",
-    "Rational",
     "eta_like_product",
     "CohElement",
     "LinearClass",
@@ -73,12 +70,10 @@ __all__ = [
     "witten_bundle_ch",
     "GenusKind",
     "GenusReport",
-    "PseudoDiffSpec",
     "a_hat_integral",
     "cancellation12_check",
     "classical_recovery_check",
     "pell",
-    "pseudodiff_genus",
     "witten_genus",
     "GroupSpec",
     "SL2Matrix",

@@ -416,13 +416,10 @@ def sum_of_products(pairs) -> CohElement:
             for d2, m2, nums2, den2 in right:
                 if d2 > room:
                     break
-                prod_mono = tuple(map(add, m1, m2))
-                if relations and any(
-                    all(m >= v for m, v in zip(prod_mono, van)) for van in relations
-                ):
-                    continue
-                parts[prod_mono].append((_int_product(nums1, nums2), den1 * den2))
+                parts[tuple(map(add, m1, m2))].append((_int_product(nums1, nums2), den1 * den2))
     for mono, bucket in parts.items():
+        if relations and any(all(map(ge, mono, van)) for van in relations):
+            continue
         total = sum_of_numerators(n, bucket)
         if not total.is_zero():
             out.coeffs[mono] = total

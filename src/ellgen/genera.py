@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bundleops, qseries
@@ -236,26 +236,6 @@ def pell(
         weight=m.weight,
         group=GENUS_GROUP[kind],
     )
-
-
-@dataclass(frozen=True)
-class PseudoDiffSpec:
-    """An elliptic operator presented by its reduced associated bundle.
-
-    The reduced bundle determines every genus of the operator, so operator
-    data enters only through (manifold, bundle) plus a label.
-    """
-
-    manifold: Manifold
-    bundle: ProjBundle
-    operator_name: str = "P"
-
-
-def pseudodiff_genus(
-    spec: PseudoDiffSpec, kind: GenusKind, order: int = 20, method: str = THETA_PRODUCT
-) -> GenusReport:
-    report = pell(spec.manifold, spec.bundle, kind, method, order)
-    return replace(report, bundle=f"operator {spec.operator_name}: {report.bundle}")
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 
 # a product takes the sparse convolution when one operand has at most this

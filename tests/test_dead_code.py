@@ -10,7 +10,12 @@ Every public module-level function and public method must be listed in
 `ellgen.__all__` or be referenced, outside its own body, somewhere in `src/`,
 `scripts/` or `perfbench/`: as a loaded name, an attribute, an import alias, or
 a part of a dotted-name string constant (the strings by which perfbench's
-tracer names the functions it wraps).  Parsed with `ast`, nothing is imported.
+tracer names the functions it wraps).
+
+No module-level statement binds a second name to an existing one (`X = Y` or
+`X = module.Y`): such a name only relabels.  Type aliases and constants are
+built by an expression, not a bare name, and are left alone.  Parsed with
+`ast`, nothing is imported.
 """
 
 import ast
@@ -167,3 +172,25 @@ def test_the_guard_sees_unreached_public_functions_and_methods():
     # pell is in ellgen.__all__
     assert unreached_public({"probe": tree}, _references(tree)) == [
         "probe.probe_alone", "probe.probe_helper", "probe.probe_method"]
+
+
+def relabels(tree) -> list[str]:
+    """`X = Y` of each module-level assignment whose value is a bare name or attribute."""
+    return [ast.unparse(stmt) for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            and isinstance(stmt.value, (ast.Name, ast.Attribute))]
+
+
+def test_no_module_level_name_only_relabels_another():
+    assert {m: relabels(tree) for m, tree in TREES.items()} == {m: [] for m in TREES}
+
+
+def test_the_guard_sees_a_relabel_but_not_a_type_alias_or_constant():
+    source = textwrap.dedent("""
+        Rational = Fraction
+        Root = cmath.exp
+        Monomial = tuple[int, ...]
+        LIMIT = 6
+        _ZERO = Fraction(0)
+        """)
+    assert relabels(ast.parse(source)) == ["Rational = Fraction", "Root = cmath.exp"]

@@ -11,13 +11,11 @@ from ellgen.genera import (
     DEFINITION,
     THETA_PRODUCT,
     GenusKind,
-    PseudoDiffSpec,
     UnsupportedRank,
     a_hat_integral,
     cancellation12_check,
     classical_recovery_check,
     pell,
-    pseudodiff_genus,
     witten_genus,
 )
 from ellgen.qseries import HalfQSeries
@@ -273,21 +271,19 @@ def test_matched_half_level_divisor_sums(cp2, matched_bundle):
 
 
 def test_spinc_operator_reductions(cp2, trivial_line):
-    spec = PseudoDiffSpec(manifold=cp2, bundle=trivial_line, operator_name="spin-c dirac")
+    # an operator's genera are pell on its reduced bundle: the trivial line for spin-c Dirac
     w = witten_genus(cp2, 20)
-    assert pseudodiff_genus(spec, GenusKind.PELL, 20).series.is_zero()
-    assert pseudodiff_genus(spec, GenusKind.PELL1, 20).series == w * 2
-    assert pseudodiff_genus(spec, GenusKind.PELL2, 20).series == w
-    assert pseudodiff_genus(spec, GenusKind.PELL3, 20).series == w
+    assert series_of(cp2, trivial_line, GenusKind.PELL, order=20).is_zero()
+    assert series_of(cp2, trivial_line, GenusKind.PELL1, order=20) == w * 2
+    assert series_of(cp2, trivial_line, GenusKind.PELL2, order=20) == w
+    assert series_of(cp2, trivial_line, GenusKind.PELL3, order=20) == w
 
 
 def test_pseudodiff_cp2_o1(cp2, o1_bundle):
-    spec = PseudoDiffSpec(manifold=cp2, bundle=o1_bundle, operator_name="twisted complex")
-    s2 = pseudodiff_genus(spec, GenusKind.PELL2, 10).series
+    s2 = series_of(cp2, o1_bundle, GenusKind.PELL2, order=10)
     assert s2.coefficient(0) == Fraction(-1, 8)
-    s3 = pseudodiff_genus(spec, GenusKind.PELL3, 10).series
+    s3 = series_of(cp2, o1_bundle, GenusKind.PELL3, order=10)
     assert s2.tau_plus_one() == s3
-    assert "twisted complex" in pseudodiff_genus(spec, GenusKind.PELL2, 4).bundle
 
 
 # -- classical recovery -----------------------------------------------------------

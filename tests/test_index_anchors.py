@@ -2,15 +2,24 @@
 
 At q^0 the tangent factors of pell1 give the A-hat class and each shifted
 bundle root w gives 2 cosh(w/2), so [pell1]_(q^0) = int A-hat(M) prod_j 2 cosh(w_j/2).
+An elliptic operator's genera are pell on its reduced bundle, so each anchor
+below is the index of an operator.
 
-- Fractional Riemann-Roch on CP^n, n even: one shifted root w = 2t x gives
+- Fractional Riemann-Roch on CP^n, n even (the Dolbeault operator twisted by
+  O(t - (n+1)/2), a spin^c Dirac operator): one shifted root w = 2t x gives
   2 P_n(t), with P_n(t) = int A-hat(CP^n) e^(tx) = prod_(i=1..n) (t - (n+1)/2 + i) / n!,
   which is chi(CP^n, O(t - (n+1)/2)).  It is an integer exactly when
-  t is in Z + 1/2, the spin^c twists.
-- Rank l: prod_j 2 cosh(w_j/2) = sum over signs e^(sum_j e_j w_j / 2), so
+  t is in Z + 1/2, the spin^c twists; at t = (n+1)/2 it is 2 Td = 2, the
+  untwisted Dolbeault operator.
+- Rank l (the Dolbeault operator twisted by a sum of fractional line
+  bundles): prod_j 2 cosh(w_j/2) = sum over signs e^(sum_j e_j w_j / 2), so
   shifted roots w_j = 2 t_j x give sum over signs of P_n(sum_j e_j t_j).
-- Signature: the r stable tangent roots as the bundle, untwisted, give
-  2^(r - dim/2) sign(M), which is 2 on CP2 (r = 3) and on CP4 (r = 5).
+- Signature (the signature operator): the r stable tangent roots as the
+  bundle, untwisted, give 2^(r - dim/2) sign(M), which is 2 on CP2 (r = 3)
+  and on CP4 (r = 5).
+
+The spin Dirac operator's index, the A-hat genus, is the q^0 coefficient of
+the Witten genus (`test_genera.py`).
 
 Each anchor runs on both engines.  Three planted faults must break them: the
 A-hat z^2 coefficient with its sign flipped, the bundle factor 2 cosh(w/2)

@@ -1,5 +1,7 @@
 """The scripts the README runs work from a plain checkout: each one finds
-ellgen next to itself, with no PYTHONPATH and from any working directory.
+ellgen next to itself, with no PYTHONPATH and from any working directory,
+and prints what `golden/<script>.out` records (decimals masked, as for the
+README's CLI commands, since float residuals depend on libm and the CPU).
 Cases that check only what `bench_kernels.py --only` selects run its `main`
 in this process, with one batch of one call per case."""
 
@@ -13,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from test_golden_cli import _masked
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_script(name, cwd):
@@ -31,6 +36,8 @@ def test_script_runs_from_a_checkout(name, tmp_path):
     assert result.returncode == 0, result.stderr
     assert "FAIL" not in result.stdout
     assert "agrees: False" not in result.stdout
+    expected = (GOLDEN / name).with_suffix(".out").read_text(encoding="utf-8")
+    assert _masked(result.stdout) == _masked(expected)
 
 
 def test_worked_examples_print_the_cancellation_identity(tmp_path):
