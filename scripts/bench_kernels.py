@@ -92,6 +92,12 @@ holds the pairs per case instead of ``kernels``.  Cases:
   at N = 12, as dual-engine's decompose jobs run it
   (``cli.decompose.W.rank2.N12``): the weight table, its check against the
   closed form and the rendered table;
+- one warm ``cli.main cancel12 --rank 2``, as dual-engine's cancel12 jobs run
+  it (``cli.cancel12.rank2``): the degree-12 check with s2T := s2E imposed
+  and its rendered report;
+- ``cancellation12_check`` at rank 4 with ``impose_relation=False``
+  (``genera.cancellation12_check.rank4.no_relation``): the free residual and
+  the matched one that decides its divisibility;
 - ``load_manifest`` of that twisted rank-3 bundle on the builtin CP4, read
   from a JSON file (``cli.load_manifest.CP4.rank3``);
 - the parse alone of a theta-sweep ``compute --json`` command line
@@ -465,6 +471,14 @@ def case_table(tmp: Path) -> dict:
         }), encoding="utf-8")
         argv = ["decompose", "--input", str(path), "--kind", "W", "--order", "12"]
         return lambda: cli.main(argv, out=io.StringIO())
+
+    @case("cli.cancel12.rank2")
+    def _():
+        return lambda: cli.main(["cancel12", "--rank", "2"], out=io.StringIO())
+
+    @case("genera.cancellation12_check.rank4.no_relation")
+    def _():
+        return lambda: genera.cancellation12_check(4, impose_relation=False)
 
     @case("cli.load_manifest.CP4.rank3")
     def _():

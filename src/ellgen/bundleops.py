@@ -355,12 +355,6 @@ def _psi_sum(exps, poly, order: int, pres: RingPresentation) -> CohElement:
     return sum_of_products(pairs) if pairs else CohElement.zero(pres, order)
 
 
-def _schur_from_roots(roots, lam, order: int, pres: RingPresentation) -> CohElement:
-    """s_lam at X_i = exp(root_i), with one exp per root."""
-    exps = [exp_class(r, order) for r in roots]
-    return _psi_sum(exps, schur_polynomial(lam, len(roots)), order, pres)
-
-
 def _monomial_symmetric(mu, nvars: int) -> dict[tuple[int, ...], int]:
     """m_mu(x_1..x_nvars) as {exponent vector: 1}; empty when mu is too long."""
     padded = tuple(mu) + (0,) * (nvars - len(mu))
@@ -385,11 +379,13 @@ def conjugate_partition(lam) -> tuple[int, ...]:
 
 
 def schur_character(lam, e: ProjBundle, order: int) -> CohElement:
-    """Character of the Schur functor S_lam applied to E (shifted roots)."""
+    """Character of the Schur functor S_lam applied to E: s_lam at X_i = exp(w_i)
+    over the shifted roots w_i, with one exp per root."""
     lam = normalize_partition(lam)
     if len(lam) > e.rank:
         raise PartitionTooTall(f"partition has {len(lam)} rows, bundle rank is {e.rank}")
-    return _schur_from_roots(e.shifted_roots(), lam, order, e.presentation)
+    exps = [exp_class(w, order) for w in e.shifted_roots()]
+    return _psi_sum(exps, schur_polynomial(lam, e.rank), order, e.presentation)
 
 
 def partitions_in_box(n: int, max_rows: int, max_cols: int):

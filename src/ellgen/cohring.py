@@ -309,19 +309,6 @@ class CohElement:
     def scalar_part(self) -> HalfQSeries:
         return self.coefficient(self.presentation.unit_monomial())
 
-    def remap_generator(self, src: int, dst: int) -> "CohElement":
-        """Substitute generator #src by generator #dst (must share a degree)."""
-        gens = self.presentation.generators
-        if gens[src][1] != gens[dst][1]:
-            raise ValueError("substitution requires generators of equal degree")
-        terms = [CohElement(self.presentation, self.order)]
-        for mono, s in self.coeffs.items():
-            m = list(mono)
-            m[dst] += m[src]
-            m[src] = 0
-            terms.append(CohElement(self.presentation, self.order, {tuple(m): s}))
-        return sum_of_elements(terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohElement):
             return NotImplemented

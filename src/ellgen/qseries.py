@@ -280,7 +280,7 @@ class HalfQSeries:
 
         Returns (value, tail_estimate) where the estimate is
         |u|^(N+1) * max|c_k| over the last five tracked terms / (1 - |u|).
-        It is a heuristic estimate, not certified; see ROADMAP item 6.
+        It is a heuristic estimate, not certified; see ROADMAP item 8.
 
         Each coefficient is the correctly rounded float nums[k] / den, the float
         of the reduced Fraction, read from a float view built on first use and

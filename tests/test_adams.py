@@ -15,6 +15,7 @@ from ellgen.bundleops import (
     ch,
     exp_class,
     log_lambda_sum,
+    schur_character,
     schur_polynomial,
     witten_bundle_ch,
 )
@@ -159,7 +160,7 @@ def test_adams_power_sum_takes_one_exp_per_root(exp_calls):
 
 def test_schur_takes_one_exp_per_root(exp_calls):
     pres, roots = _roots()
-    got = bundleops._schur_from_roots(roots[:3], (3, 1), 4, pres)
+    got = schur_character((3, 1), ProjBundle(3, tuple(roots[:3]), LinearClass.zero(pres)), 4)
     assert exp_calls == roots[:3]
     expected = CohElement.zero(pres, 4)
     for exps, kostka in schur_polynomial((3, 1), 3).items():

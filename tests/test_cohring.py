@@ -186,13 +186,6 @@ def test_manifold_needs_dimension_divisible_by_four():
         Manifold(name="bad", presentation=pres, dimension=6)
 
 
-def test_remap_generator():
-    pres = RingPresentation(generators=(("a", 2), ("b", 2)), top_degree=8)
-    elem = CohElement(pres, 0, {(2, 1): HalfQSeries.one(0)})
-    moved = elem.remap_generator(0, 1)
-    assert moved == CohElement(pres, 0, {(0, 3): HalfQSeries.one(0)})
-
-
 def _unit_round_trip(pres, order, terms):
     a = CohElement(pres, order, {m: HalfQSeries(order, cs) for m, cs in terms.items()})
     inv = a.invert()
@@ -628,19 +621,6 @@ def test_integrate_matches_the_per_monomial_fraction_sum(data):
     # a class held only on the zero-weight monomial integrates to the zero series
     held = CohElement(pres, 3, {(1, 1): HalfQSeries(3, [1, 2]), (1, 0): HalfQSeries(3, [4])})
     assert integrate(held, manifold) == HalfQSeries.zero(3)
-
-
-def test_remap_generator_sums_the_monomials_it_merges():
-    pres = RingPresentation(generators=(("a", 2), ("b", 2)), top_degree=8)
-    elem = CohElement(pres, 1, {(2, 1): HalfQSeries(1, [1, Fraction(1, 2)]),
-                                (1, 2): HalfQSeries(1, [Fraction(1, 3), 2]),
-                                (0, 3): HalfQSeries(1, [-1]), (1, 0): HalfQSeries(1, [0, 5])})
-    moved = elem.remap_generator(0, 1)
-    assert moved == CohElement(pres, 1, {(0, 3): HalfQSeries(1, [Fraction(1, 3), Fraction(5, 2)]),
-                                         (0, 1): HalfQSeries(1, [0, 5])})
-    _assert_stored_canonical(moved)
-    # merged monomials that cancel are dropped
-    assert (elem - elem.remap_generator(0, 1)).remap_generator(0, 1).is_zero()
 
 
 # -- power sums in closed form against sums of ring-product powers -----------

@@ -19,7 +19,8 @@ below is the index of an operator.
   and on CP4 (r = 5).
 
 The spin Dirac operator's index, the A-hat genus, is the q^0 coefficient of
-the Witten genus (`test_genera.py`).
+the Witten genus, whose two routes agree: the theta engine's tangent core and
+the definition engine's A-hat class times its symmetric-power tangent tower.
 
 Each anchor runs on both engines.  Three planted faults must break them: the
 A-hat z^2 coefficient with its sign flipped, the bundle factor 2 cosh(w/2)
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 
 from ellgen import genera
 from ellgen.bundleops import ProjBundle
-from ellgen.cohring import LinearClass, Manifold, RingPresentation, builtin_manifold
+from ellgen.cohring import LinearClass, Manifold, RingPresentation, builtin_manifold, integrate
 from ellgen.genera import DEFINITION, THETA_PRODUCT, GenusKind, pell
 from ellgen.theta import FactorSeries, ThetaKind
 
@@ -135,6 +136,15 @@ def double_the_shifted_roots(monkeypatch):
     shifted = ProjBundle.shifted_roots
     monkeypatch.setattr(ProjBundle, "shifted_roots",
                         lambda e: tuple(w.scale(2) for w in shifted(e)))
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 20, 24])
+@pytest.mark.parametrize("name", ["CP2", "CP4"])
+def test_witten_genus_on_both_engines_starts_at_the_a_hat_integral(name, order):
+    m = builtin_manifold(name)
+    witten = genera.witten_genus(m, order)
+    assert integrate(genera._definition_tangent_part(m, order), m) == witten
+    assert witten.coefficient(0) == genera.a_hat_integral(m)
 
 
 @pytest.mark.parametrize("method", METHODS)

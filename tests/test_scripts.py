@@ -208,6 +208,14 @@ def test_bench_kernels_times_the_decompose_command_alone(monkeypatch, capsys):
     assert record["kernels"]["cli.decompose.W.rank2.N12"] > 0
 
 
+def test_bench_kernels_times_the_cancel12_layers_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "cancel")
+    assert status == 0
+    names = ["cli.cancel12.rank2", "genera.cancellation12_check.rank4.no_relation"]
+    assert list(record["kernels"]) == names
+    assert all(record["kernels"][name] > 0 for name in names)
+
+
 def test_bench_kernels_pairs_two_checkouts_case_by_case(monkeypatch, capsys):
     """One pair of child processes, this checkout against itself: the first side
     alternates from pair to pair, so one pair starts with this side."""
