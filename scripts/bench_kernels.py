@@ -38,6 +38,10 @@ holds the pairs per case instead of ``kernels``.  Cases:
   of 4 in the 3 x 3 box, on the six-generator ring of
   ``tensor_exterior_identity_check(3, 3, 4)`` at order 0
   (``cohring.sum_of_products.schur6``): its right side in one pass;
+- ``exp_nilpotent`` of the generator u1 of that ring at order 0
+  (``cohring.schur6.exp_nilpotent.generator``), the ring's own exp that the
+  check compares each closed-form exp with: six one-monomial products and the
+  power series' one sum;
 - ``power_sums`` of the three shifted roots of a twisted rank-3 bundle on CP4
   up to k = 4 (``cohring.power_sums.CP4.rank3.k4``), the power sums the
   theta-product engine reads a bundle side's factor log at;
@@ -293,6 +297,13 @@ def cp4_bundles():
     return cp4, rank2, rank3
 
 
+def schur6():
+    """The six-generator ring of ``tensor_exterior_identity_check(3, 3, 4)`` and its generators."""
+    names = ("u1", "u2", "u3", "v1", "v2", "v3")
+    pres = RingPresentation(generators=tuple((name, 2) for name in names), top_degree=12)
+    return pres, [LinearClass.generator(pres, name) for name in names]
+
+
 def case_table(tmp: Path) -> dict:
     """Case name -> setup: a function that builds the operands and returns the timed call.
 
@@ -349,15 +360,18 @@ def case_table(tmp: Path) -> dict:
 
     @case("cohring.sum_of_products.schur6")
     def _():
-        names = ("u1", "u2", "u3", "v1", "v2", "v3")
-        pres = RingPresentation(generators=tuple((name, 2) for name in names), top_degree=12)
-        roots = [LinearClass.generator(pres, name) for name in names]
+        pres, roots = schur6()
         zero = LinearClass.zero(pres)
         u = ProjBundle(rank=3, roots=tuple(roots[:3]), twist_b=zero)
         v = ProjBundle(rank=3, roots=tuple(roots[3:]), twist_b=zero)
         pairs = [(schur_character(lam, u, 0), schur_character(conjugate_partition(lam), v, 0))
                  for lam in partitions_in_box(4, 3, 3)]
         return lambda: sum_of_products(pairs)
+
+    @case("cohring.schur6.exp_nilpotent.generator")
+    def _():
+        generator = schur6()[1][0].as_element(0)
+        return lambda: exp_nilpotent(generator)
 
     @case("cohring.power_sums.CP4.rank3.k4")
     def _():

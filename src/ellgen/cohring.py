@@ -12,11 +12,19 @@ coefficient is nonzero and of exactly the element's order, so a monomial
 held by one element of that order passes through; every other monomial is
 one `qseries.sum_of_numerators`.  `sum_of_products` forms sum_i a_i * b_i
 in one pass; a product is its one-pair case.  At order 0 (q-free) it runs on
-plain integers over one denominator: one multiply-add per monomial pair, and
-per result monomial one relation test and one gcd.  Above order 0 it keeps one
-denominator per monomial, multiplies each pair's numerators
-(`qseries._int_product`) and makes one `sum_of_numerators` per result
-monomial: a common denominator per operand inflates long numerators.
+plain integers over one denominator: one multiply-add per monomial pair and
+one gcd per result monomial.  Above order 0 it keeps one denominator per
+monomial, multiplies each pair's numerators (`qseries._int_product`) and makes
+one `sum_of_numerators` per result monomial: a common denominator per operand
+inflates long numerators.
+
+Both run on packed keys, one integer per monomial of degree <= top made once
+per ring in its private table: the exponents as w-bit digits, the first
+generator highest, with 2^w > top/2 >= any exponent, and the degree above them.
+No digit carries, so a product's key is the sum of its factors' keys, keys sort
+as (degree, exponents) do, and a product is above the top exactly when that sum
+reaches (top + 1) * 2^(w g) for g generators.  The table maps a key back to its
+monomial, or to None when a relation kills it: one relation test per ring.
 
 Manifolds are presented by their ring, a dimension 4r equal to the top
 degree, and a list of stable tangent Chern roots.  Zero roots (padding for
@@ -29,9 +37,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import count, repeat
 from math import factorial, gcd, lcm, prod
-from operator import add, ge, itemgetter, mul, truediv
+from operator import ge, itemgetter, mul
 
 from .qseries import (HalfQSeries, _int_product, _series, from_numerators, parse_rational,
                       sum_of_numerators)
@@ -60,6 +68,7 @@ class RingPresentation:
     vanishing_monomials: tuple[Monomial, ...] = ()
     integration_table: tuple[tuple[Monomial, Fraction], ...] = ()
     degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _table: _PackedKeys = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, deg in self.generators:
@@ -70,6 +79,7 @@ class RingPresentation:
         object.__setattr__(self, "degrees", tuple([deg for _, deg in self.generators]))
         if not all(any(van) for van in self.vanishing_monomials):
             raise ValueError("a vanishing monomial needs a positive exponent (1 = 0 otherwise)")
+        object.__setattr__(self, "_table", _PackedKeys(self))
         for mono, _ in self.integration_table:
             if self.monomial_degree(mono) != self.top_degree:
                 raise ValueError("integration table keys must have top degree")
@@ -82,12 +92,8 @@ class RingPresentation:
         return sum(map(mul, mono, self.degrees))
 
     def is_zero_monomial(self, mono: Monomial) -> bool:
-        if self.monomial_degree(mono) > self.top_degree:
-            return True
-        for van in self.vanishing_monomials:
-            if all(m >= v for m, v in zip(mono, van)):
-                return True
-        return False
+        key = self._table[mono]  # of degree above the top, a key has at least that degree
+        return key >= self._table.limit or self._table[key] is None
 
     def integral_of(self, mono: Monomial) -> Fraction:
         for key, value in self.integration_table:
@@ -112,6 +118,31 @@ class RingPresentation:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+class _PackedKeys(dict):
+    """A ring's monomial -> packed key and packed key -> monomial, or None when a
+    relation kills it, each entry made on first sight (see the module docstring); a
+    relation of degree above the top is already enforced by the degree test."""
+
+    def __init__(self, pres: RingPresentation) -> None:
+        top, self.degrees = pres.top_degree, pres.degrees
+        self.width = max(top // 2, 1).bit_length()  # no exponent of degree <= top exceeds top/2
+        self.shift = self.width * len(self.degrees)
+        self.limit = (top + 1) << self.shift  # the least key of degree above the top
+        self.relations = [v for v in pres.vanishing_monomials if pres.monomial_degree(v) <= top]
+
+    def __missing__(self, item):
+        if isinstance(item, tuple):  # a monomial: its degree, then one digit per exponent
+            value = sum(map(mul, item, self.degrees))
+            for e in item:
+                value = value << self.width | e
+        else:  # a key of degree <= top: its exponents, unless a relation kills them
+            mask, w = (1 << self.width) - 1, self.width
+            mono = tuple([item >> s & mask for s in range(self.shift - w, -1, -w)])
+            value = None if any(all(map(ge, mono, van)) for van in self.relations) else mono
+        self[item] = value
+        return value
 
 
 class LinearClass:
@@ -318,7 +349,7 @@ class CohElement:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        keys = sorted(self.coeffs, key=lambda m: (self.presentation.monomial_degree(m), m))
+        keys = sorted(self.coeffs, key=self.presentation._table.__getitem__)
         parts = []
         for mono in keys:
             s = self.coeffs[mono]
@@ -369,54 +400,45 @@ def sum_of_products(pairs) -> CohElement:
     if not pairs:
         raise ValueError("at least one pair of elements is needed")
     pres, n = _ring_and_order([x for pair in pairs for x in pair])
-    degree = pres.monomial_degree
-    top = pres.top_degree
-    # a relation of degree above the top is already enforced by the degree test
-    relations = [v for v in pres.vanishing_monomials if degree(v) <= top]
-    out = CohElement(pres, n)
+    table = pres._table
     if n == 0:  # one denominator: the lcm over the pairs of d_left * d_right
-        sides = [(_over_lcm(left), _over_lcm(right)) for left, right in pairs]
+        sides = [(_over_lcm(left, table), _over_lcm(right, table)) for left, right in pairs]
         den = lcm(*[dl * dr for (dl, _), (dr, _) in sides])
-        acc: dict[Monomial, int] = defaultdict(int)
+        acc, out = defaultdict(int), CohElement(pres, 0)  # result key -> numerator over den
         for (dl, left), (dr, right) in sides:
             scale = den // (dl * dr)
-            right = sorted([(degree(m), m, c) for m, c in right], key=itemgetter(0))
-            for m1, c1 in left:
-                room, c1 = top - degree(m1), c1 * scale
-                for d2, m2, c2 in right:
-                    if d2 > room:
+            right.sort()  # by key, that is by degree: the keys are distinct
+            for p1, c1 in left:
+                room, c1 = table.limit - p1, c1 * scale
+                for p2, c2 in right:
+                    if p2 >= room:
                         break
-                    acc[tuple(map(add, m1, m2))] += c1 * c2
-        for mono, c in acc.items():
-            if c and not (relations and any(all(map(ge, mono, van)) for van in relations)):
+                    acc[p1 + p2] += c1 * c2
+        for key, c in acc.items():
+            if c and (mono := table[key]) is not None:
                 g = gcd(c, den)
                 out.coeffs[mono] = _series(0, (c // g,), den // g)
         return out
-    # result monomial -> (integer numerators, denominator) of each pair product
-    parts: dict[Monomial, list[tuple[tuple, int]]] = defaultdict(list)
+    # result key -> (integer numerators, denominator) of each pair product
+    parts: dict[int, list[tuple[tuple, int]]] = defaultdict(list)
     for left, other in pairs:
-        right = sorted(((degree(m), m, s.nums[: n + 1], s.den) for m, s in other.coeffs.items()),
+        right = sorted([(table[m], s.nums[: n + 1], s.den) for m, s in other.coeffs.items()],
                        key=itemgetter(0))
         for m1, s1 in left.coeffs.items():
-            room = top - degree(m1)
-            nums1, den1 = s1.nums[: n + 1], s1.den
-            for d2, m2, nums2, den2 in right:
-                if d2 > room:
+            p1 = table[m1]
+            room, nums1, den1 = table.limit - p1, s1.nums[: n + 1], s1.den
+            for p2, nums2, den2 in right:
+                if p2 >= room:
                     break
-                parts[tuple(map(add, m1, m2))].append((_int_product(nums1, nums2), den1 * den2))
-    for mono, bucket in parts.items():
-        if relations and any(all(map(ge, mono, van)) for van in relations):
-            continue
-        total = sum_of_numerators(n, bucket)
-        if not total.is_zero():
-            out.coeffs[mono] = total
-    return out
+                parts[p1 + p2].append((_int_product(nums1, nums2), den1 * den2))
+    return CohElement(pres, n, {mono: sum_of_numerators(n, bucket) for key, bucket in parts.items()
+                                if (mono := table[key]) is not None})
 
 
-def _over_lcm(elem: CohElement) -> tuple[int, list]:
-    """The lcm d of a q-free element's denominators and its (monomial, numerator over d)."""
+def _over_lcm(elem: CohElement, table: _PackedKeys) -> tuple[int, list]:
+    """The lcm d of a q-free element's denominators and its (packed key, numerator over d)."""
     d = lcm(*[s.den for s in elem.coeffs.values()])
-    return d, [(m, s.nums[0] * (d // s.den)) for m, s in elem.coeffs.items()]
+    return d, [(table[m], s.nums[0] * (d // s.den)) for m, s in elem.coeffs.items()]
 
 
 def power_sum_numerators(roots, presentation: RingPresentation, k_max: int):
@@ -456,20 +478,23 @@ def ring_mul(a: CohElement, b: CohElement) -> CohElement:
 
 
 def _power_series(x: CohElement, coeffs) -> CohElement:
-    """sum_k c_k x^k for a nilpotent x, the rationals or series c_k read lazily
-    from coeffs; the sum stops at the first power of x that vanishes, and raises if
-    a power outlives k > order + top/2 (see exp_nilpotent): a faulty product."""
-    coeffs = iter(coeffs)
-    terms = [CohElement.scalar(x.presentation, x.order, next(coeffs))]
-    power = x
-    for k, c in enumerate(coeffs, 1):
+    """sum_k c_k x^k for a nilpotent x, the rationals c_k = p/q read lazily from coeffs:
+    no term is scaled on its own, each enters as (p * numerators, q * denominator) and each
+    monomial is one `sum_of_numerators`.  The sum stops at the first power of x that
+    vanishes, and raises if one outlives k > order + top/2 (see exp_nilpotent)."""
+    pres, n = x.presentation, x.order
+    parts: dict[Monomial, list[tuple]] = defaultdict(list)
+    power = CohElement.one(pres, n)
+    for k, c in enumerate(coeffs):
         if power.is_zero():
             break
-        if k > x.order + x.presentation.top_degree // 2:
+        if k > n + pres.top_degree // 2:
             raise ArithmeticError(f"x^{k} does not vanish: the ring product is faulty")
-        terms.append(power if c == 1 else power * c)
-        power = power * x
-    return sum_of_elements(terms)
+        p, q = c.numerator, c.denominator
+        for mono, s in power.coeffs.items() if p else ():
+            parts[mono].append((s.nums if p == 1 else [v * p for v in s.nums], s.den * q))
+        power = power * x if k else x
+    return CohElement(pres, n, {mono: sum_of_numerators(n, bucket) for mono, bucket in parts.items()})
 
 
 def exp_nilpotent(a: CohElement) -> CohElement:
@@ -481,7 +506,7 @@ def exp_nilpotent(a: CohElement) -> CohElement:
     """
     if a.scalar_part().coefficient(0) != 0:
         raise NonNilpotentScalar("exp requires a vanishing scalar u^0 part")
-    return _power_series(a, accumulate(count(1), truediv, initial=Fraction(1)))
+    return _power_series(a, map(Fraction, repeat(1), map(factorial, count())))
 
 
 @dataclass(frozen=True)

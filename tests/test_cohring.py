@@ -729,3 +729,67 @@ def test_linear_classes_are_immutable():
             del root.coeffs
         assert root.coeffs is coeffs and root.presentation is cp2.presentation
     assert builtin_manifold(" cp2 ").tangent_roots[0].coeffs == (Fraction(1),)
+
+
+# -- packed monomial keys: one integer per monomial, made once per ring ------
+
+
+def _scaled_element(pres, order, terms):
+    """{monomial: rational c} -> the element with coefficient c * (1 + 2u + 3u^2 + ...)."""
+    return CohElement(pres, order, {m: HalfQSeries(order, [c * (k + 1) for k in range(order + 1)])
+                                    for m, c in terms.items()})
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_products_over_wide_digits_match_brute_force(order):
+    # exponents up to 300 need 9-bit digits: x^150 * x^150 = x^300 has the top
+    # degree and survives, x^150 * x^151 crosses it
+    pres = RingPresentation(generators=(("x", 2),), top_degree=600)
+    a = _scaled_element(pres, order, {(150,): Fraction(1, 2), (149,): 3, (0,): -1})
+    b = _scaled_element(pres, order, {(150,): Fraction(5, 3), (151,): -1, (1,): 7})
+    product = a * b
+    _assert_terms(product, _brute_product(a, b))
+    assert (300,) in product.coeffs and (301,) not in _brute_product(a, b)[1]
+    expected = _brute_sum(_as_element(pres, _brute_product(a, b)),
+                          _as_element(pres, _brute_product(b, b)))
+    _assert_terms(sum_of_products([(a, b), (b, b)]), expected)
+
+
+def test_a_filled_table_keeps_the_products_of_the_mixed_degree_ring():
+    # a fresh copy of a_p_top_relation: the first pass over every monomial pair
+    # fills its table, the second reads it; a^3 and p^2 (of the top degree) vanish
+    ring = KERNEL_RINGS["a_p_top_relation"]
+    pres = RingPresentation(ring.generators, ring.top_degree, ring.vanishing_monomials)
+    monos = _monomials_up_to_top(pres)
+    for _ in range(2):
+        for order, (m1, m2) in itertools.product((0, 1), itertools.product(monos, repeat=2)):
+            a = _scaled_element(pres, order, {m1: Fraction(3, 2), (0, 0): 1})
+            b = _scaled_element(pres, order, {m2: Fraction(-2, 5), (1, 0): 2})
+            _assert_terms(a * b, _brute_product(a, b))
+    keys = {m: pres._table[m] for m in monos}
+    assert len(set(keys.values())) == len(monos)
+    assert sorted(monos, key=keys.get) == sorted(monos, key=lambda m: (pres.monomial_degree(m), m))
+    for m, key in keys.items():
+        assert pres._table[key] == (None if pres.is_zero_monomial(m) else m)
+
+
+def test_a_filled_table_leaves_equality_and_hashing_alone():
+    ring = KERNEL_RINGS["a_p"]
+    fresh, filled = (RingPresentation(ring.generators, ring.top_degree, ring.vanishing_monomials)
+                     for _ in range(2))
+    a = _scaled_element(filled, 1, {(1, 0): 2, (0, 1): Fraction(1, 3), (2, 1): -1})
+    _assert_terms(a * a, _brute_product(a, a))
+    assert len(filled._table) > len(fresh._table) == 0
+    assert fresh == filled and hash(fresh) == hash(filled) and {fresh: 1}[filled] == 1
+    b = _scaled_element(fresh, 1, {(1, 1): 4, (0, 0): -1})
+    _assert_terms(a * b, _brute_product(a, b))
+    _assert_terms(b * a, _brute_product(b, a))
+
+
+def test_a_product_leaves_the_builtin_manifold_hash_alone():
+    cp4 = builtin_manifold("CP4")
+    before = hash(cp4), hash(cp4.presentation)
+    a = _scaled_element(cp4.presentation, 3, {(1,): 1, (2,): Fraction(-1, 2), (3,): 5})
+    _assert_terms(a * a, _brute_product(a, a))
+    assert (hash(cp4), hash(cp4.presentation)) == before
+    assert builtin_manifold("cp4") is cp4

@@ -99,6 +99,14 @@ def test_bench_kernels_times_the_sum_of_products_alone(monkeypatch, capsys):
     assert record["kernels"]["cohring.sum_of_products.schur6"] > 0
 
 
+def test_bench_kernels_times_the_schur_ring_exp_alone(monkeypatch, capsys):
+    # named so that the substring cohring.exp_nilpotent still selects one case
+    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.schur6")
+    assert status == 0
+    assert list(record["kernels"]) == ["cohring.schur6.exp_nilpotent.generator"]
+    assert record["kernels"]["cohring.schur6.exp_nilpotent.generator"] > 0
+
+
 def test_bench_kernels_times_the_power_sums_alone(monkeypatch, capsys):
     status, record = bench_kernels_record(monkeypatch, capsys, "cohring.power_sums")
     assert status == 0
