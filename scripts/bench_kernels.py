@@ -63,11 +63,17 @@ holds the pairs per case instead of ``kernels``.  Cases:
   (``bundleops.resum_graded.W.rank3.N24``);
 - one warm theta-product ``pell`` of ``pell1`` for a twisted rank-3 bundle
   on CP4 at N = 320 (``genera.pell_theta.CP4.pell1.rank3.N320``): the
-  tangent factors are cached, so this times the bundle's share of the genus;
-- ``exp_nilpotent`` of that genus's log integrand, the tangent log plus the
-  THETA1 factor log at the shifted roots' power sums, built in setup
-  (``cohring.exp_nilpotent.CP4.pell1.rank3.N320``): the power series and its
-  one element sum;
+  universal polynomial is cached, so this times the bundle's share of the
+  genus, its characteristic numbers and one sum of series;
+- that universal polynomial of ``pell2`` at z-degree 4 and 8 and N = 320,
+  built every time through ``_universal_genus.__wrapped__`` with the factor
+  logs read from their cache (``genera.universal_genus.z{4,8}.N320.cold``):
+  the cost a process pays once per kind, z-degree and order; a checkout
+  without ``_universal_genus`` cannot run these cases;
+- ``exp_nilpotent`` of that genus's log integrand in the ring of CP4, the
+  tangent log plus the THETA1 factor log at the shifted roots' power sums,
+  built in setup (``cohring.exp_nilpotent.CP4.pell1.rank3.N320``): the
+  per-manifold exp that the universal polynomial replaced;
 - ``exp_class`` of the two shifted roots of that twisted rank-2 bundle on CP4
   at N = 24 (``bundleops.exp_class.CP4.rank2.N24``), the exp every character
   of the definition engine starts from;
@@ -416,6 +422,11 @@ def case_table(tmp: Path) -> dict:
     def _():
         cp4, _, rank3 = cp4_bundles()
         return lambda: pell(cp4, rank3, GenusKind.PELL1, order=320)
+
+    for z_degree in (4, 8):
+        @case(f"genera.universal_genus.z{z_degree}.N320.cold")
+        def _(z_degree=z_degree):
+            return lambda: genera._universal_genus.__wrapped__(GenusKind.PELL2, z_degree, 320)
 
     @case("cohring.exp_nilpotent.CP4.pell1.rank3.N320")
     def _():

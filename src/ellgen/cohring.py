@@ -290,15 +290,16 @@ class CohElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, HalfQSeries)):
-            n = min(self.order, other.order) if isinstance(other, HalfQSeries) else self.order
-            out = CohElement(self.presentation, n)
-            for mono, s in self.coeffs.items():
-                prod = s.truncate(n) * other
-                if not prod.is_zero():
-                    out.coeffs[mono] = prod
-            return out
-        return sum_of_products([(self, other)])
+        # a ring operand first: the scalar test's Fraction is an ABC, slow to miss
+        if isinstance(other, CohElement) or not isinstance(other, (int, Fraction, HalfQSeries)):
+            return sum_of_products([(self, other)])
+        n = min(self.order, other.order) if isinstance(other, HalfQSeries) else self.order
+        out = CohElement(self.presentation, n)
+        for mono, s in self.coeffs.items():
+            prod = s.truncate(n) * other
+            if not prod.is_zero():
+                out.coeffs[mono] = prod
+        return out
 
     __rmul__ = __mul__
 

@@ -3,8 +3,10 @@
 Two independent engines compute each twisted elliptic genus:
 
 * theta_product -- the exp of the theta factors' logs at the power sums of the
-  tangent and shifted bundle roots (`_log_integrand`; pell's odd bundle factor has no
-  log: `bundle_root_factor`, root by root), integrated.  Fast, no rank guards.
+  tangent and shifted bundle roots, integrated.  For pell1..pell3 its top part is one
+  cached polynomial in free power sums (`_universal_genus`, from `_log_integrand`) read
+  at the manifold's characteristic numbers; pell's odd bundle factor has no log:
+  `bundle_root_factor`, root by root.  Fast, no rank guards.
 
 * definition -- the literal construction: the bundle's infinite-product
   prefactor, the A-hat class, the symmetric-power tangent character
@@ -44,7 +46,7 @@ from .cohring import (
     integrate,
     power_sums,
 )
-from .qseries import HalfQSeries
+from .qseries import HalfQSeries, sum_of_numerators
 from .theta import FactorSeries, ThetaKind, a_hat_factor_series, elliptic_factor, factor_log
 
 
@@ -155,23 +157,56 @@ def bundle_root_factor(z_degree: int, order: int) -> FactorSeries:
     return -(elliptic_factor(ThetaKind.THETA, z_degree, order).invert().z_shift(1))
 
 
-def _log_integrand(log_t: CohElement, sums, rank: int, kind: GenusKind) -> CohElement:
+def _log_integrand(log_t: CohElement, sums, kind: GenusKind) -> CohElement:
     """exp(L_T + L_E) of pell1..pell3, L_E the kind's bundle factor log at the power sums
-    of the shifted roots; the half determinant twist makes pell1's factor 2 cosh(w/2)."""
+    of the shifted roots; the half determinant twist makes pell1's factor 2 cosh(w/2), whose
+    2^rank the caller applies."""
     theta = bundleops._GRADED_THETA[_GENUS_GRADED[kind]]
     d = log_t.presentation.top_degree // 2
-    integrand = exp_nilpotent(log_t + factor_log(theta, d, log_t.order).at_power_sums(sums))
-    return integrand * 2**rank if kind is GenusKind.PELL1 else integrand
+    return exp_nilpotent(log_t + factor_log(theta, d, log_t.order).at_power_sums(sums))
+
+
+def _free_power_sums(pres: RingPresentation, side: str) -> list[CohElement]:
+    """p_k, k = 0..top/2, of side "T" or "E": the free generator s<k><side>, else 0."""
+    names = [g for g, _ in pres.generators]
+    return [CohElement(pres, 0, {tuple(int(g == f"s{k}{side}") for g in names): HalfQSeries.one(0)}
+                       if f"s{k}{side}" in names else None) for k in range(pres.top_degree // 2 + 1)]
+
+
+# keyed by (kind, z-degree, order); 64 entries, as theta.factor_log
+@functools.lru_cache(maxsize=64)
+def _universal_genus(kind: GenusKind, z_degree: int, order: int) -> tuple:
+    """The degree-2d part of pell1..pell3's exp(L_T + L_E) over the free even power sums, the
+    s_(2j)T then the s_(2j)E of degree 4j, j = 1..d/2: (exponents, series) pairs.  The
+    result is cached and shared: treat it as read-only."""
+    pres = RingPresentation(tuple([(f"s{2 * j}{side}", 4 * j) for side in "TE"
+                                   for j in range(1, z_degree // 2 + 1)]), 2 * z_degree)
+    log_t = factor_log(ThetaKind.THETA, z_degree, order).at_power_sums(_free_power_sums(pres, "T"))
+    integrand = _log_integrand(log_t, _free_power_sums(pres, "E"), kind)
+    return tuple(integrand.degree_component(2 * z_degree).coeffs.items())
 
 
 def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
+    d, pres = _z_degree(m), m.presentation
     if kind is GenusKind.PELL:
-        factor = bundle_root_factor(_z_degree(m), order)
-        integrand = _times_root_factors(_tangent_core(m, order), factor, e.shifted_roots())
-    else:
-        sums = power_sums(e.shifted_roots(), m.presentation, _z_degree(m))
-        integrand = _log_integrand(_tangent_log(m, order), sums, e.rank, kind)
-    return integrate(integrand, m)
+        factor = bundle_root_factor(d, order)
+        return integrate(_times_root_factors(_tangent_core(m, order), factor, e.shifted_roots()), m)
+    # the universal polynomial at the numbers int_M prod_i sums_i^(a_i), by q-free products
+    sums = power_sums(m.tangent_roots, pres, d)[2::2] + power_sums(e.shifted_roots(), pres, d)[2::2]
+    products = {(0,) * len(sums): CohElement.one(pres, 0)}
+
+    def product(mono):  # a kept product times one factor of the last generator used
+        if mono not in products:
+            i = max(i for i, a in enumerate(mono) if a)
+            products[mono] = product(mono[:i] + (mono[i] - 1,) + mono[i + 1:]) * sums[i]
+        return products[mono]
+
+    scale, parts = 2**e.rank if kind is GenusKind.PELL1 else 1, []
+    for mono, series in _universal_genus(kind, d, order):
+        number = integrate(product(mono), m)  # q-free: one numerator over number.den
+        if p := number.nums[0] * scale:
+            parts.append(([c * p for c in series.nums], series.den * number.den))
+    return sum_of_numerators(order, parts) if parts else HalfQSeries.zero(order)
 
 
 def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
@@ -253,13 +288,6 @@ class Cancellation12Result:
     residual_divisible: bool | None = None
 
 
-def _free_power_sums(pres: RingPresentation, side: str) -> list[CohElement]:
-    """p_k, k = 0..6, of side "T" or "E": the free generator s<k><side>, else 0."""
-    names = [g for g, _ in pres.generators]
-    return [CohElement(pres, 0, {tuple(int(g == f"s{k}{side}") for g in names): HalfQSeries.one(0)}
-                       if f"s{k}{side}" in names else None) for k in range(7)]
-
-
 def cancellation12_check(l: int, impose_relation: bool = True) -> Cancellation12Result:
     """Degree-12 anomaly cancellation: pell1 at q^0 against the first two
     terms of pell2, [pell1]_(q^0) = 2^l/8 (8 [pell2]_(q^0) - [pell2]_(q^(1/2))),
@@ -278,11 +306,11 @@ def cancellation12_check(l: int, impose_relation: bool = True) -> Cancellation12
 
     def residual(tangent_sums) -> CohElement:
         log_t = factor_log(ThetaKind.THETA, 6, 1).at_power_sums(tangent_sums)
-        pell1 = _log_integrand(log_t, bundle, l, GenusKind.PELL1)
-        pell2 = _log_integrand(log_t, bundle, l, GenusKind.PELL2)
-        lhs = pell1.u_slice(0).degree_component(12)
+        pell1 = _log_integrand(log_t, bundle, GenusKind.PELL1)
+        pell2 = _log_integrand(log_t, bundle, GenusKind.PELL2)
+        lhs = pell1.u_slice(0).degree_component(12)  # pell1's 2^l is factored out below
         rhs = (pell2.u_slice(0) * 8 - pell2.u_slice(1)).degree_component(12)
-        return lhs - rhs * Fraction(2**l, 8)
+        return (lhs * 8 - rhs) * Fraction(2**l, 8)
 
     matched = residual(tangent[:2] + bundle[2:3] + tangent[3:])
     if impose_relation:

@@ -517,7 +517,8 @@ def test_engines_agree_at_order_160_on_cp4(cp4, monkeypatch):
 # -- the engines share no inversion ---------------------------------------------------
 
 ENGINE_CACHES = (theta.elliptic_factor, genera.bundle_root_factor, genera._tangent_core,
-                 genera._definition_tangent_part, theta.factor_log, genera._tangent_log)
+                 genera._definition_tangent_part, theta.factor_log, genera._tangent_log,
+                 genera._universal_genus)
 
 
 def _twisted_rank2(m):

@@ -248,7 +248,7 @@ def test_no_ring_element_is_scaled_by_exactly_one(monkeypatch):
     e = ProjBundle(rank=3, roots=(x, x.scale(Fraction(-1, 2)), x.scale(Fraction(1, 3))),
                    twist_b=x.scale(Fraction(1, 5)))
     caches = (theta.elliptic_factor, theta.factor_log, genera.bundle_root_factor,
-              genera._tangent_log, genera._tangent_core)
+              genera._tangent_log, genera._tangent_core, genera._universal_genus)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(CohElement, "__mul__", spy)

@@ -7,19 +7,27 @@ kind) and over the shifted bundle roots (the genus's kind, times 2 per root
 for pell1; for pell the odd factor inverted and multiplied by z, negated).  It
 substitutes z -> w by ring products of the powers of w at the full order, so
 it shares no code with `FactorSeries.at_class`.
+
+The second part checks pell1..pell3, which read one cached polynomial in free
+power sums at a manifold's characteristic numbers, against the manifold's own
+integrand.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ellgen import cohring, genera
 from ellgen.bundleops import ProjBundle
 from ellgen.cohring import (
-    CohElement, LinearClass, Manifold, RingPresentation, builtin_manifold, integrate,
+    CohElement, LinearClass, Manifold, RingPresentation, builtin_manifold, integrate, power_sums,
+    projective_space,
 )
 from ellgen.genera import THETA_PRODUCT, GenusKind, pell, witten_genus
-from ellgen.theta import ThetaKind, elliptic_factor
+from ellgen.qseries import HalfQSeries
+from ellgen.theta import ThetaKind, elliptic_factor, factor_log
 
 CP2xCP2 = RingPresentation(
     generators=(("x", 2), ("y", 2)), top_degree=8, vanishing_monomials=((3, 0), (0, 3)),
@@ -100,3 +108,98 @@ def test_witten_genus_equals_the_per_root_product(name, order):
     d = m.presentation.top_degree // 2
     factor = elliptic_factor(ThetaKind.THETA, d, order)
     assert witten_genus(m, order) == integrate(literal_product(m, m.tangent_roots, factor, order), m)
+
+
+# -- pell1..pell3 from the universal polynomial -----------------------------------------
+#
+# The engine reads one cached polynomial in free power sums at the characteristic numbers
+# of (M, E).  The reference builds the integrand of the manifold itself: `_log_integrand`
+# at the manifold's own power sums, integrated, times 2^rank for pell1.
+
+POINT = RingPresentation(generators=(("x", 2),), top_degree=0,
+                         integration_table=(((0,), Fraction(3, 2)),))
+# CP6 brings cubes of a power sum (s2T^3, s2T^2 s2E, ...) into the polynomial
+MANIFOLDS_AND_POINT = {**MANIFOLDS, "CP6": projective_space(6), "point": Manifold(
+    "point", POINT, 0, (LinearClass.generator(POINT, "x"),) * 2)}
+
+
+def integrand_reference(m, e, kind, order):
+    d, pres = m.presentation.top_degree // 2, m.presentation
+    log_t = factor_log(ThetaKind.THETA, d, order).at_power_sums(
+        power_sums(m.tangent_roots, pres, d))
+    integrand = genera._log_integrand(log_t, power_sums(e.shifted_roots(), pres, d), kind)
+    genus = integrate(integrand, m)
+    return genus * 2**e.rank if kind is GenusKind.PELL1 else genus
+
+
+def twisted_rank2(m):
+    g = LinearClass.generator(m.presentation, m.presentation.generators[0][0])
+    return ProjBundle(rank=2, roots=(g, g.scale(Fraction(-1, 2))), twist_b=g.scale(Fraction(1, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS_AND_POINT))
+@pytest.mark.parametrize("order", [0, 1, 8, 80])
+@pytest.mark.parametrize("kind", list(BUNDLE_KIND))
+def test_universal_route_equals_the_manifold_integrand(name, order, kind):
+    m = MANIFOLDS_AND_POINT[name]
+    e = twisted_rank2(m)
+    assert pell(m, e, kind, THETA_PRODUCT, order).series == integrand_reference(m, e, kind, order)
+
+
+@given(case(), st.sampled_from(list(BUNDLE_KIND)))
+def test_universal_route_equals_the_manifold_integrand_on_drawn_bundles(args, kind):
+    m, e, order = args
+    assert pell(m, e, kind, THETA_PRODUCT, order).series == integrand_reference(m, e, kind, order)
+
+
+def test_dimension_zero_gives_the_unit_monomial():
+    for kind in BUNDLE_KIND:
+        assert genera._universal_genus(kind, 0, 5) == (((), HalfQSeries.one(5)),)
+    m = MANIFOLDS_AND_POINT["point"]
+    e = twisted_rank2(m)
+    assert pell(m, e, GenusKind.PELL1, THETA_PRODUCT, 5).series == HalfQSeries.constant(6, 5)
+
+
+def test_universal_polynomial_lists_each_monomial_of_top_degree_once():
+    # at z-degree 4: s2T^2, s2T s2E, s2E^2, s4T and s4E, generators s2T, s4T, s2E, s4E
+    monos = [mono for mono, _ in genera._universal_genus(GenusKind.PELL2, 4, 8)]
+    assert sorted(monos) == sorted([(2, 0, 0, 0), (1, 0, 1, 0), (0, 0, 2, 0),
+                                    (0, 1, 0, 0), (0, 0, 0, 1)])
+
+
+def test_a_warm_job_makes_only_q_free_ring_products(monkeypatch):
+    m = MANIFOLDS["CP4"]
+    e = twisted_rank2(m)
+    expected = pell(m, e, GenusKind.PELL3, THETA_PRODUCT, 80).series  # fills the caches
+    orders, ring_products = [], cohring.sum_of_products
+
+    def spy(pairs):
+        orders.extend(x.order for pair in pairs for x in pair)
+        return ring_products(pairs)
+
+    def no_exp(a):
+        raise AssertionError("a warm job took an exp")
+
+    monkeypatch.setattr(cohring, "sum_of_products", spy)
+    monkeypatch.setattr(genera, "exp_nilpotent", no_exp)
+    assert pell(m, e, GenusKind.PELL3, THETA_PRODUCT, 80).series == expected
+    assert orders and set(orders) == {0}
+
+
+def drop_first(pairs):
+    return pairs[1:]
+
+
+def swap_sides(pairs):
+    half = len(pairs[0][0]) // 2
+    return tuple((mono[half:] + mono[:half], series) for mono, series in pairs)
+
+
+@pytest.mark.parametrize("plant", [drop_first, swap_sides])
+@pytest.mark.parametrize("kind", list(BUNDLE_KIND))
+def test_planted_universal_faults_break_the_comparison(plant, kind, monkeypatch):
+    built = genera._universal_genus
+    monkeypatch.setattr(genera, "_universal_genus", lambda *key: plant(built(*key)))
+    m = MANIFOLDS["CP4"]
+    e = twisted_rank2(m)
+    assert pell(m, e, kind, THETA_PRODUCT, 8).series != integrand_reference(m, e, kind, 8)
