@@ -5,9 +5,10 @@
     python3 scripts/bench_kernels.py --only cohring.mul.free > BENCH_x.json
     python3 scripts/bench_kernels.py --only bundleops.exp_class --against ../parent
 
-``--only SUBSTR`` times just the cases whose names contain SUBSTR, so one
-case can be timed alone in its own process, with no earlier case filling
-caches or the heap before it.  ellgen is imported from the ``src`` directory
+``--only NAME`` times just the case named NAME when there is one, and
+otherwise every case whose name contains NAME, so one case can be timed
+alone in its own process, with no earlier case filling caches or the heap
+before it.  ellgen is imported from the ``src`` directory
 next to this script, so the file times the checkout it sits in.
 
 ``--against PATH`` pairs this checkout with the one at PATH (for example a
@@ -65,6 +66,9 @@ holds the pairs per case instead of ``kernels``.  Cases:
   on CP4 at N = 320 (``genera.pell_theta.CP4.pell1.rank3.N320``): the
   universal polynomial is cached, so this times the bundle's share of the
   genus, its characteristic numbers and one sum of series;
+- the same warm ``pell`` of ``pell2`` for a twisted rank-1 bundle on CP2 at
+  N = 80 (``genera.pell_theta.CP2.pell2.rank1.N80``): the fixed cost of a
+  small job, whose characteristic numbers are the two power sums themselves;
 - that universal polynomial of ``pell2`` at z-degree 4 and 8 and N = 320,
   built every time through ``_universal_genus.__wrapped__`` with the factor
   logs read from their cache (``genera.universal_genus.z{4,8}.N320.cold``):
@@ -423,6 +427,13 @@ def case_table(tmp: Path) -> dict:
         cp4, _, rank3 = cp4_bundles()
         return lambda: pell(cp4, rank3, GenusKind.PELL1, order=320)
 
+    @case("genera.pell_theta.CP2.pell2.rank1.N80")
+    def _():
+        cp2 = builtin_manifold("CP2")
+        x = LinearClass.generator(cp2.presentation, "x")
+        rank1 = ProjBundle(rank=1, roots=(x,), twist_b=x.scale(Fraction(1, 3)))
+        return lambda: pell(cp2, rank1, GenusKind.PELL2, order=80)
+
     for z_degree in (4, 8):
         @case(f"genera.universal_genus.z{z_degree}.N320.cold")
         def _(z_degree=z_degree):
@@ -625,8 +636,8 @@ def paired(names: list[str], against: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the exact kernels of ellgen.")
-    parser.add_argument("--only", metavar="SUBSTR",
-                        help="time only the cases whose names contain SUBSTR")
+    parser.add_argument("--only", metavar="NAME",
+                        help="time only the case NAME, or else the cases whose names contain NAME")
     parser.add_argument("--against", metavar="PATH", type=Path,
                         help="pair this checkout with the checkout at PATH, case by case")
     args = parser.parse_args(argv)
@@ -634,7 +645,8 @@ def main(argv=None) -> int:
         parser.error(f"no ellgen package under {args.against / 'src'}")
     with tempfile.TemporaryDirectory() as tmp:
         table = case_table(Path(tmp))
-        names = [name for name in table if args.only is None or args.only in name]
+        names = [args.only] if args.only in table else [
+            name for name in table if args.only is None or args.only in name]
         if not names:
             parser.error(f"no case name contains {args.only!r}")
         if args.against:

@@ -25,6 +25,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv
 
 from . import modcheck, qseries, theta
 from .bundleops import (
@@ -174,19 +176,24 @@ def load_manifest(path: str) -> Manifest:
 _METHOD_BY_NAME = {"theta": THETA_PRODUCT, "definition": DEFINITION}
 
 
+@functools.lru_cache(maxsize=8)  # a few orders per process, about 20 KB each at N = 320
+def _coefficients_template(length: int) -> str:
+    """The text of _coefficients_json for `length` coefficients, "%d/%d" for each value."""
+    powers = (f"{k}/2" if k & 1 else str(k >> 1) for k in range(length))
+    return "[\n    " + ",\n    ".join(
+        f'{{\n      "power": "{p}",\n      "value": "%d/%d"\n    }}' for p in powers) + "\n  ]"
+
+
 def _coefficients_json(series: HalfQSeries) -> str:
-    """The list of {"power": "k/2", "value": "p/q"} objects, as
-    json.dumps(..., indent=2) writes it one level deep in an object, built
-    from the integer numerators: one gcd per coefficient, no Fraction."""
-    den = series.den
-    entries = []
-    for k, num in enumerate(series.nums):
-        g = math.gcd(num, den)
-        power = f"{k}/2" if k & 1 else str(k >> 1)
-        entries.append(
-            f'{{\n      "power": "{power}",\n      "value": "{num // g}/{den // g}"\n    }}'
-        )
-    return "[\n    " + ",\n    ".join(entries) + "\n  ]"
+    """The list of {"power": "k/2", "value": "p/q"} objects, as json.dumps(..., indent=2)
+    writes it one level deep in an object: the order's template filled by one `%` from the
+    integer numerators, one gcd each; `%d` raises str's ValueError on too many digits."""
+    den, nums = series.den, series.nums
+    gcds = list(map(math.gcd, nums, repeat(den)))
+    values = [0] * (2 * len(gcds))
+    values[0::2] = map(floordiv, nums, gcds)
+    values[1::2] = map(floordiv, repeat(den), gcds)
+    return _coefficients_template(len(gcds)) % tuple(values)
 
 
 def compute_json(payload: dict) -> str:

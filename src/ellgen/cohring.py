@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, repeat
 from math import factorial, gcd, lcm, prod
 from operator import ge, itemgetter, mul
@@ -532,6 +533,11 @@ class Manifold:
     def weight(self) -> int:
         """The modular weight 2r attached to genera of this manifold."""
         return self.dimension // 2
+
+    @cached_property  # filled on first use, outside == and hash; shared: never mutate it
+    def tangent_power_sums(self) -> tuple[CohElement, ...]:
+        """The stable roots' power sums p_0..p_(top/2) as order-0 classes."""
+        return tuple(power_sums(self.tangent_roots, self.presentation, self.dimension // 2))
 
 
 def integrate(a: CohElement, m: Manifold) -> HalfQSeries:

@@ -3,10 +3,11 @@
 Two independent engines compute each twisted elliptic genus:
 
 * theta_product -- the exp of the theta factors' logs at the power sums of the
-  tangent and shifted bundle roots, integrated.  For pell1..pell3 its top part is one
-  cached polynomial in free power sums (`_universal_genus`, from `_log_integrand`) read
-  at the manifold's characteristic numbers; pell's odd bundle factor has no log:
-  `bundle_root_factor`, root by root.  Fast, no rank guards.
+  tangent roots (`Manifold.tangent_power_sums`, kept by the manifold) and of the shifted
+  bundle roots, integrated.  For pell1..pell3 its top part is one cached polynomial in
+  free power sums (`_universal_genus`, from `_log_integrand`) read at the manifold's
+  characteristic numbers; pell's odd bundle factor has no log: `bundle_root_factor`,
+  root by root.  Fast, no rank guards.
 
 * definition -- the literal construction: the bundle's infinite-product
   prefactor, the A-hat class, the symmetric-power tangent character
@@ -118,8 +119,7 @@ _MANIFOLD_CACHE_SIZE = 32
 @functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
 def _tangent_log(m: Manifold, order: int) -> CohElement:
     """sum_j c_j s_(2j) over the stable roots' power sums, for log f = sum_j c_j z^(2j)."""
-    sums = power_sums(m.tangent_roots, m.presentation, _z_degree(m))
-    return factor_log(ThetaKind.THETA, _z_degree(m), order).at_power_sums(sums)
+    return factor_log(ThetaKind.THETA, _z_degree(m), order).at_power_sums(m.tangent_power_sums)
 
 
 @functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
@@ -192,13 +192,14 @@ def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int)
         factor = bundle_root_factor(d, order)
         return integrate(_times_root_factors(_tangent_core(m, order), factor, e.shifted_roots()), m)
     # the universal polynomial at the numbers int_M prod_i sums_i^(a_i), by q-free products
-    sums = power_sums(m.tangent_roots, pres, d)[2::2] + power_sums(e.shifted_roots(), pres, d)[2::2]
-    products = {(0,) * len(sums): CohElement.one(pres, 0)}
+    sums = [*m.tangent_power_sums[2::2], *power_sums(e.shifted_roots(), pres, d)[2::2]]
+    products = {} if d else {(): CohElement.one(pres, 0)}  # the unit: dimension 0's monomial
 
     def product(mono):  # a kept product times one factor of the last generator used
         if mono not in products:
             i = max(i for i, a in enumerate(mono) if a)
-            products[mono] = product(mono[:i] + (mono[i] - 1,) + mono[i + 1:]) * sums[i]
+            rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            products[mono] = product(rest) * sums[i] if any(rest) else sums[i]
         return products[mono]
 
     scale, parts = 2**e.rank if kind is GenusKind.PELL1 else 1, []

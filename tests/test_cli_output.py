@@ -102,6 +102,18 @@ def test_compute_json_matches_json_dumps(series, names, weight, with_bundle, che
     assert cli.compute_json(payload) == json.dumps(reference, indent=2)
 
 
+@pytest.mark.parametrize("series", [
+    *(qseries.from_numerators(n, tuple((-1) ** k * (k * k + 3) for k in range(n + 1)), 12)
+      for n in (0, 1, 2, 7)),
+    HalfQSeries.zero(7),
+    qseries.from_numerators(7, tuple(range(-4, 4)), 1),
+    qseries.from_numerators(2, (-6, -4, -9), 6),
+])
+def test_coefficients_json_is_the_json_dumps_text(series):
+    reference = json.dumps(_reference_coefficients(series), indent=2).replace("\n", "\n  ")
+    assert cli._coefficients_json(series) == reference
+
+
 def test_compute_json_custom_names_round_trip(tmp_path):
     gen = 'a"é\\'
     data = {

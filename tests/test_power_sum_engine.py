@@ -13,6 +13,7 @@ power sums at a manifold's characteristic numbers, against the manifold's own
 integrand.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,48 @@ def test_a_warm_job_makes_only_q_free_ring_products(monkeypatch):
     monkeypatch.setattr(genera, "exp_nilpotent", no_exp)
     assert pell(m, e, GenusKind.PELL3, THETA_PRODUCT, 80).series == expected
     assert orders and set(orders) == {0}
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP4", "free", "CP2xCP2"])
+def test_a_manifold_keeps_its_tangent_power_sums(name):
+    m = MANIFOLDS.get(name) or builtin_manifold(name)
+    pres = m.presentation
+    assert m.tangent_power_sums == tuple(power_sums(m.tangent_roots, pres, pres.top_degree // 2))
+    assert m.tangent_power_sums is m.tangent_power_sums
+
+
+def test_filled_tangent_power_sums_leave_equality_and_hash_alone():
+    filled, fresh = projective_space(4), projective_space(4)
+    before = hash(filled)
+    assert filled.tangent_power_sums
+    assert filled == fresh and hash(filled) == hash(fresh) == before
+    assert "tangent_power_sums" not in {f.name for f in dataclasses.fields(Manifold)}
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP4", "CP2xCP2"])
+@pytest.mark.parametrize("kind", list(BUNDLE_KIND))
+def test_a_warm_job_sums_only_its_bundle_and_never_multiplies_by_one(name, kind, monkeypatch):
+    m = MANIFOLDS[name]
+    e = twisted_rank2(m)
+    expected = pell(m, e, kind, THETA_PRODUCT, 80).series  # fills the caches
+    summed, unit_operands = [], []
+    sums, ring_products = cohring.power_sums, cohring.sum_of_products
+
+    def sums_spy(roots, presentation, k_max):
+        summed.append(tuple(roots))
+        return sums(roots, presentation, k_max)
+
+    def products_spy(pairs):
+        unit_operands.extend(x for pair in pairs for x in pair
+                             if x == CohElement.one(x.presentation, x.order))
+        return ring_products(pairs)
+
+    for module in (cohring, genera):
+        monkeypatch.setattr(module, "power_sums", sums_spy)
+    monkeypatch.setattr(cohring, "sum_of_products", products_spy)
+    assert pell(m, e, kind, THETA_PRODUCT, 80).series == expected
+    assert summed == [e.shifted_roots()]
+    assert unit_operands == []
 
 
 def drop_first(pairs):

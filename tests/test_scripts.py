@@ -72,17 +72,31 @@ def test_bench_kernels_rejects_an_unmatched_case(tmp_path):
     assert "no.such.case" in result.stderr
 
 
-def bench_kernels_record(monkeypatch, capsys, only):
+def bench_kernels_record(monkeypatch, capsys, only, **replaced):
     """Exit status and JSON record of bench_kernels.main(["--only", only]),
-    run in this process with REPEATS = 1 and BATCH_S = 0."""
+    run in this process with REPEATS = 1, BATCH_S = 0 and the module's
+    names in ``replaced`` replaced."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
     spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPTS / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    monkeypatch.setattr(bench, "REPEATS", 1)
-    monkeypatch.setattr(bench, "BATCH_S", 0)
+    for name, value in {"REPEATS": 1, "BATCH_S": 0, **replaced}.items():
+        monkeypatch.setattr(bench, name, value)
     status = bench.main(["--only", only])
     return status, json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+def test_bench_kernels_prefers_the_case_named_to_the_cases_containing_it(monkeypatch, capsys):
+    """A name equal to a case and contained in another times that case alone;
+    a part of a name times every case that contains it."""
+    def noop_table(tmp):
+        return {name: lambda: (lambda: None) for name in ("a.case", "a.case.longer", "b.case")}
+
+    for only, expected in (("a.case", ["a.case"]), ("a.case.", ["a.case.longer"]),
+                           ("case", ["a.case", "a.case.longer", "b.case"])):
+        status, record = bench_kernels_record(monkeypatch, capsys, only, case_table=noop_table)
+        assert status == 0
+        assert list(record["kernels"]) == expected
 
 
 def test_bench_kernels_times_the_schur_suite_alone(monkeypatch, capsys):
@@ -93,43 +107,43 @@ def test_bench_kernels_times_the_schur_suite_alone(monkeypatch, capsys):
 
 
 def test_bench_kernels_times_the_sum_of_products_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.sum_of_products")
+    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.sum_of_products.schur6")
     assert status == 0
     assert list(record["kernels"]) == ["cohring.sum_of_products.schur6"]
     assert record["kernels"]["cohring.sum_of_products.schur6"] > 0
 
 
 def test_bench_kernels_times_the_schur_ring_exp_alone(monkeypatch, capsys):
-    # named so that the substring cohring.exp_nilpotent still selects one case
-    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.schur6")
+    status, record = bench_kernels_record(
+        monkeypatch, capsys, "cohring.schur6.exp_nilpotent.generator")
     assert status == 0
     assert list(record["kernels"]) == ["cohring.schur6.exp_nilpotent.generator"]
     assert record["kernels"]["cohring.schur6.exp_nilpotent.generator"] > 0
 
 
 def test_bench_kernels_times_the_power_sums_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.power_sums")
+    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.power_sums.CP4.rank3.k4")
     assert status == 0
     assert list(record["kernels"]) == ["cohring.power_sums.CP4.rank3.k4"]
     assert record["kernels"]["cohring.power_sums.CP4.rank3.k4"] > 0
 
 
 def test_bench_kernels_times_the_manifest_load_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "cli.load_manifest")
+    status, record = bench_kernels_record(monkeypatch, capsys, "cli.load_manifest.CP4.rank3")
     assert status == 0
     assert list(record["kernels"]) == ["cli.load_manifest.CP4.rank3"]
     assert record["kernels"]["cli.load_manifest.CP4.rank3"] > 0
 
 
 def test_bench_kernels_times_the_parse_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "cli.parse_args")
+    status, record = bench_kernels_record(monkeypatch, capsys, "cli.parse_args.compute")
     assert status == 0
     assert list(record["kernels"]) == ["cli.parse_args.compute"]
     assert record["kernels"]["cli.parse_args.compute"] > 0
 
 
 def test_bench_kernels_times_the_ring_inverse_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.invert")
+    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.invert.CP4.N80")
     assert status == 0
     assert list(record["kernels"]) == ["cohring.invert.CP4.N80"]
     assert record["kernels"]["cohring.invert.CP4.N80"] > 0
@@ -144,49 +158,54 @@ def test_bench_kernels_times_the_graded_character_alone(monkeypatch, capsys):
 
 
 def test_bench_kernels_times_the_numeric_theta_product_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "theta.theta_numeric")
+    status, record = bench_kernels_record(monkeypatch, capsys, "theta.theta_numeric.THETA.terms60")
     assert status == 0
     assert list(record["kernels"]) == ["theta.theta_numeric.THETA.terms60"]
     assert record["kernels"]["theta.theta_numeric.THETA.terms60"] > 0
 
 
 def test_bench_kernels_times_the_warm_theta_engine_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "genera.pell_theta")
+    status, record = bench_kernels_record(
+        monkeypatch, capsys, "genera.pell_theta.CP4.pell1.rank3.N320")
     assert status == 0
     assert list(record["kernels"]) == ["genera.pell_theta.CP4.pell1.rank3.N320"]
     assert record["kernels"]["genera.pell_theta.CP4.pell1.rank3.N320"] > 0
 
 
 def test_bench_kernels_times_the_exp_nilpotent_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "cohring.exp_nilpotent")
+    status, record = bench_kernels_record(
+        monkeypatch, capsys, "cohring.exp_nilpotent.CP4.pell1.rank3.N320")
     assert status == 0
     assert list(record["kernels"]) == ["cohring.exp_nilpotent.CP4.pell1.rank3.N320"]
     assert record["kernels"]["cohring.exp_nilpotent.CP4.pell1.rank3.N320"] > 0
 
 
 def test_bench_kernels_times_the_factor_log_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "theta.factor_log")
+    status, record = bench_kernels_record(monkeypatch, capsys, "theta.factor_log.THETA.z4.N320")
     assert status == 0
     assert list(record["kernels"]) == ["theta.factor_log.THETA.z4.N320"]
     assert record["kernels"]["theta.factor_log.THETA.z4.N320"] > 0
 
 
 def test_bench_kernels_times_the_pell_root_factor_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "genera.bundle_root_factor")
+    status, record = bench_kernels_record(
+        monkeypatch, capsys, "genera.bundle_root_factor.z4.N320.cold")
     assert status == 0
     assert list(record["kernels"]) == ["genera.bundle_root_factor.z4.N320.cold"]
     assert record["kernels"]["genera.bundle_root_factor.z4.N320.cold"] > 0
 
 
 def test_bench_kernels_times_the_law_table_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "theta.transformation_law_table")
+    status, record = bench_kernels_record(
+        monkeypatch, capsys, "theta.transformation_law_table.default")
     assert status == 0
     assert list(record["kernels"]) == ["theta.transformation_law_table.default"]
     assert record["kernels"]["theta.transformation_law_table.default"] > 0
 
 
 def test_bench_kernels_times_the_group_check_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "modcheck.check_group")
+    status, record = bench_kernels_record(
+        monkeypatch, capsys, "modcheck.check_group.Gamma0_2.CP4.N160")
     assert status == 0
     assert list(record["kernels"]) == ["modcheck.check_group.Gamma0_2.CP4.N160"]
     assert record["kernels"]["modcheck.check_group.Gamma0_2.CP4.N160"] > 0
@@ -203,14 +222,14 @@ def test_bench_kernels_records_the_revision_and_the_bytecode_setting(monkeypatch
 
 
 def test_bench_kernels_times_the_closed_form_exp_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "bundleops.exp_class")
+    status, record = bench_kernels_record(monkeypatch, capsys, "bundleops.exp_class.CP4.rank2.N24")
     assert status == 0
     assert list(record["kernels"]) == ["bundleops.exp_class.CP4.rank2.N24"]
     assert record["kernels"]["bundleops.exp_class.CP4.rank2.N24"] > 0
 
 
 def test_bench_kernels_times_the_decompose_command_alone(monkeypatch, capsys):
-    status, record = bench_kernels_record(monkeypatch, capsys, "cli.decompose")
+    status, record = bench_kernels_record(monkeypatch, capsys, "cli.decompose.W.rank2.N12")
     assert status == 0
     assert list(record["kernels"]) == ["cli.decompose.W.rank2.N12"]
     assert record["kernels"]["cli.decompose.W.rank2.N12"] > 0
