@@ -70,10 +70,15 @@ holds the pairs per case instead of ``kernels``.  Cases:
   N = 80 (``genera.pell_theta.CP2.pell2.rank1.N80``): the fixed cost of a
   small job, whose characteristic numbers are the two power sums themselves;
 - that universal polynomial of ``pell2`` at z-degree 4 and 8 and N = 320,
-  built every time through ``_universal_genus.__wrapped__`` with the factor
-  logs read from their cache (``genera.universal_genus.z{4,8}.N320.cold``):
-  the cost a process pays once per kind, z-degree and order; a checkout
-  without ``_universal_genus`` cannot run these cases;
+  and at z-degree 12 and N = 80, built every time through
+  ``_universal_genus.__wrapped__`` with the factor logs read from their cache
+  (``genera.universal_genus.z{4,8}.N320.cold``,
+  ``genera.universal_genus.z12.N80.cold``): the cost a process pays once per
+  kind, z-degree and order; a checkout without ``_universal_genus`` cannot
+  run these cases;
+- the two universal polynomials that ``cancel12`` reads, of ``pell1`` and
+  ``pell2`` at z-degree 6 and N = 1, built the same way in one call
+  (``genera.universal_genus.z6.N1.cold``);
 - ``exp_nilpotent`` of that genus's log integrand in the ring of CP4, the
   tangent log plus the THETA1 factor log at the shifted roots' power sums,
   built in setup (``cohring.exp_nilpotent.CP4.pell1.rank3.N320``): the
@@ -434,10 +439,15 @@ def case_table(tmp: Path) -> dict:
         rank1 = ProjBundle(rank=1, roots=(x,), twist_b=x.scale(Fraction(1, 3)))
         return lambda: pell(cp2, rank1, GenusKind.PELL2, order=80)
 
-    for z_degree in (4, 8):
-        @case(f"genera.universal_genus.z{z_degree}.N320.cold")
-        def _(z_degree=z_degree):
-            return lambda: genera._universal_genus.__wrapped__(GenusKind.PELL2, z_degree, 320)
+    for z_degree, order in ((4, 320), (8, 320), (12, 80)):
+        @case(f"genera.universal_genus.z{z_degree}.N{order}.cold")
+        def _(z_degree=z_degree, order=order):
+            return lambda: genera._universal_genus.__wrapped__(GenusKind.PELL2, z_degree, order)
+
+    @case("genera.universal_genus.z6.N1.cold")
+    def _():
+        build = genera._universal_genus.__wrapped__
+        return lambda: (build(GenusKind.PELL1, 6, 1), build(GenusKind.PELL2, 6, 1))
 
     @case("cohring.exp_nilpotent.CP4.pell1.rank3.N320")
     def _():

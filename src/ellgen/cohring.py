@@ -315,15 +315,6 @@ class CohElement:
         inv0 = self.scalar_part().invert()
         return _power_series(-(self * inv0 - 1), repeat(1)) * inv0
 
-    def degree_component(self, degree: int) -> "CohElement":
-        out = CohElement(self.presentation, self.order)
-        out.coeffs = {
-            m: s
-            for m, s in self.coeffs.items()
-            if self.presentation.monomial_degree(m) == degree
-        }
-        return out
-
     def u_slice(self, k: int) -> "CohElement":
         """The coefficient of u^k, 0 <= k <= order, as an order-0 element; else IndexError."""
         if not 0 <= k <= self.order:

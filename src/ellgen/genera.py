@@ -5,9 +5,10 @@ Two independent engines compute each twisted elliptic genus:
 * theta_product -- the exp of the theta factors' logs at the power sums of the
   tangent roots (`Manifold.tangent_power_sums`, kept by the manifold) and of the shifted
   bundle roots, integrated.  For pell1..pell3 its top part is one cached polynomial in
-  free power sums (`_universal_genus`, from `_log_integrand`) read at the manifold's
-  characteristic numbers; pell's odd bundle factor has no log: `bundle_root_factor`,
-  root by root.  Fast, no rank guards.
+  free power sums (`_universal_genus`, in closed form) read at the manifold's
+  characteristic numbers, and the degree-12 check reads it at (pell1 or pell2, 6, 1);
+  pell's odd bundle factor has no log: `bundle_root_factor`, root by root.  Fast, no
+  rank guards.
 
 * definition -- the literal construction: the bundle's infinite-product
   prefactor, the A-hat class, the symmetric-power tangent character
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +43,6 @@ from .cohring import (
     CohElement,
     Manifold,
     PresentationMismatch,
-    RingPresentation,
     builtin_manifold,
     exp_nilpotent,
     integrate,
@@ -157,33 +158,33 @@ def bundle_root_factor(z_degree: int, order: int) -> FactorSeries:
     return -(elliptic_factor(ThetaKind.THETA, z_degree, order).invert().z_shift(1))
 
 
-def _log_integrand(log_t: CohElement, sums, kind: GenusKind) -> CohElement:
-    """exp(L_T + L_E) of pell1..pell3, L_E the kind's bundle factor log at the power sums
-    of the shifted roots; the half determinant twist makes pell1's factor 2 cosh(w/2), whose
-    2^rank the caller applies."""
-    theta = bundleops._GRADED_THETA[_GENUS_GRADED[kind]]
-    d = log_t.presentation.top_degree // 2
-    return exp_nilpotent(log_t + factor_log(theta, d, log_t.order).at_power_sums(sums))
-
-
-def _free_power_sums(pres: RingPresentation, side: str) -> list[CohElement]:
-    """p_k, k = 0..top/2, of side "T" or "E": the free generator s<k><side>, else 0."""
-    names = [g for g, _ in pres.generators]
-    return [CohElement(pres, 0, {tuple(int(g == f"s{k}{side}") for g in names): HalfQSeries.one(0)}
-                       if f"s{k}{side}" in names else None) for k in range(pres.top_degree // 2 + 1)]
-
-
 # keyed by (kind, z-degree, order); 64 entries, as theta.factor_log
 @functools.lru_cache(maxsize=64)
 def _universal_genus(kind: GenusKind, z_degree: int, order: int) -> tuple:
     """The degree-2d part of pell1..pell3's exp(L_T + L_E) over the free even power sums, the
-    s_(2j)T then the s_(2j)E of degree 4j, j = 1..d/2: (exponents, series) pairs.  The
-    result is cached and shared: treat it as read-only."""
-    pres = RingPresentation(tuple([(f"s{2 * j}{side}", 4 * j) for side in "TE"
-                                   for j in range(1, z_degree // 2 + 1)]), 2 * z_degree)
-    log_t = factor_log(ThetaKind.THETA, z_degree, order).at_power_sums(_free_power_sums(pres, "T"))
-    integrand = _log_integrand(log_t, _free_power_sums(pres, "E"), kind)
-    return tuple(integrand.degree_component(2 * z_degree).coeffs.items())
+    s_(2j)T then the s_(2j)E of degree 4j, j = 1..d/2: (exponents, series) pairs.  The ring is
+    free, so exp(sum c_g g) = prod exp(c_g g), c_g a factor-log coefficient: the monomial
+    prod g^(a_g) has the coefficient prod c_g^(a_g) / a_g!, a product of memoized powers, one T
+    side times one E side, each grown by weight sum j a_j.  Cached and shared: read-only."""
+    half, theta = z_degree // 2, bundleops._GRADED_THETA[_GENUS_GRADED[kind]]
+    sides = []  # per side, per weight: (exponents, coefficient) pairs; weight 0 is the unit
+    for t in (ThetaKind.THETA, theta):
+        side = [[((), HalfQSeries.one(order))]] + [[] for _ in range(half)]
+        for j, c in enumerate(factor_log(t, z_degree, order).coeffs[2::2], 1):
+            powers, grown = [None, c], [[(mono + (0,), s) for mono, s in terms] for terms in side]
+            for w, terms in enumerate(side):
+                for mono, s in terms:
+                    for a in range(1, (half - w) // j + 1):
+                        if a == len(powers):
+                            powers.append(powers[-1] * c * Fraction(1, a))  # c^a / a!
+                        if (p := s * powers[a] if w else powers[a]).is_zero():
+                            break  # so is every higher power's
+                        grown[w + a * j].append((mono + (a,), p))
+            side = grown
+        sides.append(side)
+    pairs = [(tm + em, es if not w else ts if w == half else ts * es)
+             for w, row in enumerate(sides[0]) for tm, ts in row for em, es in sides[1][half - w]]
+    return tuple((mono, s) for mono, s in pairs if not s.is_zero())
 
 
 def _pell_theta_product(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:
@@ -290,33 +291,31 @@ class Cancellation12Result:
 
 
 def cancellation12_check(l: int, impose_relation: bool = True) -> Cancellation12Result:
-    """Degree-12 anomaly cancellation: pell1 at q^0 against the first two
-    terms of pell2, [pell1]_(q^0) = 2^l/8 (8 [pell2]_(q^0) - [pell2]_(q^(1/2))),
-    with both theta-product integrands in free power sums.
-
-    Works over even power sums s2T, s4T, s6T of the tangent roots and
-    s2E, s4E, s6E of the shifted bundle roots; the curvature-matching
-    hypothesis is imposed on the tangent sums as s2T := s2E.  Without it
-    the free residual is reported, and the divisibility flag says whether
-    the matched one vanishes, that is whether (s2T - s2E) divides it.
-    """
+    """Degree-12 anomaly cancellation: [pell1]_(q^0) = 2^l/8 (8 [pell2]_(q^0) - [pell2]_(q^(1/2))),
+    read off `_universal_genus` at (pell1 or pell2, 6, 1) and placed on the `free` ring: even
+    power sums s2T, s4T, s6T of the tangent roots and s2E, s4E, s6E of the shifted bundle roots.
+    The curvature-matching hypothesis s2T := s2E moves each monomial's s2T exponent onto s2E.
+    Without it the free residual is reported, and the divisibility flag says whether the
+    matched one vanishes, that is whether (s2T - s2E) divides it."""
     if l not in (2, 4):
         raise UnsupportedRank("the degree-12 checker supports rank 2 and 4 only")
-    pres = builtin_manifold("free").presentation
-    tangent, bundle = _free_power_sums(pres, "T"), _free_power_sums(pres, "E")
+    pres = builtin_manifold("free").presentation  # s2T s4T s6T, then s1E .. s6E
 
-    def residual(tangent_sums) -> CohElement:
-        log_t = factor_log(ThetaKind.THETA, 6, 1).at_power_sums(tangent_sums)
-        pell1 = _log_integrand(log_t, bundle, GenusKind.PELL1)
-        pell2 = _log_integrand(log_t, bundle, GenusKind.PELL2)
-        lhs = pell1.u_slice(0).degree_component(12)  # pell1's 2^l is factored out below
-        rhs = (pell2.u_slice(0) * 8 - pell2.u_slice(1)).degree_component(12)
-        return (lhs * 8 - rhs) * Fraction(2**l, 8)
+    def residual(matched: bool) -> CohElement:
+        # 2^l/8 (8 [pell1]_(u^0) - (8 [pell2]_(u^0) - [pell2]_(u^1))), pell1's 2^l included;
+        # each monomial's parts are one numerator over a denominator, on the free ring
+        parts = defaultdict(list)
+        for kind, (w0, w1) in ((GenusKind.PELL1, (8, 0)), (GenusKind.PELL2, (-8, 1))):
+            for (t2, t4, t6, e2, e4, e6), s in _universal_genus(kind, 6, 1):
+                t2, e2 = (0, e2 + t2) if matched else (t2, e2)
+                number = (w0 * s.nums[0] + w1 * s.nums[1]) * 2**l
+                parts[(t2, t4, t6, 0, e2, 0, e4, 0, e6)].append(((number,), 8 * s.den))
+        return CohElement(pres, 0, {m: sum_of_numerators(0, p) for m, p in parts.items()})
 
-    matched = residual(tangent[:2] + bundle[2:3] + tangent[3:])
+    matched = residual(True)
     if impose_relation:
         return Cancellation12Result(l, True, matched.is_zero(), matched)
-    free = residual(tangent)
+    free = residual(False)
     return Cancellation12Result(l, False, free.is_zero(), free, matched.is_zero())
 
 

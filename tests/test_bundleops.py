@@ -120,7 +120,7 @@ def test_witten_trivial_line_theta2(cp2, trivial_line):
 def test_witten_o1_theta_scalar_part(cp2, o1_bundle):
     # degree-0 restriction equals the rank-collapsed product
     got = witten_bundle_ch(ThetaKind.THETA, o1_bundle, ORDER)
-    assert got.degree_component(0).scalar_part() == eta_like_product(-1, False, 2, ORDER)
+    assert got.scalar_part() == eta_like_product(-1, False, 2, ORDER)
 
 
 @given(

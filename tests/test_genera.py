@@ -415,6 +415,15 @@ def test_cancellation_leaves_its_cached_factor_logs_unchanged():
         assert theta.factor_log(kind, 6, 1) == theta.factor_log.__wrapped__(kind, 6, 1)
 
 
+def test_cancellation_leaves_its_cached_universal_polynomials_unchanged():
+    # the check reads _universal_genus at (pell1 or pell2, 6, 1) and builds its residual
+    # beside it, so the cached pairs stay as a rebuild makes them
+    for rank, impose in ((2, False), (4, True), (2, True), (4, False)):
+        cancellation12_check(rank, impose_relation=impose)
+    for kind in (GenusKind.PELL1, GenusKind.PELL2):
+        assert genera._universal_genus(kind, 6, 1) == genera._universal_genus.__wrapped__(kind, 6, 1)
+
+
 @pytest.mark.parametrize("rank", [2, 4])
 def test_cancellation_residual_equals_oracle_term_by_term(rank):
     import sympy
@@ -544,7 +553,11 @@ def test_power_sum_log_equals_the_log_of_the_factor():
                 log.coefficient((2 * j,))
             for j in (1, 2, 3)
         })
-        sums = genera._free_power_sums(pres, side)
+        # p_k, k = 0..6: the free generator s<k><side>, else 0
+        names = [g for g, _ in pres.generators]
+        sums = [CohElement(pres, 0, {tuple(int(g == f"s{k}{side}") for g in names):
+                                     HalfQSeries.one(0)} if f"s{k}{side}" in names else None)
+                for k in range(7)]
         assert theta.factor_log(kind, 6, 1).at_power_sums(sums) == expected
 
 

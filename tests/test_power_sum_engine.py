@@ -10,10 +10,12 @@ it shares no code with `FactorSeries.at_class`.
 
 The second part checks pell1..pell3, which read one cached polynomial in free
 power sums at a manifold's characteristic numbers, against the manifold's own
-integrand.
+integrand.  The third checks that polynomial, built in closed form, against the
+ring exp it replaced, and plants three faults in it that the check must see.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,8 @@ from hypothesis import strategies as st
 from ellgen import cohring, genera
 from ellgen.bundleops import ProjBundle
 from ellgen.cohring import (
-    CohElement, LinearClass, Manifold, RingPresentation, builtin_manifold, integrate, power_sums,
-    projective_space,
+    CohElement, LinearClass, Manifold, RingPresentation, builtin_manifold, exp_nilpotent,
+    integrate, power_sums, projective_space,
 )
 from ellgen.genera import THETA_PRODUCT, GenusKind, pell, witten_genus
 from ellgen.qseries import HalfQSeries
@@ -114,8 +116,8 @@ def test_witten_genus_equals_the_per_root_product(name, order):
 # -- pell1..pell3 from the universal polynomial -----------------------------------------
 #
 # The engine reads one cached polynomial in free power sums at the characteristic numbers
-# of (M, E).  The reference builds the integrand of the manifold itself: `_log_integrand`
-# at the manifold's own power sums, integrated, times 2^rank for pell1.
+# of (M, E).  The reference builds the integrand of the manifold itself: the exp of the two
+# sides' factor logs at the manifold's own power sums, integrated, times 2^rank for pell1.
 
 POINT = RingPresentation(generators=(("x", 2),), top_degree=0,
                          integration_table=(((0,), Fraction(3, 2)),))
@@ -124,11 +126,25 @@ MANIFOLDS_AND_POINT = {**MANIFOLDS, "CP6": projective_space(6), "point": Manifol
     "point", POINT, 0, (LinearClass.generator(POINT, "x"),) * 2)}
 
 
+def log_integrand(log_t, sums, kind):
+    """exp(L_T + L_E) of pell1..pell3 by the ring's exp, L_E the kind's bundle factor log at
+    the power sums `sums` of the shifted roots; pell1's 2^rank is left to the caller."""
+    d = log_t.presentation.top_degree // 2
+    return exp_nilpotent(log_t + factor_log(BUNDLE_KIND[kind], d, log_t.order).at_power_sums(sums))
+
+
+def free_power_sums(pres, side):
+    """p_k, k = 0..top/2, of side "T" or "E": the free generator s<k><side>, else 0."""
+    names = [g for g, _ in pres.generators]
+    return [CohElement(pres, 0, {tuple(int(g == f"s{k}{side}") for g in names): HalfQSeries.one(0)}
+                       if f"s{k}{side}" in names else None) for k in range(pres.top_degree // 2 + 1)]
+
+
 def integrand_reference(m, e, kind, order):
     d, pres = m.presentation.top_degree // 2, m.presentation
     log_t = factor_log(ThetaKind.THETA, d, order).at_power_sums(
         power_sums(m.tangent_roots, pres, d))
-    integrand = genera._log_integrand(log_t, power_sums(e.shifted_roots(), pres, d), kind)
+    integrand = log_integrand(log_t, power_sums(e.shifted_roots(), pres, d), kind)
     genus = integrate(integrand, m)
     return genus * 2**e.rank if kind is GenusKind.PELL1 else genus
 
@@ -246,3 +262,70 @@ def test_planted_universal_faults_break_the_comparison(plant, kind, monkeypatch)
     m = MANIFOLDS["CP4"]
     e = twisted_rank2(m)
     assert pell(m, e, kind, THETA_PRODUCT, 8).series != integrand_reference(m, e, kind, 8)
+
+
+# -- the universal polynomial in closed form against the exp route ----------------------
+#
+# The reference is the route the closed form replaced: the ring's exp of L_T + L_E over the
+# free generators s_(2j)T, s_(2j)E, j = 1..d/2, and its degree-2d part.
+
+
+def universal_reference(kind, z_degree, order):
+    pres = RingPresentation(tuple([(f"s{2 * j}{side}", 4 * j) for side in "TE"
+                                   for j in range(1, z_degree // 2 + 1)]), 2 * z_degree)
+    log_t = factor_log(ThetaKind.THETA, z_degree, order).at_power_sums(free_power_sums(pres, "T"))
+    integrand = log_integrand(log_t, free_power_sums(pres, "E"), kind)
+    return {mono: series for mono, series in integrand.coeffs.items()
+            if pres.monomial_degree(mono) == 2 * z_degree}
+
+
+def assert_closed_form_equals_the_exp_route(kind, z_degree, order):
+    built = genera._universal_genus(kind, z_degree, order)
+    assert len({mono for mono, _ in built}) == len(built)
+    assert dict(built) == universal_reference(kind, z_degree, order)
+
+
+UNIVERSAL_KEYS = [(kind, z_degree, order) for kind in BUNDLE_KIND
+                  for z_degree in range(0, 13, 2) for order in (0, 1)]
+
+
+@pytest.mark.parametrize("kind, z_degree, order", UNIVERSAL_KEYS)
+def test_closed_form_equals_the_exp_route(kind, z_degree, order):
+    assert_closed_form_equals_the_exp_route(kind, z_degree, order)
+
+
+@given(st.sampled_from(list(BUNDLE_KIND)), st.sampled_from(range(0, 13, 2)),
+       st.integers(min_value=0, max_value=40))
+def test_closed_form_equals_the_exp_route_at_drawn_orders(kind, z_degree, order):
+    assert_closed_form_equals_the_exp_route(kind, z_degree, order)
+
+
+def drop_factorials(pairs):  # the coefficient prod c_g^(a_g), without the 1/a_g!
+    return tuple((mono, series * math.prod(map(math.factorial, mono))) for mono, series in pairs)
+
+
+def move_an_exponent(pairs):  # s2T's exponent moved onto s2E
+    half = len(pairs[0][0]) // 2
+    return tuple(((0, *mono[1:half], mono[half] + mono[0], *mono[half + 1:]) if half else mono,
+                  series) for mono, series in pairs)
+
+
+def keep_a_lower_degree(pairs):  # one monomial kept with one factor fewer
+    mono, series = pairs[-1]
+    i = next((i for i, a in enumerate(mono) if a), None)
+    return pairs if i is None else (*pairs, ((*mono[:i], mono[i] - 1, *mono[i + 1:]), series))
+
+
+@pytest.mark.parametrize("plant", [drop_factorials, move_an_exponent, keep_a_lower_degree])
+def test_planted_closed_form_faults_break_the_comparison(plant, monkeypatch):
+    built = genera._universal_genus
+    monkeypatch.setattr(genera, "_universal_genus", lambda *key: plant(built(*key)))
+    broken = []
+    for key in UNIVERSAL_KEYS:
+        try:
+            assert_closed_form_equals_the_exp_route(*key)
+        except AssertionError:
+            broken.append(key)
+    # every kind breaks from z-degree 4 up, where each plant changes the polynomial
+    assert {(kind, z_degree) for kind, z_degree, _ in broken} >= {
+        (kind, z_degree) for kind in BUNDLE_KIND for z_degree in range(4, 13, 2)}

@@ -340,6 +340,21 @@ def test_bench_pairs_fails_unless_every_run_is_correct():
         assert record["metrics"]["jobs_per_s"]["this"]["median"] == 2
 
 
+def test_bench_pairs_times_a_cli_command_against_this_checkout(capsys):
+    """Two one-shot pairs of one command, this checkout against itself: the outputs
+    are byte-identical and the first side alternates."""
+    pairs = load_bench_pairs()
+    status = pairs.main(["--against", str(ROOT), "--cli", "cancel12 --rank 2", "--pairs", "2"])
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert status == 0 and record["cli"] == "cancel12 --rank 2"
+    assert record["identical"] == {"stdout": True, "stderr": True, "exit_code": True}
+    assert [run["first"] for run in record["runs"]] == ["this", "against"]
+    assert all(run[side]["exit_code"] == 0 and run[side]["wall_s"] > 0
+               for run in record["runs"] for side in ("this", "against"))
+    assert set(record["wall_s"]["this"]) == {"median", "q1", "q3"}
+    assert record["wall_s"]["this_wins"] in (0, 1, 2)
+
+
 def test_bench_pairs_refuses_a_path_without_the_benchmark(tmp_path, capsys):
     pairs = load_bench_pairs()
     with pytest.raises(SystemExit) as exit_info:
