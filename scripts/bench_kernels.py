@@ -103,6 +103,9 @@ holds the pairs per case instead of ``kernels``.  Cases:
   CP4 at N = 8;
 - ``tensor_exterior_identity_check(3, 3, 4)``, the largest case of
   ``verify --suite schur``;
+- the whole round of that check's 27 cases (ranks 1-3, n <= min(4, rank_u *
+  rank_v)), as the schur-identity benchmark workload runs them, in one call
+  (``bundleops.tensor_exterior_identity_check.round27``);
 - one warm ``cli.main compute --json`` of ``pell1`` for a twisted rank-2
   bundle on CP4 at N = 320 (``cli.compute_json.CP4.pell1.N320``): the
   memoized manifold- and order-only factors are filled by the first call,
@@ -494,6 +497,12 @@ def case_table(tmp: Path) -> dict:
     @case("bundleops.tensor_exterior_identity_check.3x3.n4")
     def _():
         return lambda: tensor_exterior_identity_check(3, 3, 4)
+
+    @case("bundleops.tensor_exterior_identity_check.round27")
+    def _():
+        cases = [(ru, rv, n) for ru in range(1, 4) for rv in range(1, 4)
+                 for n in range(1, min(4, ru * rv) + 1)]
+        return lambda: all([tensor_exterior_identity_check(*case) for case in cases])
 
     @case("cli.compute_json.CP4.pell1.N320")
     def _():

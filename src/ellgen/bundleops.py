@@ -85,13 +85,17 @@ class ProjBundle:
 def exp_class(lc: LinearClass, order: int) -> CohElement:
     """exp of a degree-2 class in closed form: sum_k lc^k / k!, lc^k the integer
     numerators of `power_sum_numerators([lc], ...)` over d^k, each coefficient one
-    constant series over d^k * k!.  Reading the power sums keeps the engines independent:
-    it is exact ring arithmetic like the ring product, reads no `factor_log`, and
-    multi-generator tests pin it."""
-    pres, pad, out = lc.presentation, (0,) * order, CohElement(lc.presentation, order)
-    for k, (dk, terms) in enumerate(power_sum_numerators([lc], pres, pres.top_degree // 2)):
-        for mono, c in terms:
-            out.coeffs[mono] = from_numerators(order, (c,) + pad, dk * factorial(k))
+    constant series over d^k * k!, or at order 0 one packed numerator over their lcm.
+    Reading the power sums keeps the engines independent: it is exact ring arithmetic
+    like the ring product, reads no `factor_log`, and multi-generator tests pin it."""
+    pres, pad = lc.presentation, (0,) * order
+    levels = enumerate(power_sum_numerators([lc], pres, pres.top_degree // 2))
+    terms = [(mono, c, dk * factorial(k)) for k, (dk, level) in levels for mono, c in level]
+    if order == 0:
+        den, key = lcm(*[d for _, _, d in terms]), pres._table
+        return CohElement.from_packed(pres, den, [(key[m], c * (den // d)) for m, c, d in terms])
+    out = CohElement(pres, order)
+    out.coeffs.update({mono: from_numerators(order, (c,) + pad, d) for mono, c, d in terms})
     return out
 
 
@@ -99,11 +103,15 @@ def _exp_multiple(char: CohElement, a: int) -> CohElement:
     """The Adams operation psi^a: the degree-2k part is scaled by a^k.
 
     It is a ring endomorphism, and psi^a exp(y) = exp(a*y) for a degree-2
-    class y, so it acts on any character: exp(a*y) is read off exp(y).
+    class y, so it acts on any character: exp(a*y) is read off exp(y).  2k is a
+    monomial's packed key shifted past its exponent digits; q-free, it stays packed.
     """
-    degree = char.presentation.monomial_degree
-    scaled = {mono: s * a ** (degree(mono) // 2) for mono, s in char.coeffs.items()}
-    return CohElement(char.presentation, char.order, scaled)
+    pres, shift = char.presentation, char.presentation._table.shift + 1
+    if char.order == 0:
+        den, terms = char.packed()
+        return CohElement.from_packed(pres, den, [(k, c * a ** (k >> shift)) for k, c in terms])
+    scaled = {mono: s * a ** (pres._table[mono] >> shift) for mono, s in char.coeffs.items()}
+    return CohElement(pres, char.order, scaled)
 
 
 def ch(e: ProjBundle, order: int, weight: int = 1) -> CohElement:

@@ -26,6 +26,11 @@ as (degree, exponents) do, and a product is above the top exactly when that sum
 reaches (top + 1) * 2^(w g) for g generators.  The table maps a key back to its
 monomial, or to None when a relation kills it: one relation test per ring.
 
+A q-free element made by a ring operation holds only its canonical packed form: (den,
+[(key, numerator)] by key), gcd 1, nonzero numerators of surviving keys; == and `integrate`
+read it, so a chain of products makes no series.  `coeffs`, the monomial -> series dict, is
+a view built on first read; the packed form is then dropped, so no stale copy is left.
+
 Manifolds are presented by their ring, a dimension 4r equal to the top
 degree, and a list of stable tangent Chern roots.  Zero roots (padding for
 trivial summands) are allowed; every genus factor downstream sends the zero
@@ -40,9 +45,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, repeat
 from math import factorial, gcd, lcm, prod
-from operator import ge, itemgetter, mul
+from operator import ge, mul
 
-from .qseries import (HalfQSeries, _int_product, _series, from_numerators, parse_rational,
+from .qseries import (HalfQSeries, _int_product, from_numerators, parse_rational,
                       sum_of_numerators)
 
 Monomial = tuple[int, ...]
@@ -223,17 +228,18 @@ class LinearClass:
 
 
 class CohElement:
-    """An element of the quotient ring: monomial -> HalfQSeries.
+    """An element of the quotient ring: monomial -> HalfQSeries, or a q-free packed form.
 
-    Every stored coefficient is a nonzero canonical series of exactly the element's order.
+    Every coefficient is a nonzero canonical series of exactly the element's order.
     """
 
-    __slots__ = ("presentation", "order", "coeffs")
+    __slots__ = ("presentation", "order", "coeffs", "_packed")
 
     def __init__(self, presentation: RingPresentation, order: int, coeffs=None) -> None:
         self.presentation = presentation
         self.order = order
         self.coeffs: dict[Monomial, HalfQSeries] = {}
+        self._packed = None
         if coeffs:
             for mono, series in coeffs.items():
                 series = series.truncate(order)  # a shorter series stays as it is
@@ -242,6 +248,31 @@ class CohElement:
                 if series.order < order:
                     raise ValueError("coefficient series shorter than the element order")
                 self.coeffs[mono] = series
+
+    @classmethod
+    def from_packed(cls, presentation: RingPresentation, den: int, terms) -> "CohElement":
+        """The q-free element sum c x^key / den of distinct keys of degree <= top, packed."""
+        table, out = presentation._table, object.__new__(cls)
+        terms = sorted([(key, c) for key, c in terms
+                        if c and (not table.relations or table[key] is not None)])
+        g = gcd(den, *[c for _, c in terms])
+        out.presentation, out.order = presentation, 0  # coeffs unset until its first read
+        out._packed = (den // g, terms if g == 1 else [(key, c // g) for key, c in terms])
+        return out
+
+    def __getattr__(self, name):  # reached for an unset slot only: a packed element's view
+        if name != "coeffs" or self._packed is None:
+            raise AttributeError(name)
+        (den, terms), table = self._packed, self.presentation._table
+        self.coeffs, self._packed = {table[k]: from_numerators(0, (c,), den) for k, c in terms}, None
+        return self.coeffs
+
+    def packed(self) -> tuple[int, list[tuple[int, int]]]:
+        """A q-free element's packed form, not to be mutated: held, or read off the view."""
+        if self._packed is None:
+            d, table = lcm(*[s.den for s in self.coeffs.values()]), self.presentation._table
+            return d, sorted([(table[m], s.nums[0] * d // s.den) for m, s in self.coeffs.items()])
+        return self._packed
 
     @classmethod
     def zero(cls, presentation: RingPresentation, order: int) -> "CohElement":
@@ -268,7 +299,7 @@ class CohElement:
         return self.coeffs.get(mono, HalfQSeries.zero(self.order))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self.coeffs if self._packed is None else self._packed[1])
 
     def __add__(self, other):
         if isinstance(other, HalfQSeries):
@@ -336,8 +367,9 @@ class CohElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohElement):
             return NotImplemented
+        both = self._packed is not None and other._packed is not None
         return (self.order == other.order and self.presentation == other.presentation
-                and self.coeffs == other.coeffs)
+                and (self._packed == other._packed if both else self.coeffs == other.coeffs))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -394,29 +426,22 @@ def sum_of_products(pairs) -> CohElement:
         raise ValueError("at least one pair of elements is needed")
     pres, n = _ring_and_order([x for pair in pairs for x in pair])
     table = pres._table
-    if n == 0:  # one denominator: the lcm over the pairs of d_left * d_right
-        sides = [(_over_lcm(left, table), _over_lcm(right, table)) for left, right in pairs]
-        den = lcm(*[dl * dr for (dl, _), (dr, _) in sides])
-        acc, out = defaultdict(int), CohElement(pres, 0)  # result key -> numerator over den
+    if n == 0:  # at u^0, over one denominator: the lcm over the pairs of d_left * d_right
+        sides = [(left.packed(), right.packed()) for left, right in pairs]
+        den, acc = lcm(*[dl * dr for (dl, _), (dr, _) in sides]), defaultdict(int)
         for (dl, left), (dr, right) in sides:
             scale = den // (dl * dr)
-            right.sort()  # by key, that is by degree: the keys are distinct
             for p1, c1 in left:
                 room, c1 = table.limit - p1, c1 * scale
-                for p2, c2 in right:
+                for p2, c2 in right:  # sorted by key, that is by degree
                     if p2 >= room:
                         break
                     acc[p1 + p2] += c1 * c2
-        for key, c in acc.items():
-            if c and (mono := table[key]) is not None:
-                g = gcd(c, den)
-                out.coeffs[mono] = _series(0, (c // g,), den // g)
-        return out
+        return CohElement.from_packed(pres, den, acc.items())
     # result key -> (integer numerators, denominator) of each pair product
     parts: dict[int, list[tuple[tuple, int]]] = defaultdict(list)
     for left, other in pairs:
-        right = sorted([(table[m], s.nums[: n + 1], s.den) for m, s in other.coeffs.items()],
-                       key=itemgetter(0))
+        right = sorted([(table[m], s.nums[: n + 1], s.den) for m, s in other.coeffs.items()])
         for m1, s1 in left.coeffs.items():
             p1 = table[m1]
             room, nums1, den1 = table.limit - p1, s1.nums[: n + 1], s1.den
@@ -426,12 +451,6 @@ def sum_of_products(pairs) -> CohElement:
                 parts[p1 + p2].append((_int_product(nums1, nums2), den1 * den2))
     return CohElement(pres, n, {mono: sum_of_numerators(n, bucket) for key, bucket in parts.items()
                                 if (mono := table[key]) is not None})
-
-
-def _over_lcm(elem: CohElement, table: _PackedKeys) -> tuple[int, list]:
-    """The lcm d of a q-free element's denominators and its (packed key, numerator over d)."""
-    d = lcm(*[s.den for s in elem.coeffs.values()])
-    return d, [(table[m], s.nums[0] * (d // s.den)) for m, s in elem.coeffs.items()]
 
 
 def power_sum_numerators(roots, presentation: RingPresentation, k_max: int):
@@ -472,21 +491,32 @@ def ring_mul(a: CohElement, b: CohElement) -> CohElement:
 
 def _power_series(x: CohElement, coeffs) -> CohElement:
     """sum_k c_k x^k for a nilpotent x, the rationals c_k = p/q read lazily from coeffs:
-    no term is scaled on its own, each enters as (p * numerators, q * denominator) and each
+    no term is scaled on its own.  At order 0 the packed powers are summed over one
+    denominator; above it each term enters as (p * numerators, q * denominator) and each
     monomial is one `sum_of_numerators`.  The sum stops at the first power of x that
     vanishes, and raises if one outlives k > order + top/2 (see exp_nilpotent)."""
     pres, n = x.presentation, x.order
-    parts: dict[Monomial, list[tuple]] = defaultdict(list)
-    power = CohElement.one(pres, n)
+    x = CohElement.from_packed(pres, *x.packed()) if n == 0 else x  # packed once, not per power
+    terms, power = [], CohElement.one(pres, n)
     for k, c in enumerate(coeffs):
         if power.is_zero():
             break
         if k > n + pres.top_degree // 2:
             raise ArithmeticError(f"x^{k} does not vanish: the ring product is faulty")
-        p, q = c.numerator, c.denominator
-        for mono, s in power.coeffs.items() if p else ():
-            parts[mono].append((s.nums if p == 1 else [v * p for v in s.nums], s.den * q))
+        if c:
+            terms.append((c.numerator, c.denominator, power.packed() if n == 0 else power))
         power = power * x if k else x
+    if n == 0:
+        den, acc = lcm(*[q * d for _, q, (d, _) in terms]), defaultdict(int)
+        for p, q, (d, pairs) in terms:
+            f = p * (den // (q * d))
+            for key, c in pairs:
+                acc[key] += c * f
+        return CohElement.from_packed(pres, den, acc.items())
+    parts: dict[Monomial, list[tuple]] = defaultdict(list)
+    for p, q, power in terms:
+        for mono, s in power.coeffs.items():
+            parts[mono].append((s.nums if p == 1 else [v * p for v in s.nums], s.den * q))
     return CohElement(pres, n, {mono: sum_of_numerators(n, bucket) for mono, bucket in parts.items()})
 
 
@@ -536,9 +566,11 @@ def integrate(a: CohElement, m: Manifold) -> HalfQSeries:
     if a.presentation != m.presentation:
         raise PresentationMismatch("element does not live on this manifold")
     # every table key has the top degree; each weight p/q is folded into its part
-    weights = [(s, w.numerator, w.denominator) for mono, s in a.coeffs.items()
-               if (w := m.presentation.integral_of(mono))]
-    parts = [(s.nums if p == 1 else [c * p for c in s.nums], s.den * q) for s, p, q in weights]
+    table, packed = m.presentation._table, a._packed  # a packed element is read by key
+    items = ([(table[k], (c,), packed[0]) for k, c in packed[1]] if packed
+             else [(mono, s.nums, s.den) for mono, s in a.coeffs.items()])
+    parts = [(nums if w.numerator == 1 else [c * w.numerator for c in nums], d * w.denominator)
+             for mono, nums, d in items if (w := m.presentation.integral_of(mono))]
     return sum_of_numerators(a.order, parts) if parts else HalfQSeries.zero(a.order)
 
 
