@@ -62,6 +62,10 @@ holds the pairs per case instead of ``kernels``.  Cases:
   engine multiplies into its integrand;
 - ``resum_graded`` of that table, the sum of its twisted weights
   (``bundleops.resum_graded.W.rank3.N24``);
+- ``graded_decompose`` and ``gch`` of kind W for a twisted rank-6 bundle on
+  CP4 at N = 24, the largest table inside the guards
+  (``bundleops.graded_decompose.W.rank6.CP4.N24``,
+  ``bundleops.gch.W.rank6.CP4.N24``): the growth of the root product in rank;
 - one warm theta-product ``pell`` of ``pell1`` for a twisted rank-3 bundle
   on CP4 at N = 320 (``genera.pell_theta.CP4.pell1.rank3.N320``): the
   universal polynomial is cached, so this times the bundle's share of the
@@ -315,6 +319,13 @@ def cp4_bundles():
     return cp4, rank2, rank3
 
 
+def cp4_rank6():
+    """A twisted rank-6 bundle on CP4, with a zero root and roots of denominator 2."""
+    x = LinearClass.generator(builtin_manifold("CP4").presentation, "x")
+    values = (1, -1, Fraction(1, 2), 2, Fraction(-3, 2), 0)
+    return ProjBundle(rank=6, roots=tuple(x.scale(v) for v in values), twist_b=x.scale(Fraction(1, 3)))
+
+
 def schur6():
     """The six-generator ring of ``tensor_exterior_identity_check(3, 3, 4)`` and its generators."""
     names = ("u1", "u2", "u3", "v1", "v2", "v3")
@@ -423,6 +434,16 @@ def case_table(tmp: Path) -> dict:
         def _(kind=kind):
             _, bundle = cp2_rank3()
             return lambda: gch(kind, bundle, 24)
+
+    @case("bundleops.graded_decompose.W.rank6.CP4.N24")
+    def _():
+        bundle = cp4_rank6()
+        return lambda: graded_decompose(GradedKind.W, bundle, 24)
+
+    @case("bundleops.gch.W.rank6.CP4.N24")
+    def _():
+        bundle = cp4_rank6()
+        return lambda: gch(GradedKind.W, bundle, 24)
 
     @case("bundleops.resum_graded.W.rank3.N24")
     def _():

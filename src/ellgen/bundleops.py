@@ -7,14 +7,16 @@ q-levels, the infinite Witten tensor products, determinant-weight graded
 decompositions, Schur functors) happen on characters: sums of exponentials
 of shifted roots inside a truncated cohomology ring.  Each class is
 exponentiated once; the Adams operation psi^a (degree 2k scaled by a^k)
-reads exp(a*y) off exp(y), and one routine, `_adams_series`, applies a
-series-weighted sum of Adams operations degree by degree.
+reads exp(a*y) off exp(y), and `_adams_series` applies a series-weighted
+sum of Adams operations degree by degree to the exterior-power logs.
 
 The determinant-weight decomposition tracks an auxiliary weight w (one
 power per E-factor, inverse per conjugate factor) and twists the weight-m
 piece by exp(m*b).  Each shifted root brings Jacobi's theta series
 sum_a s^a u^(k_a) psi^a(e^w) (the triple product times E(u)), and
 E(u)^(-rank) is applied once, as the scalar the table and `gch` start at.
+One kernel, `_root_product`, multiplies these out for both on
+Kronecker-packed integers, psi^a read off the packed q-free exp(w).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, lcm, prod
@@ -37,7 +40,7 @@ from .cohring import (
     sum_of_elements,
     sum_of_products,
 )
-from .qseries import eta_like_product, from_numerators
+from .qseries import _bias, _digit_bytes, _pack, _unpack, eta_like_product, from_numerators
 from .theta import ThetaKind
 
 
@@ -230,19 +233,17 @@ class GradedTable:
     @functools.cached_property
     def entries(self) -> dict[tuple[int, int], CohElement]:
         """(m, n) -> the nonzero order-0 slice of weight m at q-step n."""
-        slices = {}
-        for m, elem in self.weights.items():
-            for n in range(self.step_count()):
-                piece = elem.u_slice(self.upower(n))
-                if not piece.is_zero():
-                    slices[(m, n)] = piece
+        slices, step = {}, self.upower(1)
+        for m, elem in self.weights.items():  # packed over the lcm of the weight's denominators
+            den, table = lcm(*[s.den for s in elem.coeffs.values()]), elem.presentation._table
+            rows = [(table[mono], s.nums, den // s.den) for mono, s in elem.coeffs.items()]
+            for k in range(0, self.order + 1, step):
+                if terms := [(key, nums[k] * f) for key, nums, f in rows if nums[k]]:
+                    slices[(m, k // step)] = CohElement.from_packed(elem.presentation, den, terms)
         return slices
 
     def upower(self, n: int) -> int:
         return n if _GRADED_THETA[self.kind].half else 2 * n
-
-    def step_count(self) -> int:
-        return self.order // self.upower(1) + 1
 
 
 def _theta_terms(kind: GradedKind, e: ProjBundle, order: int) -> list[tuple[int, int, int]]:
@@ -261,6 +262,46 @@ def _theta_terms(kind: GradedKind, e: ProjBundle, order: int) -> list[tuple[int,
     return [(a, theta.sign ** abs(a), k) for a, k in powers if k <= order]
 
 
+def _root_product(kind: GradedKind, e: ProjBundle, order: int, weighted: bool):
+    """weight -> its part of E(u)^(-rank) prod_w sum_a s^a u^(k_a) psi^a(e^w) over the
+    shifted roots w: weight m + a when weighted, else all at weight 0; every weight
+    reached, in the order first reached.  A term reads psi^a(e^w) off the packed
+    q-free exp(w) = sum c x^key / d_w: it scales by s^a c a^i at a key of degree 2i
+    and shifts by k_a digits.  Each (weight, key) entry is one Kronecker-packed
+    integer of order + 1 w-bit digits modulo 2^(w (order + 1)), so a shift truncates,
+    over the one denominator den(E^-r) prod_w d_w.  The bound max|E^-r| prod_w sum |f|
+    on every numerator, f a root's summed scales, sets w; each entry is unpacked once."""
+    terms = _theta_terms(kind, e, order)
+    pres, table = e.presentation, e.presentation._table
+    inv_e = eta_like_product(-1, False, -e.rank, order)
+    roots, scales = [exp_class(w, 0).packed() for w in e.shifted_roots()], []
+    bound, den = max(map(abs, inv_e.nums)), inv_e.den * prod([d for d, _ in roots])
+    for _, keys in roots:  # the terms of one weight, key and u-power add up
+        fs = defaultdict(int)
+        for (a, s, k), (key, c) in itertools.product(terms, keys):
+            fs[key, a * weighted, k] += s * c * a ** (key >> table.shift + 1)
+        scales.append(sorted([(*slot, f) for slot, f in fs.items() if f]))
+        bound *= sum(map(abs, fs.values())) or 1  # all cancelled: the product is 0
+    nbytes, size = _digit_bytes(bound), order + 1
+    width, bias, mask = 8 * nbytes, _bias(nbytes, size), (1 << 8 * nbytes * size) - 1
+    state, weights = {(0, 0): _pack(inv_e.nums, nbytes, bias)}, [0]
+    for fs in scales:
+        weights = list(dict.fromkeys([m + a * weighted for m in weights for a, _, _ in terms]))
+        grown = defaultdict(int)
+        for (m, key1), v in state.items():
+            room = table.limit - key1
+            for key2, a, k, f in fs:  # sorted by key, that is by degree
+                if key2 >= room:
+                    break
+                grown[(m + a, key1 + key2)] += f * v << width * k
+        state = {slot: v & mask for slot, v in grown.items()}
+    out = {m: CohElement(pres, order) for m in weights}
+    for (m, key), v in state.items():
+        if v and (mono := table[key]) is not None:
+            out[m].coeffs[mono] = from_numerators(order, _unpack(v, nbytes, size, bias), den)
+    return out
+
+
 def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable:
     """Expand the composite bundle with a determinant-weight tracking slot.
 
@@ -271,18 +312,8 @@ def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable
     s^a u^(k_a) psi^a(e^w) of each shifted root w in turn; the table starts
     at E(u)^(-rank).
     """
-    terms = _theta_terms(kind, e, order)
-    inv_e = eta_like_product(-1, False, -e.rank, order)
-    table: dict[int, CohElement] = {0: CohElement.scalar(e.presentation, order, inv_e)}
-    for w in e.shifted_roots():
-        exp_w = exp_class(w, order)
-        parts = [(a, _adams_series(exp_w, [(a, c, k)])) for a, c, k in terms]
-        pairs: dict[int, list] = {}
-        for m, elem in table.items():
-            for a, f in parts:
-                pairs.setdefault(m + a, []).append((elem, f))
-        table = {m: sum_of_products(p) for m, p in pairs.items()}
-    return GradedTable(kind=kind, rank=e.rank, order=order, weights=table)
+    return GradedTable(kind=kind, rank=e.rank, order=order,
+                       weights=_root_product(kind, e, order, weighted=True))
 
 
 def resum_graded(table: GradedTable, presentation: RingPresentation) -> CohElement:
@@ -295,11 +326,7 @@ def gch(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:
     """Graded twisted character: the weight table summed over m, taken as
     E(u)^(-rank) times the product over shifted roots w of the Adams series
     sum_a s^a u^(k_a) psi^a(e^w)."""
-    terms = _theta_terms(kind, e, order)
-    total = CohElement.scalar(e.presentation, order, eta_like_product(-1, False, -e.rank, order))
-    for w in e.shifted_roots():
-        total = total * _adams_series(exp_class(w, order), terms)
-    return total
+    return _root_product(kind, e, order, weighted=False)[0]
 
 
 def gch_closed_form(kind: GradedKind, e: ProjBundle, order: int) -> CohElement:

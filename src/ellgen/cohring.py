@@ -27,9 +27,10 @@ reaches (top + 1) * 2^(w g) for g generators.  The table maps a key back to its
 monomial, or to None when a relation kills it: one relation test per ring.
 
 A q-free element made by a ring operation holds only its canonical packed form: (den,
-[(key, numerator)] by key), gcd 1, nonzero numerators of surviving keys; == and `integrate`
-read it, so a chain of products makes no series.  `coeffs`, the monomial -> series dict, is
-a view built on first read; the packed form is then dropped, so no stale copy is left.
+[(key, numerator)] by key), gcd 1, nonzero numerators of surviving keys; ==, `integrate`,
+`scalar_part` and str read it, so neither a chain of products nor a printed table makes a
+series.  `coeffs`, the monomial -> series dict, is a view built on first read; the packed
+form is then dropped, so no stale copy is left.
 
 Manifolds are presented by their ring, a dimension 4r equal to the top
 degree, and a list of stable tangent Chern roots.  Zero roots (padding for
@@ -48,7 +49,7 @@ from math import factorial, gcd, lcm, prod
 from operator import ge, mul
 
 from .qseries import (HalfQSeries, _int_product, from_numerators, parse_rational,
-                      sum_of_numerators)
+                      rational_text, sum_of_numerators)
 
 Monomial = tuple[int, ...]
 
@@ -296,7 +297,8 @@ class CohElement:
         return out
 
     def coefficient(self, mono: Monomial) -> HalfQSeries:
-        return self.coeffs.get(mono, HalfQSeries.zero(self.order))
+        series = self.coeffs.get(mono)
+        return HalfQSeries.zero(self.order) if series is None else series
 
     def is_zero(self) -> bool:
         return not (self.coeffs if self._packed is None else self._packed[1])
@@ -346,23 +348,16 @@ class CohElement:
         inv0 = self.scalar_part().invert()
         return _power_series(-(self * inv0 - 1), repeat(1)) * inv0
 
-    def u_slice(self, k: int) -> "CohElement":
-        """The coefficient of u^k, 0 <= k <= order, as an order-0 element; else IndexError."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"u^{k} is not tracked at order {self.order}")
-        out = CohElement(self.presentation, 0)
-        for mono, s in self.coeffs.items():
-            if s.nums[k]:
-                out.coeffs[mono] = from_numerators(0, (s.nums[k],), s.den)
-        return out
-
     def scaled(self, series: HalfQSeries) -> "CohElement":
         """This q-free (order-0) element times a series: one rational scaling per monomial."""
         terms = {mono: series * s.coefficient(0) for mono, s in self.coeffs.items()}
         return CohElement(self.presentation, series.order, terms)
 
     def scalar_part(self) -> HalfQSeries:
-        return self.coefficient(self.presentation.unit_monomial())
+        if self._packed is None:
+            return self.coefficient(self.presentation.unit_monomial())
+        den, terms = self._packed  # the unit monomial's key 0 sorts first
+        return from_numerators(0, (terms[0][1] if terms and not terms[0][0] else 0,), den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohElement):
@@ -372,18 +367,15 @@ class CohElement:
                 and (self._packed == other._packed if both else self.coeffs == other.coeffs))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        keys = sorted(self.coeffs, key=self.presentation._table.__getitem__)
-        parts = []
-        for mono in keys:
-            s = self.coeffs[mono]
-            name = self.presentation.monomial_str(mono)
-            if name == "1":
-                parts.append(f"({s})")
-            else:
-                parts.append(f"({s})*{name}")
-        return " + ".join(parts)
+        """Terms by key as "(s)*name", "(s)" for the unit; packed, from the numerators."""
+        pres, table = self.presentation, self.presentation._table
+        if self._packed is None:
+            items = sorted([(table[mono], str(s)) for mono, s in self.coeffs.items()])
+        else:
+            den, terms = self._packed
+            items = [(key, ("-" if c < 0 else "") + rational_text(c, den)) for key, c in terms]
+        return " + ".join([f"({s})*{pres.monomial_str(table[key])}" if key else f"({s})"
+                           for key, s in items]) or "0"
 
     def __repr__(self) -> str:
         return f"CohElement({self})"

@@ -317,8 +317,7 @@ class HalfQSeries:
         for k, c in enumerate(self.nums):
             if not c:
                 continue
-            g = gcd(c, den)
-            mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+            mag = rational_text(c, den)
             if k:
                 mag = power_label(k) if mag == "1" else f"{mag}*{power_label(k)}"
             parts.append(("- " if c < 0 else "+ ") + mag)
@@ -327,6 +326,12 @@ class HalfQSeries:
 
     def __repr__(self) -> str:
         return f"HalfQSeries(order={self.order}, {self})"
+
+
+def rational_text(c: int, den: int) -> str:
+    """|c| / den in lowest terms: "p", or "p/q" when q > 1."""
+    g = gcd(c, den)
+    return str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
 
 
 def _series(order: int, nums: tuple, den: int) -> HalfQSeries:
@@ -398,29 +403,34 @@ def _int_product(a: tuple, b: tuple) -> tuple:
 
 
 def _kronecker_product(a: tuple, b: tuple, nbytes: int) -> tuple:
-    """_int_product by one big-int product, with digits of 8 * nbytes bits.
+    """_int_product by one product of `_pack`ed operands: every coefficient of the
+    product must lie strictly between -2^(w-1) and 2^(w-1) for w = 8 * nbytes."""
+    size, bias = len(a), _bias(nbytes, len(a))
+    packed = _pack(a, nbytes, bias)  # a square packs once: CPython squares faster
+    product = packed * packed if a is b else packed * _pack(b, nbytes, bias)
+    return _unpack(product, nbytes, size, bias)
 
-    Every coefficient of the product must lie strictly between -2^(w-1) and
-    2^(w-1) for w = 8 * nbytes.  An operand sum_i a_i 2^(w i) is packed as
-    the bytes of the biased digits a_i + 2^(w-1) minus the bias
-    H = sum_i 2^(w-1) 2^(w i); the low len(a) digits of the product plus H
-    are the product coefficients plus 2^(w-1) each.
-    """
-    size = len(a)
+
+def _bias(nbytes: int, size: int) -> int:
+    """H = sum_i 2^(w-1) 2^(w i) over size digits of w = 8 * nbytes bits."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+
+
+def _pack(nums, nbytes: int, bias: int) -> int:
+    """sum_i nums[i] 2^(w i) for |nums[i]| < 2^(w-1): the bytes of the biased
+    digits nums[i] + 2^(w-1) minus the bias H of len(nums) digits."""
     half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    return int.from_bytes(b"".join([(c + half).to_bytes(nbytes, "little") for c in nums]),
+                          "little") - bias
 
-    def pack(nums):
-        raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in nums])
-        return int.from_bytes(raw, "little") - bias
 
-    width = nbytes * size
-    packed = pack(a)  # a square packs once: CPython squares faster than it multiplies two
-    low = ((packed * packed if a is b else packed * pack(b)) + bias) & ((1 << (8 * width)) - 1)
-    raw = low.to_bytes(width, "little")
-    return tuple([
-        int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, width, nbytes)
-    ])
+def _unpack(value: int, nbytes: int, size: int, bias: int) -> tuple:
+    """The digits n_i of value = sum_i n_i 2^(w i) mod 2^(w size), each in (-2^(w-1), 2^(w-1)):
+    the low size digits of value + H are n_i + 2^(w-1), whatever value holds above them."""
+    half, width = 1 << (8 * nbytes - 1), nbytes * size
+    raw = ((value + bias) & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    return tuple([int.from_bytes(raw[i : i + nbytes], "little") - half
+                  for i in range(0, width, nbytes)])
 
 
 # module-level aliases kept because perfbench/tracer.py wraps them by name

@@ -188,7 +188,8 @@ def test_gch_untwisted_collapse(cp2, x_class, zero_class):
 
 def test_gch_pure_twist_level_zero(cp2, zero_class, half_x):
     e = ProjBundle(rank=1, roots=(zero_class,), twist_b=half_x)
-    got = gch(GradedKind.W, e, 4).u_slice(0)
+    got = CohElement(cp2.presentation, 0, {mono: HalfQSeries(0, [s.coefficient(0)])
+                                           for mono, s in gch(GradedKind.W, e, 4).coeffs.items()})
     expected = CohElement.one(cp2.presentation, 0) - exp_class(half_x, 0)
     assert got == expected
 
@@ -550,6 +551,14 @@ def test_resummation_reads_the_weights_not_the_slices(cp2, x_class, half_x):
     assert "entries" not in vars(table)
     assert resummed == sum(table.weights.values(), CohElement.zero(cp2.presentation, 6))
     assert table.entries is table.entries
+
+
+def test_table_entries_are_packed_and_print_without_a_view(x_class, half_x):
+    e = ProjBundle(rank=2, roots=(x_class, x_class.scale(-1)), twist_b=half_x)
+    table = graded_decompose(GradedKind.W, e, 6)
+    for entry in table.entries.values():
+        assert entry._packed is not None and f"{entry.scalar_part()} {entry}"
+        assert entry._packed is not None
 
 
 def test_gch_guards(cp2, x_class, zero_class):

@@ -370,14 +370,6 @@ def test_product_and_sum_over_mixed_denominators(ring, data):
         _assert_stored_canonical(result)
 
 
-def test_u_slice_rejects_negative_power(cp2):
-    elem = CohElement(cp2.presentation, 3, {(1,): HalfQSeries(3, [1, 2, 3, 4])})
-    assert elem.u_slice(3) == CohElement(cp2.presentation, 0, {(1,): HalfQSeries(0, [4])})
-    for k in (-1, 4, 7):  # past the order a coefficient is unknown, not zero
-        with pytest.raises(IndexError, match=f"u\\^{k} is not tracked at order 3"):
-            elem.u_slice(k)
-
-
 def test_constructor_keeps_the_element_order(cp2):
     elem = CohElement(cp2.presentation, 2, {(0,): HalfQSeries(2, [1, 2, 3]),
                                             (1,): HalfQSeries(2, [5])})

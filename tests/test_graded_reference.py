@@ -8,22 +8,45 @@ every entry to the full order and multiplies it by its power of u.  The
 package takes each root's Jacobi theta series at once and E(u)^(-rank) as
 one scalar; both must give the same table entry by entry and the same
 graded character.
+
+The package multiplies the roots' series out on Kronecker-packed integers
+whose digit width comes from a bound on every numerator; a bundle whose
+numerators fill nearly all of that bound checks the width, and the same
+module rebuilt with a narrower or partial bound must fail against the
+reference.
 """
 
+import inspect
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgen import bundleops
-from ellgen.bundleops import GradedKind, ProjBundle, gch, graded_decompose, resum_graded
-from ellgen.cohring import CohElement, LinearClass, builtin_manifold, exp_nilpotent
+from ellgen import bundleops, qseries
+from ellgen.bundleops import GradedKind, ProjBundle
+from ellgen.cohring import (CohElement, LinearClass, Manifold, RingPresentation, builtin_manifold,
+                            exp_nilpotent)
 from ellgen.qseries import HalfQSeries, eta_like_product, from_numerators
 
 # repeated values and 0 give repeated and zero roots
 ROOT_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2))
-TWIST_VALUES = (Fraction(0), Fraction(1, 3), Fraction(-1, 2))
+
+# two generators and relations x^3 = y^3 = 0 below the top degree, which kill
+# some monomials of a product and keep their neighbours
+CP2xCP2 = RingPresentation(
+    generators=(("x", 2), ("y", 2)), top_degree=8, vanishing_monomials=((3, 0), (0, 3)),
+    integration_table=(((2, 2), Fraction(1)),),
+)
+MANIFOLDS = {"CP2": builtin_manifold("CP2"), "CP4": builtin_manifold("CP4"),
+             "CP2xCP2": Manifold("CP2xCP2", CP2xCP2, 8)}
+
+# The top key of exp(2^16 x) times the key 0 of exp(-x / 2^16) nearly fills the
+# digit bound at every kind: the numerators need digits wider than 8 bytes, and
+# each root brings about 64 bits of the bound.
+WIDE = ("CP4", (Fraction(2**16), Fraction(-1, 2**16)), Fraction(1, 2))
 
 
 def _exp(lc, order):
@@ -67,7 +90,8 @@ def reference_decompose(kind, e, order):
     for m, elem in table.items():
         twist = _exp(e.twist_b.scale(m), 0)
         for upow in range(0, order + 1, step):
-            piece = elem.u_slice(upow)
+            piece = CohElement(pres, 0, {mono: from_numerators(0, (s.nums[upow],), s.den)
+                                         for mono, s in elem.coeffs.items()})
             if not piece.is_zero():
                 entries[(m, upow // step)] = twist * piece
     return entries
@@ -84,39 +108,93 @@ def reference_resum(entries, kind, presentation, order):
     return total
 
 
+def _class(pres, value):
+    """value * x, or the class with a tuple value's coefficients, one per generator."""
+    return LinearClass(pres, value) if isinstance(value, tuple) else LinearClass.generator(
+        pres, "x", value)
+
+
 def _bundle(m, root_values, twist):
-    x = LinearClass.generator(m.presentation, "x")
-    return ProjBundle(
-        rank=len(root_values),
-        roots=tuple(x.scale(v) for v in root_values),
-        twist_b=x.scale(twist),
-    )
+    pres = m.presentation
+    return ProjBundle(rank=len(root_values), roots=tuple(_class(pres, v) for v in root_values),
+                      twist_b=_class(pres, twist))
 
 
-def assert_matches_reference(name, root_values, twist, kind, order):
-    m = builtin_manifold(name)
+def assert_matches_reference(name, root_values, twist, kind, order, ops=bundleops):
+    """The table and gch of `ops` (bundleops, or a rebuilt copy of it) against the reference."""
+    m = MANIFOLDS[name]
     e = _bundle(m, root_values, twist)
     expected = reference_decompose(kind, e, order)
-    table = graded_decompose(kind, e, order)
+    own_kind = ops.GradedKind[kind.name]
+    table = ops.graded_decompose(own_kind, e, order)
     assert table.entries.keys() == expected.keys()
     for key, entry in expected.items():
         assert table.entries[key] == entry, key
         assert table.entries[key].order == 0
     resummed = reference_resum(expected, kind, m.presentation, order)
-    assert resum_graded(table, m.presentation) == resummed
-    assert gch(kind, e, order) == resummed
+    assert ops.resum_graded(table, m.presentation) == resummed
+    assert ops.gch(own_kind, e, order) == resummed
 
 
-@given(
-    st.sampled_from(["CP2", "CP4"]),
-    st.lists(st.sampled_from(ROOT_VALUES), min_size=1, max_size=4),
-    st.sampled_from(TWIST_VALUES),
-    st.sampled_from(list(GradedKind)),
-    st.integers(min_value=0, max_value=12),
-)
+@st.composite
+def bundles(draw):
+    """(manifold name, root values, twist): rank 1-6, twist in (1/rank) Z x."""
+    name = draw(st.sampled_from(sorted(MANIFOLDS)))
+    value = st.sampled_from(ROOT_VALUES)
+    if len(MANIFOLDS[name].presentation.generators) > 1:
+        value = st.tuples(value, value)
+    rank = draw(st.integers(min_value=1, max_value=6))
+    twist = Fraction(draw(st.integers(min_value=-2 * rank, max_value=2 * rank)), rank)
+    return name, draw(st.lists(value, min_size=rank, max_size=rank)), twist
+
+
+@given(bundles(), st.sampled_from(list(GradedKind)), st.integers(min_value=0, max_value=24))
 @settings(max_examples=40, deadline=None)
-def test_per_root_table_matches_level_by_level_reference(name, root_values, twist, kind, order):
-    assert_matches_reference(name, root_values, twist, kind, order)
+def test_per_root_table_matches_level_by_level_reference(bundle, kind, order):
+    assert_matches_reference(*bundle, kind, order)
+
+
+@pytest.mark.parametrize("kind", list(GradedKind))
+def test_numerators_wider_than_eight_bytes_match_reference(kind, monkeypatch):
+    widths = []
+
+    def digit_bytes(bound):
+        widths.append(qseries._digit_bytes(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(bundleops, "_digit_bytes", digit_bytes)
+    assert_matches_reference(*WIDE, kind, 8)
+    assert min(widths) > 8
+
+
+def _rebuilt(monkeypatch, old, new):
+    """bundleops rebuilt from its own source with its one occurrence of old replaced by new."""
+    source = inspect.getsource(bundleops)
+    assert source.count(old) == 1
+    module = types.ModuleType("ellgen.rebuilt_bundleops")
+    module.__package__ = "ellgen"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), bundleops.__file__, "exec"), vars(module))
+    return module
+
+
+PLANTED = {
+    "digits one byte narrower": ("_digit_bytes(bound)", "_digit_bytes(bound) - 1"),
+    "first root left out of the bound": ("bound *= ", "bound *= 1 if len(scales) == 1 else "),
+    "last root left out of the bound": ("bound *= ", "bound *= 1 if len(scales) == len(roots) else "),
+}
+
+
+@pytest.mark.parametrize("fault", list(PLANTED))
+@pytest.mark.parametrize("kind", list(GradedKind))
+def test_planted_digit_width_faults_fail_against_the_reference(fault, kind, monkeypatch):
+    old, new = PLANTED[fault]
+    # the unchanged rebuild passes, so the failure is the fault's
+    assert_matches_reference(*WIDE, kind, 8,
+                             _rebuilt(monkeypatch, old, old))
+    with pytest.raises(AssertionError):
+        assert_matches_reference(*WIDE, kind, 8,
+                                 _rebuilt(monkeypatch, old, new))
 
 
 @pytest.mark.parametrize("kind", list(GradedKind))

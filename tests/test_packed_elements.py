@@ -245,3 +245,27 @@ def test_a_mixed_order_product_truncates_through_the_packed_route(cp4):
     y = CohElement(pres, 2, {(1,): HalfQSeries(2, [Fraction(2, 3), 5, 0]),
                              (2,): HalfQSeries(2, [0, 1, 1])})
     assert packed(x * y) == element(pres, {(1,): Fraction(2), (2,): Fraction(1, 3)})
+
+
+@given(ring_and_terms(count=2))
+def test_a_packed_element_prints_and_reads_its_scalar_part_without_a_view(case):
+    # str and scalar_part read the packed numerators; the materialised copy reads the view
+    pres, (a, b) = case
+    product = packed(element(pres, a) * element(pres, b))
+    read = CohElement.from_packed(pres, *product.packed())
+    read = CohElement(pres, 0, dict(read.coeffs))
+    assert str(product) == str(read)
+    assert product.scalar_part() == read.scalar_part()
+    assert product._packed is not None  # neither built the view
+
+
+def test_coefficient_builds_a_zero_series_only_for_a_missing_monomial(cp2, monkeypatch):
+    elem = CohElement(cp2.presentation, 3, {(1,): HalfQSeries(3, [1, 2, 3, 4])})
+
+    def refuse(order):
+        raise AssertionError("zero series built for a stored monomial")
+
+    monkeypatch.setattr(HalfQSeries, "zero", staticmethod(refuse))
+    assert elem.coefficient((1,)) is elem.coeffs[(1,)]
+    monkeypatch.undo()
+    assert elem.coefficient((2,)) == HalfQSeries.zero(3)

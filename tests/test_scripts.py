@@ -161,7 +161,16 @@ def test_bench_kernels_times_the_graded_character_alone(monkeypatch, capsys):
     status, record = bench_kernels_record(monkeypatch, capsys, "bundleops.gch")
     assert status == 0
     assert sorted(record["kernels"]) == ["bundleops.gch.B.rank3.N24", "bundleops.gch.W.rank3.N24",
+                                         "bundleops.gch.W.rank6.CP4.N24",
                                          "bundleops.gch_closed_form.B.rank2.CP4.N80"]
+    assert all(value > 0 for value in record["kernels"].values())
+
+
+def test_bench_kernels_times_the_weight_tables_alone(monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, "bundleops.graded_decompose")
+    assert status == 0
+    assert list(record["kernels"]) == ["bundleops.graded_decompose.W.rank3.N24",
+                                       "bundleops.graded_decompose.W.rank6.CP4.N24"]
     assert all(value > 0 for value in record["kernels"].values())
 
 
