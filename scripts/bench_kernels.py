@@ -16,8 +16,12 @@ clone of the parent commit): for each selected case it runs PAIRS pairs of
 child processes, one process per case and side, the side that runs first
 alternating from pair to pair.  Each child is this script with ``--only``
 the case name and ``ELLGEN_BENCH_SRC`` naming the side's ``src``, so both
-sides run the same case code and the same calibration.  The JSON line then
-holds the pairs per case instead of ``kernels``.  Cases:
+sides run the same case code and the same calibration; the pairs are run by
+``alternating`` of ``bench_pairs.py``, which writes one line per child to
+standard error.  The JSON line then holds, per case instead of ``kernels``,
+each side's times, the side that ran first in each pair, each side's median,
+``this_faster_pairs`` and ``quartiles``: each side's median, q1 and q3, as
+``bench_pairs.py`` computes them.  Cases:
 
 - ``HalfQSeries`` multiply and invert at N = 20, 80, 320, on dense operands
   (every coefficient a random nonzero rational) and on sparse ones (random
@@ -193,8 +197,10 @@ SRC_ENV = "ELLGEN_BENCH_SRC"
 SRC = Path(os.environ.get(SRC_ENV) or ROOT / "src")
 sys.path.insert(0, str(SRC))
 sys.path.append(str(ROOT / "perfbench"))
+sys.path.append(str(ROOT / "scripts"))
 
 import speed  # noqa: E402  (perfbench/speed.py, read only)
+from bench_pairs import SIDES, alternating, spread  # noqa: E402
 from ellgen import cli, genera  # noqa: E402
 from ellgen.bundleops import (  # noqa: E402
     GradedKind,
@@ -478,7 +484,7 @@ def case_table(tmp: Path) -> dict:
         cp4, _, rank3 = cp4_bundles()
         sums = power_sums(rank3.shifted_roots(), cp4.presentation, 4)
         bundle_log = factor_log(ThetaKind.THETA1, 4, 320).at_power_sums(sums)
-        log = genera._tangent_log(cp4, 320) + bundle_log
+        log = factor_log(ThetaKind.THETA, 4, 320).at_power_sums(cp4.tangent_power_sums) + bundle_log
         return lambda: exp_nilpotent(log)
 
     @case("bundleops.exp_class.CP4.rank2.N24")
@@ -655,21 +661,20 @@ def child_time(name: str, src: Path) -> float:
 
 def paired(names: list[str], against: Path) -> dict:
     """Per case, PAIRS pairs of child times for this checkout and the one at
-    ``against``, the side that runs first alternating from pair to pair."""
-    sides = {"this": ROOT / "src", "against": against / "src"}
+    ``against``, the side that runs first alternating from pair to pair
+    (``bench_pairs.alternating``), with each side's median and quartiles."""
+    srcs = {"this": ROOT / "src", "against": against / "src"}
     out = {}
     for name in names:
-        times, first = {"this": [], "against": []}, []
-        for i in range(PAIRS):
-            order = ("this", "against") if i % 2 == 0 else ("against", "this")
-            first.append(order[0])
-            for side in order:
-                times[side].append(child_time(name, sides[side]))
+        runs = alternating(PAIRS, lambda side: child_time(name, srcs[side]), lambda t: f"{t} us")
+        times = {side: [run[side] for run in runs] for side in SIDES}
+        quartiles = {side: spread(times[side]) for side in SIDES}
         out[name] = {
-            **times, "first_in_pair": first,
-            "this_median": statistics.median(times["this"]),
-            "against_median": statistics.median(times["against"]),
+            **times, "first_in_pair": [run["first"] for run in runs],
+            "this_median": quartiles["this"]["median"],
+            "against_median": quartiles["against"]["median"],
             "this_faster_pairs": sum(t < a for t, a in zip(times["this"], times["against"])),
+            "quartiles": quartiles,
         }
     return out
 

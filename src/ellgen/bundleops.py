@@ -97,9 +97,8 @@ def exp_class(lc: LinearClass, order: int) -> CohElement:
     if order == 0:
         den, key = lcm(*[d for _, _, d in terms]), pres._table
         return CohElement.from_packed(pres, den, [(key[m], c * (den // d)) for m, c, d in terms])
-    out = CohElement(pres, order)
-    out.coeffs.update({mono: from_numerators(order, (c,) + pad, d) for mono, c, d in terms})
-    return out
+    return CohElement._of(pres, order, {m: from_numerators(order, (c,) + pad, d)
+                                        for m, c, d in terms})
 
 
 def _exp_multiple(char: CohElement, a: int) -> CohElement:
@@ -114,7 +113,7 @@ def _exp_multiple(char: CohElement, a: int) -> CohElement:
         den, terms = char.packed()
         return CohElement.from_packed(pres, den, [(k, c * a ** (k >> shift)) for k, c in terms])
     scaled = {mono: s * a ** (pres._table[mono] >> shift) for mono, s in char.coeffs.items()}
-    return CohElement(pres, char.order, scaled)
+    return CohElement._of(pres, char.order, scaled)
 
 
 def ch(e: ProjBundle, order: int, weight: int = 1) -> CohElement:
@@ -173,8 +172,8 @@ def _adams_series(char: CohElement, terms, den: int = 1) -> CohElement:
         for k, c, e in terms:
             nums[e] += c * k**i
         weights.append(from_numerators(order, tuple(nums), den))
-    return CohElement(pres, order, {mono: s * weights[pres.monomial_degree(mono) // 2]
-                                    for mono, s in char.coeffs.items()})
+    return CohElement._of(pres, order, {mono: s * weights[pres.monomial_degree(mono) // 2]
+                                        for mono, s in char.coeffs.items()})
 
 
 def witten_bundle_ch(kind: ThetaKind, e: ProjBundle, order: int) -> CohElement:
@@ -295,11 +294,11 @@ def _root_product(kind: GradedKind, e: ProjBundle, order: int, weighted: bool):
                     break
                 grown[(m + a, key1 + key2)] += f * v << width * k
         state = {slot: v & mask for slot, v in grown.items()}
-    out = {m: CohElement(pres, order) for m in weights}
+    parts = {m: {} for m in weights}
     for (m, key), v in state.items():
         if v and (mono := table[key]) is not None:
-            out[m].coeffs[mono] = from_numerators(order, _unpack(v, nbytes, size, bias), den)
-    return out
+            parts[m][mono] = from_numerators(order, _unpack(v, nbytes, size, bias), den)
+    return {m: CohElement._of(pres, order, coeffs) for m, coeffs in parts.items()}
 
 
 def graded_decompose(kind: GradedKind, e: ProjBundle, order: int) -> GradedTable:

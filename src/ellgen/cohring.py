@@ -7,16 +7,16 @@ degree above the top degree is identically zero, which makes degree-2
 classes nilpotent and exponentials finite.
 
 One n-ary sum per layer: `sum_of_elements` adds a list of elements in one
-pass at their least order, and `a + b` is its two-term case.  Every stored
-coefficient is nonzero and of exactly the element's order, so a monomial
-held by one element of that order passes through; every other monomial is
-one `qseries.sum_of_numerators`.  `sum_of_products` forms sum_i a_i * b_i
-in one pass; a product is its one-pair case.  At order 0 (q-free) it runs on
-plain integers over one denominator: one multiply-add per monomial pair and
-one gcd per result monomial.  Above order 0 it keeps one denominator per
-monomial, multiplies each pair's numerators (`qseries._int_product`) and makes
-one `sum_of_numerators` per result monomial: a common denominator per operand
-inflates long numerators.
+pass at their least order, and `a + b` is its two-term case: at order 0 over
+one denominator; above it every stored coefficient is nonzero and of exactly
+the element's order, so a monomial held by one element of that order passes
+through, and every other monomial is one `qseries.sum_of_numerators`.
+`sum_of_products` forms sum_i a_i * b_i in one pass; a product is its one-pair
+case.  At order 0 (q-free) it runs on plain integers over one denominator: one
+multiply-add per monomial pair and one gcd per result monomial.  Above order 0
+it keeps one denominator per monomial, multiplies each pair's numerators
+(`qseries._int_product`) and makes one `sum_of_numerators` per result
+monomial: a common denominator per operand inflates long numerators.
 
 Both run on packed keys, one integer per monomial of degree <= top made once
 per ring in its private table: the exponents as w-bit digits, the first
@@ -26,11 +26,13 @@ as (degree, exponents) do, and a product is above the top exactly when that sum
 reaches (top + 1) * 2^(w g) for g generators.  The table maps a key back to its
 monomial, or to None when a relation kills it: one relation test per ring.
 
-A q-free element made by a ring operation holds only its canonical packed form: (den,
-[(key, numerator)] by key), gcd 1, nonzero numerators of surviving keys; ==, `integrate`,
-`scalar_part` and str read it, so neither a chain of products nor a printed table makes a
-series.  `coeffs`, the monomial -> series dict, is a view built on first read; the packed
-form is then dropped, so no stale copy is left.
+An element's form depends only on its order.  At order 0 (q-free) it holds its canonical
+packed form from construction on: (den, [(key, numerator)] by key), gcd 1, nonzero
+numerators of surviving keys, which ==, `integrate`, `scalar_part` and str read.  Its
+`coeffs` is a read-only monomial -> series view, built on first read and cached beside it
+(a write would go unseen, so it raises TypeError).  Above order 0 the monomial -> series
+dict `coeffs` is the storage.  Results are built whole, by `from_packed` or the trusted
+`_of`, never by writing into `coeffs`.
 
 Manifolds are presented by their ring, a dimension 4r equal to the top
 degree, and a list of stable tangent Chern roots.  Zero roots (padding for
@@ -47,6 +49,7 @@ from functools import cached_property
 from itertools import count, repeat
 from math import factorial, gcd, lcm, prod
 from operator import ge, mul
+from types import MappingProxyType
 
 from .qseries import (HalfQSeries, _int_product, from_numerators, parse_rational,
                       rational_text, sum_of_numerators)
@@ -229,26 +232,35 @@ class LinearClass:
 
 
 class CohElement:
-    """An element of the quotient ring: monomial -> HalfQSeries, or a q-free packed form.
+    """An element of the quotient ring: packed at order 0, else monomial -> HalfQSeries.
 
-    Every coefficient is a nonzero canonical series of exactly the element's order.
+    Every coefficient is a nonzero canonical series of exactly the element's order; at
+    order 0 `coeffs` is a read-only view of the packed form (see the module docstring).
     """
 
     __slots__ = ("presentation", "order", "coeffs", "_packed")
 
     def __init__(self, presentation: RingPresentation, order: int, coeffs=None) -> None:
-        self.presentation = presentation
-        self.order = order
-        self.coeffs: dict[Monomial, HalfQSeries] = {}
-        self._packed = None
-        if coeffs:
-            for mono, series in coeffs.items():
-                series = series.truncate(order)  # a shorter series stays as it is
-                if presentation.is_zero_monomial(mono) or series.is_zero():
-                    continue
-                if series.order < order:
-                    raise ValueError("coefficient series shorter than the element order")
-                self.coeffs[mono] = series
+        kept = {mono: s.truncate(order) for mono, s in (coeffs or {}).items()
+                if not presentation.is_zero_monomial(mono)}  # a shorter series stays as it is
+        if any(s.order < order and not s.is_zero() for s in kept.values()):
+            raise ValueError("coefficient series shorter than the element order")
+        self._hold(presentation, order, kept)
+
+    @classmethod
+    def _of(cls, presentation: RingPresentation, order: int, coeffs) -> "CohElement":
+        """The trusted builder: surviving monomials -> series of exactly the order, a zero
+        series dropped and nothing re-validated."""
+        out = object.__new__(cls)
+        out._hold(presentation, order, coeffs)
+        return out
+
+    def _hold(self, presentation: RingPresentation, order: int, coeffs) -> None:
+        self.presentation, self.order, self._packed = presentation, order, None
+        self.coeffs = {mono: s for mono, s in coeffs.items() if not s.is_zero()}
+        if not order:  # packed; the view is built on first read
+            self._packed = self.packed()
+            del self.coeffs
 
     @classmethod
     def from_packed(cls, presentation: RingPresentation, den: int, terms) -> "CohElement":
@@ -261,16 +273,17 @@ class CohElement:
         out._packed = (den // g, terms if g == 1 else [(key, c // g) for key, c in terms])
         return out
 
-    def __getattr__(self, name):  # reached for an unset slot only: a packed element's view
-        if name != "coeffs" or self._packed is None:
+    def __getattr__(self, name):  # reached for an unset slot only: a q-free element's view
+        if name != "coeffs":
             raise AttributeError(name)
         (den, terms), table = self._packed, self.presentation._table
-        self.coeffs, self._packed = {table[k]: from_numerators(0, (c,), den) for k, c in terms}, None
+        self.coeffs = MappingProxyType({table[k]: from_numerators(0, (c,), den) for k, c in terms})
         return self.coeffs
 
     def packed(self) -> tuple[int, list[tuple[int, int]]]:
-        """A q-free element's packed form, not to be mutated: held, or read off the view."""
-        if self._packed is None:
+        """The packed form of the u^0 part, not to be mutated: held at order 0, read off
+        `coeffs` above it (zero numerators and a common factor kept)."""
+        if self._packed is None:  # over the lcm of the denominators: canonical at order 0
             d, table = lcm(*[s.den for s in self.coeffs.values()]), self.presentation._table
             return d, sorted([(table[m], s.nums[0] * d // s.den) for m, s in self.coeffs.items()])
         return self._packed
@@ -285,16 +298,9 @@ class CohElement:
 
     @classmethod
     def scalar(cls, presentation: RingPresentation, order: int, value) -> "CohElement":
-        if isinstance(value, HalfQSeries):
-            if value.order < order:
-                raise ValueError("scalar series shorter than the element order")
-            series = value.truncate(order)
-        else:
-            series = HalfQSeries.constant(value, order)
-        out = cls(presentation, order)
-        if not series.is_zero():
-            out.coeffs[presentation.unit_monomial()] = series
-        return out
+        if not isinstance(value, HalfQSeries):
+            value = HalfQSeries.constant(value, order)
+        return cls(presentation, order, {presentation.unit_monomial(): value})
 
     def coefficient(self, mono: Monomial) -> HalfQSeries:
         series = self.coeffs.get(mono)
@@ -304,36 +310,29 @@ class CohElement:
         return not (self.coeffs if self._packed is None else self._packed[1])
 
     def __add__(self, other):
-        if isinstance(other, HalfQSeries):
-            n = min(self.order, other.order)
-            other = CohElement.scalar(self.presentation, n, other.truncate(n))
-        elif isinstance(other, (int, Fraction)):
-            other = CohElement.scalar(self.presentation, self.order, other)
+        if isinstance(other, (int, Fraction, HalfQSeries)):
+            n = min(self.order, other.order) if isinstance(other, HalfQSeries) else self.order
+            other = CohElement.scalar(self.presentation, n, other)
         return sum_of_elements([self, other])
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = CohElement(self.presentation, self.order)
-        out.coeffs = {m: -s for m, s in self.coeffs.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, HalfQSeries)):
-            return self + (-1 * other)
-        return self + (-other)
+        return self + other * -1
 
     def __mul__(self, other):
         # a ring operand first: the scalar test's Fraction is an ABC, slow to miss
         if isinstance(other, CohElement) or not isinstance(other, (int, Fraction, HalfQSeries)):
             return sum_of_products([(self, other)])
         n = min(self.order, other.order) if isinstance(other, HalfQSeries) else self.order
-        out = CohElement(self.presentation, n)
-        for mono, s in self.coeffs.items():
-            prod = s.truncate(n) * other
-            if not prod.is_zero():
-                out.coeffs[mono] = prod
-        return out
+        if n == 0:  # the packed u^0 part times a rational
+            f = other.coefficient(0) if isinstance(other, HalfQSeries) else Fraction(other)
+            return _packed_sum(self.presentation, [(f.numerator, f.denominator, self.packed())])
+        return CohElement._of(self.presentation, n,
+                              {mono: s.truncate(n) * other for mono, s in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -350,8 +349,9 @@ class CohElement:
 
     def scaled(self, series: HalfQSeries) -> "CohElement":
         """This q-free (order-0) element times a series: one rational scaling per monomial."""
-        terms = {mono: series * s.coefficient(0) for mono, s in self.coeffs.items()}
-        return CohElement(self.presentation, series.order, terms)
+        (den, terms), table = self._packed, self.presentation._table
+        return CohElement._of(self.presentation, series.order,
+                              {table[k]: series * Fraction(c, den) for k, c in terms})
 
     def scalar_part(self) -> HalfQSeries:
         if self._packed is None:
@@ -362,9 +362,8 @@ class CohElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohElement):
             return NotImplemented
-        both = self._packed is not None and other._packed is not None
         return (self.order == other.order and self.presentation == other.presentation
-                and (self._packed == other._packed if both else self.coeffs == other.coeffs))
+                and (self.coeffs == other.coeffs if self.order else self._packed == other._packed))
 
     def __str__(self) -> str:
         """Terms by key as "(s)*name", "(s)" for the unit; packed, from the numerators."""
@@ -390,24 +389,34 @@ def _ring_and_order(elems) -> tuple[RingPresentation, int]:
     return pres, min([elem.order for elem in elems])
 
 
+def _packed_sum(presentation: RingPresentation, parts) -> CohElement:
+    """sum_i (p_i / q_i) x_i over the parts (p_i, q_i, packed x_i = (d_i, terms_i)), over one
+    denominator, the lcm of the q_i d_i."""
+    den, acc = lcm(*[q * d for _, q, (d, _) in parts]), defaultdict(int)
+    for p, q, (d, terms) in parts:
+        f = p * (den // (q * d))
+        for key, c in terms:
+            acc[key] += c * f
+    return CohElement.from_packed(presentation, den, acc.items())
+
+
 def sum_of_elements(elems) -> CohElement:
     """sum_i a_i over a nonempty list of elements, in one pass, at their least
-    order: a monomial held by one element of that order passes through, and any
-    other monomial is one `sum_of_numerators` of its series."""
+    order: at order 0 over one denominator; above it a monomial held by one element
+    of that order passes through, and any other monomial is one `sum_of_numerators`."""
     if not elems:
         raise ValueError("at least one element is needed")
     pres, n = _ring_and_order(elems)
+    if n == 0:
+        return _packed_sum(pres, [(1, 1, elem.packed()) for elem in elems])
     parts: dict[Monomial, list[HalfQSeries]] = defaultdict(list)
     for elem in elems:
         for mono, s in elem.coeffs.items():
             parts[mono].append(s)
-    out = CohElement(pres, n)
-    for mono, series in parts.items():
-        total = (series[0] if len(series) == 1 and series[0].order == n
-                 else sum_of_numerators(n, [(s.nums, s.den) for s in series]))
-        if not total.is_zero():
-            out.coeffs[mono] = total
-    return out
+    return CohElement._of(pres, n, {
+        mono: series[0] if len(series) == 1 and series[0].order == n
+        else sum_of_numerators(n, [(s.nums, s.den) for s in series])
+        for mono, series in parts.items()})
 
 
 def sum_of_products(pairs) -> CohElement:
@@ -441,8 +450,8 @@ def sum_of_products(pairs) -> CohElement:
                 if p2 >= room:
                     break
                 parts[p1 + p2].append((_int_product(nums1, nums2), den1 * den2))
-    return CohElement(pres, n, {mono: sum_of_numerators(n, bucket) for key, bucket in parts.items()
-                                if (mono := table[key]) is not None})
+    return CohElement._of(pres, n, {mono: sum_of_numerators(n, bucket) for key, bucket in
+                                    parts.items() if (mono := table[key]) is not None})
 
 
 def power_sum_numerators(roots, presentation: RingPresentation, k_max: int):
@@ -470,10 +479,10 @@ def power_sum_numerators(roots, presentation: RingPresentation, k_max: int):
 
 
 def power_sums(roots, presentation: RingPresentation, k_max: int) -> list[CohElement]:
-    """p_k = sum_i root_i^k, k = 0..k_max, as order-0 classes, each coefficient one
-    `from_numerators` of its `power_sum_numerators` numerator over d^k."""
-    return [CohElement(presentation, 0, {mono: from_numerators(0, (c,), dk) for mono, c in terms})
-            for dk, terms in power_sum_numerators(roots, presentation, k_max)]
+    """p_k = sum_i root_i^k, k = 0..k_max, as order-0 classes, each packed from its
+    `power_sum_numerators` numerators over d^k."""
+    return [CohElement.from_packed(presentation, dk, [(presentation._table[m], c) for m, c in ts])
+            for dk, ts in power_sum_numerators(roots, presentation, k_max)]
 
 
 # kept as a module-level name: perfbench/tracer.py wraps it by name
@@ -488,7 +497,6 @@ def _power_series(x: CohElement, coeffs) -> CohElement:
     monomial is one `sum_of_numerators`.  The sum stops at the first power of x that
     vanishes, and raises if one outlives k > order + top/2 (see exp_nilpotent)."""
     pres, n = x.presentation, x.order
-    x = CohElement.from_packed(pres, *x.packed()) if n == 0 else x  # packed once, not per power
     terms, power = [], CohElement.one(pres, n)
     for k, c in enumerate(coeffs):
         if power.is_zero():
@@ -499,17 +507,12 @@ def _power_series(x: CohElement, coeffs) -> CohElement:
             terms.append((c.numerator, c.denominator, power.packed() if n == 0 else power))
         power = power * x if k else x
     if n == 0:
-        den, acc = lcm(*[q * d for _, q, (d, _) in terms]), defaultdict(int)
-        for p, q, (d, pairs) in terms:
-            f = p * (den // (q * d))
-            for key, c in pairs:
-                acc[key] += c * f
-        return CohElement.from_packed(pres, den, acc.items())
+        return _packed_sum(pres, terms)
     parts: dict[Monomial, list[tuple]] = defaultdict(list)
     for p, q, power in terms:
         for mono, s in power.coeffs.items():
             parts[mono].append((s.nums if p == 1 else [v * p for v in s.nums], s.den * q))
-    return CohElement(pres, n, {mono: sum_of_numerators(n, bucket) for mono, bucket in parts.items()})
+    return CohElement._of(pres, n, {m: sum_of_numerators(n, bucket) for m, bucket in parts.items()})
 
 
 def exp_nilpotent(a: CohElement) -> CohElement:

@@ -118,15 +118,11 @@ _MANIFOLD_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
-def _tangent_log(m: Manifold, order: int) -> CohElement:
-    """sum_j c_j s_(2j) over the stable roots' power sums, for log f = sum_j c_j z^(2j)."""
-    return factor_log(ThetaKind.THETA, _z_degree(m), order).at_power_sums(m.tangent_power_sums)
-
-
-@functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
 def _tangent_core(m: Manifold, order: int) -> CohElement:
-    """Product of the normalized odd theta factors over the stable roots."""
-    return exp_nilpotent(_tangent_log(m, order))
+    """Product of the normalized odd theta factors over the stable roots: the exp of
+    sum_j c_j s_(2j) over their power sums, for log f = sum_j c_j z^(2j)."""
+    log = factor_log(ThetaKind.THETA, _z_degree(m), order).at_power_sums(m.tangent_power_sums)
+    return exp_nilpotent(log)
 
 
 def a_hat_class(m: Manifold, order: int = 0) -> CohElement:

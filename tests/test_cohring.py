@@ -87,8 +87,7 @@ def test_integration_normalization(cp2):
 
 
 def test_integration_cp4(cp4):
-    x4 = CohElement(cp4.presentation, 0)
-    x4.coeffs[(4,)] = HalfQSeries.one(0)
+    x4 = CohElement(cp4.presentation, 0, {(4,): HalfQSeries.one(0)})
     assert integrate(x4, cp4) == HalfQSeries.one(0)
 
 

@@ -101,9 +101,9 @@ def reference_resum(entries, kind, presentation, order):
     step = 2 if kind in (GradedKind.W, GradedKind.A) else 1
     total = CohElement.zero(presentation, order)
     for (m, n), entry in entries.items():
-        lifted = CohElement(presentation, order)
-        for mono, s in entry.coeffs.items():
-            lifted.coeffs[mono] = from_numerators(order, (*s.nums, *[0] * order), s.den)
+        lifted = CohElement(presentation, order, {
+            mono: from_numerators(order, (*s.nums, *[0] * order), s.den)
+            for mono, s in entry.coeffs.items()})
         total = total + lifted * HalfQSeries.u_power(step * n, order)
     return total
 

@@ -44,8 +44,7 @@ from ellgen.theta import FactorSeries, ThetaKind
 METHODS = (THETA_PRODUCT, DEFINITION)
 # t = a/d: integers, halves, thirds and fifths
 TS = sorted({Fraction(a, d) for a in range(-5, 6) for d in (1, 2, 3, 5)})
-ENGINE_CACHES = (genera._tangent_log, genera._tangent_core, genera._definition_tangent_part,
-                 genera._universal_genus)
+ENGINE_CACHES = (genera._tangent_core, genera._definition_tangent_part, genera._universal_genus)
 
 
 def riemann_roch(n, t):

@@ -1,8 +1,8 @@
 """The memoized manifold- and order-only factors of the two genus engines.
 
 The theta-product engine caches `theta.elliptic_factor`, `theta.factor_log`,
-`genera.bundle_root_factor` (pell's odd factor, keyed by z-degree and order),
-`genera._tangent_log` and `genera._tangent_core`;
+`genera.bundle_root_factor` (pell's odd factor, keyed by z-degree and order)
+and `genera._tangent_core`;
 the definition engine caches `genera._definition_tangent_part` and
 `qseries.eta_like_product`.  The engines must share no cached object, a
 cached value must equal its recomputation, and no caller may mutate one.
@@ -26,7 +26,7 @@ from ellgen.theta import FactorSeries, ThetaKind
 ORDER = 20
 KINDS = (GenusKind.PELL, GenusKind.PELL1, GenusKind.PELL2, GenusKind.PELL3)
 THETA_CACHES = (theta.elliptic_factor, genera.bundle_root_factor, genera._tangent_core,
-                theta.factor_log, genera._tangent_log)
+                theta.factor_log)
 DEFINITION_CACHES = (genera._definition_tangent_part, qseries.eta_like_product)
 
 
@@ -90,7 +90,6 @@ def test_cached_values_equal_recomputation_and_stay_unchanged(cp4):
     cases += [(genera.bundle_root_factor, (z_degree, ORDER))]
     cases += [
         (genera._tangent_core, (cp4, ORDER)),
-        (genera._tangent_log, (cp4, ORDER)),
         (genera._definition_tangent_part, (cp4, ORDER)),
         (qseries.eta_like_product, (-1, False, cp4.dimension, ORDER)),
         (qseries.eta_like_product, (1, True, -2 * e.rank, ORDER)),

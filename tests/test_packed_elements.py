@@ -1,10 +1,10 @@
 """q-free elements in packed form: every ring route against a literal dict reference.
 
-A q-free `CohElement` made by a ring operation holds (den, [(key, numerator)])
-and builds its monomial -> series view on first read.  The reference here is a
-plain {monomial: Fraction} dict multiplied by convolution, with the degree and
-the relations applied monomial by monomial, so it shares nothing with the packed
-keys.  Three rings: the six-generator ring of the Schur check at top degree 12,
+Every q-free `CohElement`, whatever route builds it, holds (den, [(key, numerator)])
+and builds its read-only monomial -> series view on first read, beside the packed
+form.  The reference here is a plain {monomial: Fraction} dict multiplied by
+convolution, with the degree and the relations applied monomial by monomial, so it
+shares nothing with the packed keys.  Three rings: the six-generator ring of the Schur check at top degree 12,
 CP4, and the README's custom presentation, whose relation a^3 = 0 lies below
 its top degree, so a product can land on a key that a relation kills.
 """
@@ -12,12 +12,21 @@ its top degree, so a product can land on a key that a relation kills.
 import itertools
 from fractions import Fraction
 from math import factorial, gcd
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellgen.bundleops import _exp_multiple, exp_class
+from ellgen.bundleops import (
+    GradedKind,
+    ProjBundle,
+    _adams_series,
+    _exp_multiple,
+    exp_class,
+    gch,
+    graded_decompose,
+)
 from ellgen.cohring import (
     CohElement,
     LinearClass,
@@ -27,6 +36,8 @@ from ellgen.cohring import (
     builtin_manifold,
     exp_nilpotent,
     integrate,
+    power_sums,
+    projective_space,
     sum_of_elements,
     sum_of_products,
 )
@@ -109,13 +120,22 @@ def as_dict(elem):
 
 
 def packed(elem):
-    """elem, after checking that it holds a canonical packed form: gcd(den, numerators) = 1,
-    nonzero numerators, keys strictly increasing."""
-    assert elem._packed is not None, "a ring operation left a q-free result unpacked"
+    """elem, after checking that it is q-free and holds a canonical packed form: gcd(den,
+    numerators) = 1, nonzero numerators, keys strictly increasing."""
+    assert elem.order == 0 and elem._packed is not None, "a q-free element is not held packed"
     den, terms = elem.packed()
     assert den > 0 and gcd(den, *[c for _, c in terms]) == 1
     assert all(c for _, c in terms) and all(p < q for (p, _), (q, _) in zip(terms, terms[1:]))
     return elem
+
+
+def has_view(elem):
+    """Whether elem's `coeffs` slot is filled, read without building a q-free view."""
+    try:
+        CohElement.coeffs.__get__(elem)
+    except AttributeError:
+        return False
+    return True
 
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
@@ -198,38 +218,82 @@ def test_every_view_coefficient_is_a_nonzero_canonical_series_of_order_zero(name
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
-def test_mutating_the_view_of_a_product_is_seen_by_later_products_and_by_eq(name):
+def test_reading_the_view_of_a_product_keeps_its_packed_form(name):
     pres = RINGS[name]
     a, b, ref = products(pres)
-    product = packed(a * b)
-    view = product.coeffs  # as tests/test_cohring.py's integration test fills an element
-    mono = max(ref, key=pres.monomial_degree)
-    view[mono] = HalfQSeries.one(0)
-    changed = {**ref, mono: Fraction(1)}
-    assert product == element(pres, changed) and product != a * b
-    assert product * b == element(pres, ref_mul(pres, changed, as_dict(b)))
-    assert sum_of_products([(product, b)]) == product * b
-    del view[mono]
-    assert product == element(pres, {m: c for m, c in ref.items() if m != mono})
+    product, fresh = packed(a * b), a * b
+    held = product._packed
+    assert not has_view(product)
+    assert len(product.coeffs) == len(ref) and as_dict(product) == ref and has_view(product)
+    assert product._packed is held  # the view sits beside the packed form
+    assert isinstance(product.coeffs, MappingProxyType) and product.coeffs is product.coeffs
+    assert packed(product) == fresh and fresh == product and str(product) == str(fresh)
+    assert packed(product * b) == fresh * b == element(pres, ref_mul(pres, ref, as_dict(b)))
+    assert packed(sum_of_products([(product, b), (a, fresh)])) == product * b + a * fresh
+    assert packed(product + b) == fresh + b and packed(-product) == -fresh
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
-def test_eq_and_is_zero_agree_between_packed_and_materialised_operands(name):
+def test_a_q_free_view_refuses_assignment(name):
     pres = RINGS[name]
     a, b, ref = products(pres)
-    first, second, read = packed(a * b), packed(a * b), a * b
+    mono = max(ref, key=pres.monomial_degree)
+    for elem in (packed(a * b), a, CohElement.zero(pres, 0)):
+        with pytest.raises(TypeError):
+            elem.coeffs[mono] = HalfQSeries.one(0)
+        with pytest.raises(TypeError):
+            del elem.coeffs[pres.unit_monomial()]
+    assert packed(a * b) == element(pres, ref)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_constructor_built_and_product_built_elements_compare_equal(name):
+    pres = RINGS[name]
+    a, b, ref = products(pres)
+    built, product = packed(element(pres, ref)), packed(a * b)
+    assert built == product and product == built and built._packed == product._packed
+    assert str(built) == str(product) and built.scalar_part() == product.scalar_part()
     halved = packed(element(pres, {m: c / 2 for m, c in as_dict(a).items()}) * b)
-    assert halved.packed()[1] == first.packed()[1] and halved != first  # only den differs
-    assert read.coeffs and read._packed is None
-    assert first == second and first == read and read == first and read == element(pres, ref)
-    assert first != packed(a * a) and read != packed(a * a)
+    assert halved.packed()[1] == product.packed()[1] and halved != product  # only den differs
+    assert product != packed(a * a)
     high = element(pres, {HALF_TOP[name]: Fraction(1)})
-    zero, zero_read = packed(high * high), high * high
-    assert zero_read.coeffs == {}
-    for z in (zero, zero_read):
-        assert z.is_zero() and z == CohElement.zero(pres, 0) and CohElement.zero(pres, 0) == z
-    assert zero == zero_read and not first.is_zero() and not read.is_zero()
-    assert first.is_zero() == read.is_zero() == (not ref)
+    zero = packed(high * high)
+    assert zero.is_zero() and zero == CohElement.zero(pres, 0) == element(pres, {})
+    assert zero.coeffs == {} and not product.is_zero() and product.is_zero() == (not ref)
+
+
+def test_every_route_to_a_q_free_element_holds_it_packed(cp4):
+    pres = cp4.presentation
+    x = LinearClass.generator(pres, "x")
+    a, b, _ = products(pres)
+    e = ProjBundle(rank=2, roots=(x, x.scale(Fraction(-1, 3))), twist_b=x.scale(Fraction(1, 2)))
+    routes = {
+        "constructor": CohElement(pres, 0, {(1,): HalfQSeries.constant(Fraction(2, 3), 0)}),
+        "constructor, truncating": CohElement(pres, 0, {(2,): HalfQSeries(3, [5, 1, 2, 3])}),
+        "scalar": CohElement.scalar(pres, 0, Fraction(-4, 9)),
+        "scalar of a series": CohElement.scalar(pres, 0, HalfQSeries(2, [3, 1, 1])),
+        "one": CohElement.one(pres, 0), "zero": CohElement.zero(pres, 0),
+        "as_element": x.scale(Fraction(3, 4)).as_element(0),
+        "power_sums": power_sums([x, x.scale(Fraction(1, 2))], pres, 4)[3],
+        "tangent_power_sums": cp4.tangent_power_sums[2],
+        "+": a + b, "+ int": a + 2, "+ series": a + HalfQSeries(3, [1, 2, 3, 4]),
+        "-": a - b, "- int": a - 2, "unary -": -a,
+        "* int": a * 3, "* Fraction": Fraction(5, 6) * a, "* series": a * HalfQSeries(1, [2, 7]),
+        "sum_of_elements": sum_of_elements([a, b, -a]),
+        "product": a * b, "sum_of_products": sum_of_products([(a, b), (b, b)]),
+        "exp_nilpotent": exp_nilpotent(a - a.scalar_part()),
+        "_power_series": _power_series(b - b.scalar_part(), [1, 2, 3]),
+        "invert": a.invert(),
+        "scaled": power_sums([x], pres, 4)[2].scaled(HalfQSeries.constant(3, 0)),
+        "exp_class": exp_class(x, 0), "_exp_multiple": _exp_multiple(a, 2),
+        "_adams_series": _adams_series(a, [(2, 1, 0)]),
+        "gch (_root_product)": gch(GradedKind.W, e, 0),
+        "graded_decompose (_root_product)": graded_decompose(GradedKind.A, e, 0).weights[1],
+        "mixed-order sum": sum_of_elements([a, CohElement.one(pres, 3)]),
+        "mixed-order product": a * CohElement.one(pres, 3),
+    }
+    for route, elem in routes.items():
+        assert packed(elem) is elem, route
 
 
 def test_a_product_of_a_killed_key_is_dropped_in_the_custom_ring():
@@ -239,24 +303,41 @@ def test_a_product_of_a_killed_key_is_dropped_in_the_custom_ring():
     assert packed(a2 * element(CUSTOM, {(0, 1): Fraction(1)})) == element(CUSTOM, {(2, 1): 1})
 
 
-def test_a_mixed_order_product_truncates_through_the_packed_route(cp4):
+def test_a_mixed_order_product_truncates_through_the_packed_route(cp4, monkeypatch):
     pres = cp4.presentation
     x = element(pres, {(1,): Fraction(1, 2), (0,): Fraction(3)})
     y = CohElement(pres, 2, {(1,): HalfQSeries(2, [Fraction(2, 3), 5, 0]),
                              (2,): HalfQSeries(2, [0, 1, 1])})
-    assert packed(x * y) == element(pres, {(1,): Fraction(2), (2,): Fraction(1, 3)})
+    # y's u^0 part read off its dict: a zero numerator kept, over the lcm of the denominators
+    key = pres._table
+    assert y._packed is None and y.packed() == (3, [(key[(1,)], 2), (key[(2,)], 0)])
+    read, packed_off = [], CohElement.packed
+
+    def spy(elem):
+        read.append(elem.order)
+        return packed_off(elem)
+
+    monkeypatch.setattr(CohElement, "packed", spy)
+    both = [x * y, y * x]
+    monkeypatch.undo()
+    assert read == [0, 2, 2, 0]  # each product read both operands' packed forms
+    expected = element(pres, {(1,): Fraction(2), (2,): Fraction(1, 3)})
+    assert packed(both[0]) == expected and packed(both[1]) == expected
+    assert y._packed is None and len(y.coeffs) == 2  # the order-2 operand stays a dict
 
 
 @given(ring_and_terms(count=2))
 def test_a_packed_element_prints_and_reads_its_scalar_part_without_a_view(case):
-    # str and scalar_part read the packed numerators; the materialised copy reads the view
+    # str and scalar_part read the packed numerators; the reference reads the view afterwards
     pres, (a, b) = case
     product = packed(element(pres, a) * element(pres, b))
-    read = CohElement.from_packed(pres, *product.packed())
-    read = CohElement(pres, 0, dict(read.coeffs))
-    assert str(product) == str(read)
-    assert product.scalar_part() == read.scalar_part()
-    assert product._packed is not None  # neither built the view
+    text, scalar = str(product), product.scalar_part()
+    assert not has_view(product)
+    key = pres._table
+    terms = sorted([(key[m], str(s)) for m, s in product.coeffs.items()])
+    assert text == " + ".join([f"({s})*{pres.monomial_str(key[k])}" if k else f"({s})"
+                               for k, s in terms]) or "0"
+    assert scalar == product.coefficient(pres.unit_monomial())
 
 
 def test_coefficient_builds_a_zero_series_only_for_a_missing_monomial(cp2, monkeypatch):

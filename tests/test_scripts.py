@@ -278,6 +278,29 @@ def test_bench_kernels_pairs_two_checkouts_case_by_case(monkeypatch, capsys):
     assert len(pair["this"]) == len(pair["against"]) == 1
     assert pair["this"][0] > 0 and pair["against"][0] > 0
     assert pair["this_faster_pairs"] in (0, 1)
+    for side in ("this", "against"):  # one time is its own median and both quartiles
+        t = pair[side][0]
+        assert pair["quartiles"][side] == {"median": t, "q1": t, "q3": t}
+        assert pair[f"{side}_median"] == t
+
+
+def test_bench_kernels_pairs_report_each_sides_quartiles(monkeypatch, tmp_path):
+    """Canned child times, four pairs: the sides alternate and each side's median and
+    inclusive quartiles are those of its own four times."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPTS / "bench_kernels.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    times = {str(ROOT / "src"): iter([4.0, 1.0, 3.0, 2.0]),
+             str(tmp_path / "src"): iter([10.0, 40.0, 20.0, 30.0])}
+    monkeypatch.setattr(bench, "PAIRS", 4)
+    monkeypatch.setattr(bench, "child_time", lambda name, src: next(times[str(src)]))
+    pair = bench.paired(["case"], tmp_path)["case"]
+    assert pair["first_in_pair"] == ["this", "against", "this", "against"]
+    assert pair["this"] == [4.0, 1.0, 3.0, 2.0] and pair["this_faster_pairs"] == 4
+    assert pair["quartiles"]["this"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert pair["quartiles"]["against"] == {"median": 25.0, "q1": 17.5, "q3": 32.5}
+    assert pair["this_median"] == 2.5 and pair["against_median"] == 25.0
 
 
 def test_bench_kernels_refuses_a_path_without_ellgen(tmp_path):
