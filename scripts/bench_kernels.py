@@ -47,6 +47,11 @@ each side's times, the side that ran first in each pair, each side's median,
   (``cohring.schur6.exp_nilpotent.generator``), the ring's own exp that the
   check compares each closed-form exp with: six one-monomial products and the
   power series' one sum;
+- scalar multiples: the q-free exp of a class with six distinct coefficients
+  on that ring, every one of its 924 monomials, times 3
+  (``cohring.scalar_mul.schur6``), and a ``CohElement`` with a random dense
+  series on every monomial of CP4 times a dense series at N = 80
+  (``cohring.scalar_mul.CP4.N80``);
 - ``power_sums`` of the three shifted roots of a twisted rank-3 bundle on CP4
   up to k = 4 (``cohring.power_sums.CP4.rank3.k4``), the power sums the
   theta-product engine reads a bundle side's factor log at;
@@ -407,6 +412,19 @@ def case_table(tmp: Path) -> dict:
     def _():
         generator = schur6()[1][0].as_element(0)
         return lambda: exp_nilpotent(generator)
+
+    @case("cohring.scalar_mul.schur6")
+    def _():
+        pres, _ = schur6()
+        values = (1, 2, 3, -1, Fraction(1, 2), Fraction(-3, 2))
+        wide = exp_class(LinearClass(pres, values), 0)
+        return lambda: wide * 3
+
+    @case("cohring.scalar_mul.CP4.N80")
+    def _():
+        rng = random.Random("cohring.scalar_mul.CP4.N80")
+        x, s = full_element(rng, builtin_manifold("CP4"), 80), dense_series(rng, 80)
+        return lambda: x * s
 
     @case("cohring.power_sums.CP4.rank3.k4")
     def _():

@@ -40,7 +40,8 @@ from .cohring import (
     sum_of_elements,
     sum_of_products,
 )
-from .qseries import _bias, _digit_bytes, _pack, _unpack, eta_like_product, from_numerators
+from .qseries import (HalfQSeries, _bias, _digit_bytes, _pack, _unpack, eta_like_product,
+                      from_numerators)
 from .theta import ThetaKind
 
 
@@ -86,19 +87,16 @@ class ProjBundle:
 
 
 def exp_class(lc: LinearClass, order: int) -> CohElement:
-    """exp of a degree-2 class in closed form: sum_k lc^k / k!, lc^k the integer
-    numerators of `power_sum_numerators([lc], ...)` over d^k, each coefficient one
-    constant series over d^k * k!, or at order 0 one packed numerator over their lcm.
-    Reading the power sums keeps the engines independent: it is exact ring arithmetic
-    like the ring product, reads no `factor_log`, and multi-generator tests pin it."""
-    pres, pad = lc.presentation, (0,) * order
+    """exp of a degree-2 class in closed form: sum_k lc^k / k!, lc^k the integer numerators
+    of `power_sum_numerators([lc], ...)` over d^k, packed q-free and lifted to the order.
+    Reading the power sums keeps the engines independent: it is exact ring arithmetic like
+    the ring product, reads no `factor_log`, and multi-generator tests pin it."""
+    pres = lc.presentation
     levels = enumerate(power_sum_numerators([lc], pres, pres.top_degree // 2))
     terms = [(mono, c, dk * factorial(k)) for k, (dk, level) in levels for mono, c in level]
-    if order == 0:
-        den, key = lcm(*[d for _, _, d in terms]), pres._table
-        return CohElement.from_packed(pres, den, [(key[m], c * (den // d)) for m, c, d in terms])
-    return CohElement._of(pres, order, {m: from_numerators(order, (c,) + pad, d)
-                                        for m, c, d in terms})
+    den, key = lcm(*[d for _, _, d in terms]), pres._table
+    q_free = CohElement.from_packed(pres, den, [(key[m], c * (den // d)) for m, c, d in terms])
+    return q_free.scaled(HalfQSeries.one(order)) if order else q_free
 
 
 def _exp_multiple(char: CohElement, a: int) -> CohElement:

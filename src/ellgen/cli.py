@@ -39,13 +39,13 @@ from .bundleops import (
     tensor_exterior_identity_check,
 )
 from .cohring import (
+    CohElement,
     Manifold,
     PresentationMismatch,
     RingPresentation,
     UnknownManifold,
     builtin_manifold,
     parse_linear_class,
-    power_sums,
 )
 from .genera import (
     DEFINITION,
@@ -346,7 +346,7 @@ def _suite_half_period(args) -> Rows:
 def _suite_s_transform(args) -> Rows:
     m, e, order = _bundle_input(args, floor=40)
     taus = _parse_tau_list(args.tau)
-    tangent_sq = power_sums(m.tangent_roots, m.presentation, 2)[2]
+    tangent_sq = m.tangent_power_sums[2] if m.dimension else CohElement.zero(m.presentation, 0)
     p1 = pell(m, e, GenusKind.PELL1, THETA_PRODUCT, order).series
     p2 = pell(m, e, GenusKind.PELL2, THETA_PRODUCT, order).series
     multiplier = 2**e.rank

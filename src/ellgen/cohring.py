@@ -6,17 +6,17 @@ rationals.  Elements are finite monomial -> series maps; everything of
 degree above the top degree is identically zero, which makes degree-2
 classes nilpotent and exponentials finite.
 
-One n-ary sum per layer: `sum_of_elements` adds a list of elements in one
-pass at their least order, and `a + b` is its two-term case: at order 0 over
-one denominator; above it every stored coefficient is nonzero and of exactly
-the element's order, so a monomial held by one element of that order passes
-through, and every other monomial is one `qseries.sum_of_numerators`.
-`sum_of_products` forms sum_i a_i * b_i in one pass; a product is its one-pair
-case.  At order 0 (q-free) it runs on plain integers over one denominator: one
-multiply-add per monomial pair and one gcd per result monomial.  Above order 0
-it keeps one denominator per monomial, multiplies each pair's numerators
-(`qseries._int_product`) and makes one `sum_of_numerators` per result
-monomial: a common denominator per operand inflates long numerators.
+One kernel per operation: `sum_of_elements` adds, `sum_of_products` multiplies, and a
+scalar multiple (the pair (c, a), the scalar element c on the left) or a power series is
+a sum of products.  `sum_of_elements` adds in one pass at the least order, `a + b` its
+two-term case: at order 0 it is the sum of the pairs (1, a_i); above it every stored
+coefficient is nonzero and of exactly the element's order, so a monomial held by one
+element of that order passes through, and any other is one `qseries.sum_of_numerators`.
+`sum_of_products` forms sum_i a_i * b_i in one pass, a product its one-pair case: at order
+0 on plain integers over one denominator, one multiply-add per monomial pair and one gcd
+per result monomial; above it with one denominator per monomial, each pair's numerators
+multiplied (`qseries._int_product`) and one `sum_of_numerators` per result monomial: a
+common denominator per operand inflates long numerators.
 
 Both run on packed keys, one integer per monomial of degree <= top made once
 per ring in its private table: the exponents as w-bit digits, the first
@@ -189,6 +189,8 @@ class LinearClass:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other: "LinearClass") -> "LinearClass":
+        if not isinstance(other, LinearClass):
+            return NotImplemented
         if self.presentation != other.presentation:
             raise PresentationMismatch("linear classes live in different rings")
         return LinearClass(self.presentation, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -298,6 +300,9 @@ class CohElement:
 
     @classmethod
     def scalar(cls, presentation: RingPresentation, order: int, value) -> "CohElement":
+        """value times the unit: a q-free int or Fraction packed, else via the constructor."""
+        if not order and isinstance(value, (int, Fraction)):
+            return cls.from_packed(presentation, value.denominator, [(0, value.numerator)])
         if not isinstance(value, HalfQSeries):
             value = HalfQSeries.constant(value, order)
         return cls(presentation, order, {presentation.unit_monomial(): value})
@@ -310,7 +315,9 @@ class CohElement:
         return not (self.coeffs if self._packed is None else self._packed[1])
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, HalfQSeries)):
+        if not isinstance(other, CohElement):
+            if not isinstance(other, (int, Fraction, HalfQSeries)):
+                return NotImplemented
             n = min(self.order, other.order) if isinstance(other, HalfQSeries) else self.order
             other = CohElement.scalar(self.presentation, n, other)
         return sum_of_elements([self, other])
@@ -325,14 +332,12 @@ class CohElement:
 
     def __mul__(self, other):
         # a ring operand first: the scalar test's Fraction is an ABC, slow to miss
-        if isinstance(other, CohElement) or not isinstance(other, (int, Fraction, HalfQSeries)):
+        if isinstance(other, CohElement):
             return sum_of_products([(self, other)])
+        if not isinstance(other, (int, Fraction, HalfQSeries)):
+            return NotImplemented
         n = min(self.order, other.order) if isinstance(other, HalfQSeries) else self.order
-        if n == 0:  # the packed u^0 part times a rational
-            f = other.coefficient(0) if isinstance(other, HalfQSeries) else Fraction(other)
-            return _packed_sum(self.presentation, [(f.numerator, f.denominator, self.packed())])
-        return CohElement._of(self.presentation, n,
-                              {mono: s.truncate(n) * other for mono, s in self.coeffs.items()})
+        return sum_of_products([(CohElement.scalar(self.presentation, n, other), self)])
 
     __rmul__ = __mul__
 
@@ -342,9 +347,11 @@ class CohElement:
         With s the scalar part, a = s (1 - r) where r = 1 - a/s has no unit
         monomial, so a^-1 = s^-1 (1 + r + r^2 + ...) and every power of r
         gains polynomial degree: the sum stops at the top degree.  Raises
-        ZeroConstantTerm when the scalar u^0 coefficient vanishes.
+        ZeroConstantTerm when the scalar u^0 coefficient vanishes; at s = 1 nothing is scaled.
         """
         inv0 = self.scalar_part().invert()
+        if inv0 == HalfQSeries.one(inv0.order):
+            return _power_series(-(self - 1), repeat(1))
         return _power_series(-(self * inv0 - 1), repeat(1)) * inv0
 
     def scaled(self, series: HalfQSeries) -> "CohElement":
@@ -389,26 +396,15 @@ def _ring_and_order(elems) -> tuple[RingPresentation, int]:
     return pres, min([elem.order for elem in elems])
 
 
-def _packed_sum(presentation: RingPresentation, parts) -> CohElement:
-    """sum_i (p_i / q_i) x_i over the parts (p_i, q_i, packed x_i = (d_i, terms_i)), over one
-    denominator, the lcm of the q_i d_i."""
-    den, acc = lcm(*[q * d for _, q, (d, _) in parts]), defaultdict(int)
-    for p, q, (d, terms) in parts:
-        f = p * (den // (q * d))
-        for key, c in terms:
-            acc[key] += c * f
-    return CohElement.from_packed(presentation, den, acc.items())
-
-
 def sum_of_elements(elems) -> CohElement:
-    """sum_i a_i over a nonempty list of elements, in one pass, at their least
-    order: at order 0 over one denominator; above it a monomial held by one element
-    of that order passes through, and any other monomial is one `sum_of_numerators`."""
+    """sum_i a_i over a nonempty list of elements, in one pass, at their least order: at
+    order 0 the `sum_of_products` of the pairs (1, a_i); above it a monomial held by one
+    element of that order passes through, and any other is one `sum_of_numerators`."""
     if not elems:
         raise ValueError("at least one element is needed")
     pres, n = _ring_and_order(elems)
     if n == 0:
-        return _packed_sum(pres, [(1, 1, elem.packed()) for elem in elems])
+        return sum_of_products(list(zip(repeat(CohElement.one(pres, 0)), elems)))
     parts: dict[Monomial, list[HalfQSeries]] = defaultdict(list)
     for elem in elems:
         for mono, s in elem.coeffs.items():
@@ -491,28 +487,21 @@ def ring_mul(a: CohElement, b: CohElement) -> CohElement:
 
 
 def _power_series(x: CohElement, coeffs) -> CohElement:
-    """sum_k c_k x^k for a nilpotent x, the rationals c_k = p/q read lazily from coeffs:
-    no term is scaled on its own.  At order 0 the packed powers are summed over one
-    denominator; above it each term enters as (p * numerators, q * denominator) and each
-    monomial is one `sum_of_numerators`.  The sum stops at the first power of x that
-    vanishes, and raises if one outlives k > order + top/2 (see exp_nilpotent)."""
+    """sum_k c_k x^k for a nilpotent x, the rationals c_k read lazily from coeffs: one
+    `sum_of_products` of the pairs (c_k, x^k), the scalar element c_k on the left, so no
+    term is scaled on its own.  It stops at the first power of x that vanishes, and raises
+    if one outlives k > order + top/2 (see exp_nilpotent)."""
     pres, n = x.presentation, x.order
-    terms, power = [], CohElement.one(pres, n)
+    pairs, power = [], CohElement.one(pres, n)
     for k, c in enumerate(coeffs):
         if power.is_zero():
             break
         if k > n + pres.top_degree // 2:
             raise ArithmeticError(f"x^{k} does not vanish: the ring product is faulty")
         if c:
-            terms.append((c.numerator, c.denominator, power.packed() if n == 0 else power))
+            pairs.append((CohElement.scalar(pres, n, c), power))
         power = power * x if k else x
-    if n == 0:
-        return _packed_sum(pres, terms)
-    parts: dict[Monomial, list[tuple]] = defaultdict(list)
-    for p, q, power in terms:
-        for mono, s in power.coeffs.items():
-            parts[mono].append((s.nums if p == 1 else [v * p for v in s.nums], s.den * q))
-    return CohElement._of(pres, n, {m: sum_of_numerators(n, bucket) for m, bucket in parts.items()})
+    return sum_of_products(pairs) if pairs else CohElement.zero(pres, n)
 
 
 def exp_nilpotent(a: CohElement) -> CohElement:

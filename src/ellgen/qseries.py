@@ -380,15 +380,18 @@ def _digit_bytes(bound: int) -> int:
 def _int_product(a: tuple, b: tuple) -> tuple:
     """The first len(a) coefficients of the product of two integer polynomials.
 
-    Both tuples have the same length.
+    Both tuples have the same length.  A unit operand (1, 0, ..., 0) returns the other
+    operand itself: in `cohring` a scalar multiple and a power series are sums of
+    products, so a ring element scaled by exactly 1 costs no pass.
     """
     size = len(a)
-    if size == 1:
-        return (a[0] * b[0],)
-    terms_a = size - a.count(0)
-    terms_b = size - b.count(0)
+    terms_a, terms_b = size - a.count(0), size - b.count(0)
     if not terms_a or not terms_b:
         return tuple([0] * size)
+    if terms_a == 1 and a[0] == 1:
+        return b
+    if terms_b == 1 and b[0] == 1:
+        return a
     if terms_a > _SPARSE_TERMS and terms_b > _SPARSE_TERMS:
         bound = min(terms_a, terms_b) * max(map(abs, a)) * max(map(abs, b))
         return _kronecker_product(a, b, _digit_bytes(bound))

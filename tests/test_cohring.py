@@ -511,8 +511,20 @@ def test_a_product_is_the_one_pair_sum(cp2, monkeypatch):
     a, b = x_elem(cp2) + 1, x_elem(cp2, 2, order=3)
     assert a * b == real([(a, b)])
     assert seen == [[(a, b)]]
-    # a scalar factor does not go through the pair loop
-    assert a * 3 == a + a + a and len(seen) == 1
+    # a scalar multiple is the one-pair sum with the scalar element on the left
+    assert a * 3 == a + a + a
+    assert seen[1:] == [[(CohElement.scalar(cp2.presentation, a.order, 3), a)]]
+
+
+@pytest.mark.parametrize("order", [0, ORDER])
+@pytest.mark.parametrize("other", [[1], "a", None, 1.5])
+def test_an_operand_of_another_type_raises_type_error(cp2, order, other):
+    lc = LinearClass.generator(cp2.presentation, "x")
+    x = lc.as_element(order)
+    for op, a in ((operator.add, x), (operator.mul, x), (operator.add, lc)):
+        for left, right in ((a, other), (other, a)):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 # -- one n-ary element sum against the brute-force pairwise sum -----------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellgen import genera, theta
+from ellgen import cohring, genera, theta
 from ellgen.bundleops import ProjBundle
 from ellgen.cohring import CohElement, LinearClass, RingPresentation, builtin_manifold, exp_nilpotent
 from ellgen.qseries import HalfQSeries
@@ -235,14 +235,23 @@ def test_a_product_that_keeps_degrees_above_the_top_raises(series_of, monkeypatc
 
 
 def test_no_ring_element_is_scaled_by_exactly_one(monkeypatch):
-    # a coefficient of exactly 1 (every term of invert, the first of exp) adds
-    # the power as it is; a scaling by 1 would be a full pass per monomial
-    product, by_one = CohElement.__mul__, []
+    # a coefficient of exactly 1 (every term of invert, the first of exp, the scalar
+    # part of a normalized factor) adds the power as it is; a scaling by 1 would be a
+    # full pass per monomial, whether by `__mul__` or by a product with a unit series
+    product, int_product, by_one = CohElement.__mul__, cohring._int_product, []
 
     def spy(a, b):
-        if isinstance(b, (int, Fraction)) and b == 1:
+        if (isinstance(b, HalfQSeries) and b == HalfQSeries.one(b.order)
+                or isinstance(b, (int, Fraction)) and b == 1):
             by_one.append(b)
         return product(a, b)
+
+    def int_spy(a, b):
+        out = int_product(a, b)
+        others = [v for u, v in ((a, b), (b, a)) if u[0] == 1 and not any(u[1:])]
+        if others and not any(out is v for v in others):
+            by_one.append((a, b))
+        return out
 
     m = builtin_manifold("CP4")
     x = LinearClass.generator(m.presentation, "x")
@@ -253,6 +262,7 @@ def test_no_ring_element_is_scaled_by_exactly_one(monkeypatch):
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(CohElement, "__mul__", spy)
+    monkeypatch.setattr(cohring, "_int_product", int_spy)
     for kind in (genera.GenusKind.PELL, genera.GenusKind.PELL1,
                  genera.GenusKind.PELL2, genera.GenusKind.PELL3):
         genera.pell(m, e, kind, genera.THETA_PRODUCT, 320)

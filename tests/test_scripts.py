@@ -121,6 +121,14 @@ def test_bench_kernels_times_the_schur_ring_exp_alone(monkeypatch, capsys):
     assert record["kernels"]["cohring.schur6.exp_nilpotent.generator"] > 0
 
 
+@pytest.mark.parametrize("name", ["cohring.scalar_mul.schur6", "cohring.scalar_mul.CP4.N80"])
+def test_bench_kernels_times_a_scalar_multiple_alone(name, monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, name)
+    assert status == 0
+    assert list(record["kernels"]) == [name]
+    assert record["kernels"][name] > 0
+
+
 def test_bench_kernels_times_the_schur_round_alone(monkeypatch, capsys):
     name = "bundleops.tensor_exterior_identity_check.round27"
     status, record = bench_kernels_record(monkeypatch, capsys, name)
