@@ -108,7 +108,11 @@ each side's times, the side that ran first in each pair, each side's median,
   ``gch_closed_form`` of kind B;
 - the bundle-free part of the definition integrand on CP4 at N = 24 and
   N = 160, built cold through ``_definition_tangent_part.__wrapped__``
-  (``genera.definition_tangent_part.CP4.N{24,160}.cold``);
+  (``genera.definition_tangent_part.CP4.N{24,160}.cold``), and at N = 20 the
+  same with the manifold's cached tangent power sums dropped before each call
+  (``genera.definition_tangent_part.CP4.N20.cold``);
+- ``a_hat_integral`` of CP8, the tangent power sums dropped before each call
+  (``genera.a_hat_integral.CP8.cold``): the A-hat class built and integrated;
 - ``gch_closed_form`` of kind B for the twisted rank-2 bundle on CP4 at
   N = 80 (``bundleops.gch_closed_form.B.rank2.CP4.N80``), the closed form
   that ``decompose`` and the tests compare ``gch`` against;
@@ -228,6 +232,7 @@ from ellgen.cohring import (  # noqa: E402
     builtin_manifold,
     exp_nilpotent,
     power_sums,
+    projective_space,
     sum_of_products,
 )
 from ellgen.genera import DEFINITION, GenusKind, pell  # noqa: E402
@@ -528,6 +533,18 @@ def case_table(tmp: Path) -> dict:
         def _(n=n):
             cp4 = builtin_manifold("CP4")
             return lambda: genera._definition_tangent_part.__wrapped__(cp4, n)
+
+    def without_power_sums(m, call):  # each call pays for the manifold's power sums too
+        return lambda: (m.__dict__.pop("tangent_power_sums", None), call(m))
+
+    @case("genera.definition_tangent_part.CP4.N20.cold")
+    def _():
+        build = genera._definition_tangent_part.__wrapped__
+        return without_power_sums(builtin_manifold("CP4"), lambda m: build(m, 20))
+
+    @case("genera.a_hat_integral.CP8.cold")
+    def _():
+        return without_power_sums(projective_space(8), genera.a_hat_integral)
 
     @case("bundleops.gch_closed_form.B.rank2.CP4.N80")
     def _():

@@ -87,6 +87,9 @@ class RingPresentation:
         if len({name for name, _ in self.generators}) < len(self.generators):
             raise ValueError("generator names must be distinct")
         object.__setattr__(self, "degrees", tuple([deg for _, deg in self.generators]))
+        monos = [*self.vanishing_monomials, *[mono for mono, _ in self.integration_table]]
+        if any(len(mono) != len(self.degrees) or min(mono, default=0) < 0 for mono in monos):
+            raise ValueError("relations and integration keys need one exponent >= 0 per generator")
         if not all(any(van) for van in self.vanishing_monomials):
             raise ValueError("a vanishing monomial needs a positive exponent (1 = 0 otherwise)")
         object.__setattr__(self, "_table", _PackedKeys(self))

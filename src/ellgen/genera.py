@@ -11,14 +11,13 @@ Two independent engines compute each twisted elliptic genus:
   rank guards.
 
 * definition -- the literal construction: the bundle's infinite-product
-  prefactor, the A-hat class, the symmetric-power tangent character
-  (normalized inside its log, so a zero root's tower is 1), the half
-  determinant twist, and the graded twisted character: the product over
-  shifted bundle roots of triple-product sums.  Each root's character starts
-  from the closed-form exp of its q-free class (`bundleops.exp_class`, read off
-  the integer power sums; no factor log).  Slower, guarded, coded
-  independently; agreement of the two engines is the central cross-check
-  of the package.
+  prefactor, the A-hat class times the tangent symmetric-power tower as one exp of
+  their summed logs (Hirzebruch's Bernoulli-number log of A-hat at the tangent power
+  sums; the tower's log normalized so a zero root's tower is 1), the half determinant
+  twist, and the graded twisted character: per shifted bundle root, triple-product
+  sums from the closed-form exp of its q-free class (`bundleops.exp_class`).  No
+  theta factor is evaluated.  Slower, guarded, coded independently; agreement of
+  the two engines is the central cross-check of the package.
 
 Normalization is fixed by the definitional route.  Pairing the half
 determinant twist with the even/odd exterior difference gives the per-root
@@ -36,8 +35,9 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
-from . import bundleops, qseries
+from . import bundleops, cohring, qseries
 from .bundleops import ProjBundle, GradedKind, det_sqrt_ch, gch
 from .cohring import (
     CohElement,
@@ -49,7 +49,7 @@ from .cohring import (
     power_sums,
 )
 from .qseries import HalfQSeries, sum_of_numerators
-from .theta import FactorSeries, ThetaKind, a_hat_factor_series, elliptic_factor, factor_log
+from .theta import FactorSeries, ThetaKind, elliptic_factor, factor_log
 
 
 class UnsupportedRank(ValueError):
@@ -112,8 +112,8 @@ def _times_root_factors(out: CohElement, factor: FactorSeries, roots) -> CohElem
 # (Manifold is frozen and hashable), so a job pays only for its bundle.  32
 # entries hold a few manifolds at a few orders; the bound keeps a long-lived
 # process from pinning every integrand.  The theta-product and definition
-# caches hold no object in common, so the engines still cross-check
-# independently.  Cached values are shared: never mutate them.
+# caches hold no object in common, and the functions both engines run are
+# listed in tests/test_engine_reach.py.  Cached values are shared: never mutate them.
 _MANIFOLD_CACHE_SIZE = 32
 
 
@@ -125,15 +125,26 @@ def _tangent_core(m: Manifold, order: int) -> CohElement:
     return exp_nilpotent(log)
 
 
-def a_hat_class(m: Manifold, order: int = 0) -> CohElement:
-    """prod_i x_i / (e^(x_i/2) - e^(-x_i/2)) over the stable roots."""
-    factor = a_hat_factor_series(_z_degree(m), order)
-    return _times_root_factors(CohElement.one(m.presentation, order), factor, m.tangent_roots)
+def _bernoulli(n: int) -> list[Fraction]:
+    """B_0..B_n from sum_(i <= j) C(j + 1, i) B_i = 0 for j >= 1, so B_1 = -1/2."""
+    b = [Fraction(1)]
+    for j in range(1, n + 1):
+        b.append(-sum([comb(j + 1, i) * bi for i, bi in enumerate(b)]) / (j + 1))
+    return b
+
+
+def _a_hat_log(m: Manifold, order: int) -> CohElement:
+    """log A-hat = -sum_k B_2k p_2k / (2k (2k)!) over the stable roots' power sums p_2k
+    (Hirzebruch, Topological Methods in Algebraic Geometry, 1.6), lifted to the order."""
+    sums, b, pres = m.tangent_power_sums, _bernoulli(m.dimension // 2), m.presentation
+    pairs = [(CohElement.scalar(pres, 0, -b[k] / (k * factorial(k))), sums[k])
+             for k in range(2, len(sums), 2)] or [(CohElement.zero(pres, 0), sums[0])]  # no p_2k
+    return cohring.sum_of_products(pairs).scaled(HalfQSeries.one(order))
 
 
 def a_hat_integral(m: Manifold) -> Fraction:
     """Integral of the A-hat class; rational, not integral in general."""
-    return integrate(a_hat_class(m, 0), m).coefficient(0)
+    return integrate(exp_nilpotent(_a_hat_log(m, 0)), m).coefficient(0)
 
 
 def witten_genus(m: Manifold, order: int) -> HalfQSeries:
@@ -224,9 +235,8 @@ def _tangent_symmetric_log(m: Manifold, order: int) -> CohElement:
 
 @functools.lru_cache(maxsize=_MANIFOLD_CACHE_SIZE)
 def _definition_tangent_part(m: Manifold, order: int) -> CohElement:
-    """A-hat class times the normalized symmetric-power tangent character:
-    the part of the definition integrand that does not depend on the bundle."""
-    return a_hat_class(m, order) * exp_nilpotent(_tangent_symmetric_log(m, order))
+    """exp(log A-hat + the tangent tower's log): the definition integrand's bundle-free part."""
+    return exp_nilpotent(_a_hat_log(m, order) + _tangent_symmetric_log(m, order))
 
 
 def _pell_definition(m: Manifold, e: ProjBundle, kind: GenusKind, order: int) -> HalfQSeries:

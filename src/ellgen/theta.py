@@ -146,11 +146,6 @@ def _half_argument_series(z_degree: int, order: int, shift: int) -> FactorSeries
     return FactorSeries(CohElement(z_ring(z_degree), order, terms))
 
 
-def a_hat_factor_series(z_degree: int, order: int) -> FactorSeries:
-    """z / (e^(z/2) - e^(-z/2)): the q -> 0 degeneration of the odd factor."""
-    return _half_argument_series(z_degree, order, 1).invert()
-
-
 def log_product_series(sign: int, half_shift: bool, z_degree: int, order: int) -> FactorSeries:
     """log of prod_j (1 + s t_j e^z)(1 + s t_j e^-z) / (1 + s t_j)^2.
 

@@ -251,6 +251,6 @@ def test_tangent_part_is_the_eta_normalized_bare_tower(name, keep, order):
     roots = list(m.tangent_roots) + [-r for r in m.tangent_roots]
     bare = log_lambda_sum(zeros, -1, "integer", order, pres) * (1 if pad > 0 else -1)
     bare = bare - log_lambda_sum(roots, -1, "integer", order, pres)
-    expected = genera.a_hat_class(m, order) * exp_nilpotent(bare)
+    expected = exp_nilpotent(genera._a_hat_log(m, order)) * exp_nilpotent(bare)
     eta = eta_like_product(-1, False, m.dimension, order)
     assert genera._definition_tangent_part(m, order) == expected * eta

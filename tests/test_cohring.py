@@ -720,6 +720,20 @@ def test_an_integration_key_that_vanishes_is_refused(relations, key):
                          vanishing_monomials=relations, integration_table=((key, Fraction(3)),))
 
 
+@pytest.mark.parametrize(
+    "relations, table",
+    [((), (((2,), Fraction(1)),)), (((-1, 2),), ()), (((1, 1, 0),), ()),
+     ((), (((3, -1), Fraction(1)),))],
+    ids=["short-integration-key", "negative-relation", "long-relation", "negative-integration-key"],
+)
+def test_a_monomial_not_of_the_generators_is_refused(relations, table):
+    # on x, y of degree 2 with top 4: the key (2,) once read as x^2 with weight 0, and the
+    # relation (-1, 2) once acted as y^2 = 0
+    with pytest.raises(ValueError, match="one exponent >= 0 per generator"):
+        RingPresentation(generators=(("x", 2), ("y", 2)), top_degree=4,
+                         vanishing_monomials=relations, integration_table=table)
+
+
 def test_linear_classes_are_immutable():
     cp2 = builtin_manifold("CP2")
     for root in (cp2.tangent_roots[0], LinearClass.generator(cp2.presentation, "x", 3)):

@@ -72,3 +72,36 @@ def test_the_law_can_fail():
     assert den % 5 == 0
     with pytest.raises(AssertionError, match="outside 2r"):
         assert_the_law(den, e.rank, 2)
+
+
+# inside the hypothesis on CP4: O(1), and rank 2 and 3 with b = x/r
+NAMED_CASES = ((1, (1,), 0), (2, (1, -1), 1), (3, (1, 0, -1), 1))
+
+
+def named_law_violations(method) -> int:
+    m = builtin_manifold("CP4")
+    x = LinearClass.generator(m.presentation, "x")
+    violations = 0
+    for rank, roots, k in NAMED_CASES:
+        e = ProjBundle(rank=rank, roots=tuple(x.scale(a) for a in roots),
+                       twist_b=x.scale(Fraction(k, rank)))
+        for kind in KINDS:
+            try:
+                assert_the_law(pell(m, e, kind, method, 12).series.den, rank, 4)
+            except AssertionError:
+                violations += 1
+    return violations
+
+
+@pytest.mark.parametrize("method", [THETA_PRODUCT, DEFINITION])
+def test_the_named_cases_obey_the_law(method):
+    assert named_law_violations(method) == 0
+
+
+@pytest.mark.parametrize("mutant, method", [("bernoulli_4_mutant", DEFINITION),
+                                            ("sinh_z4_mutant", THETA_PRODUCT)],
+                         ids=["bernoulli-4-plus-a-seventh", "sinh-z4-doubled"])
+def test_an_a_hat_coefficient_mutant_breaks_the_law(mutant, method, request):
+    # each fault reaches one engine only, so engine agreement alone would not see it
+    request.getfixturevalue(mutant)
+    assert named_law_violations(method) > 0

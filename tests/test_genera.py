@@ -55,7 +55,7 @@ def test_a_hat_multiplicative_over_roots(cp4, cp2):
     # two disjoint root copies multiply: the class of [x, x] is the square
     # of the one-root class
     x4 = LinearClass.generator(cp4.presentation, "x")
-    from ellgen.genera import a_hat_class
+    from ellgen.cohring import exp_nilpotent
 
     one_root = Manifold(
         name="one", presentation=cp4.presentation, dimension=8, tangent_roots=(x4,)
@@ -63,8 +63,8 @@ def test_a_hat_multiplicative_over_roots(cp4, cp2):
     two_roots = Manifold(
         name="two", presentation=cp4.presentation, dimension=8, tangent_roots=(x4, x4)
     )
-    single = a_hat_class(one_root, 0)
-    assert a_hat_class(two_roots, 0) == single * single
+    single = exp_nilpotent(genera._a_hat_log(one_root, 0))
+    assert exp_nilpotent(genera._a_hat_log(two_roots, 0)) == single * single
 
 
 def test_witten_reduction_prefactor_identity(cp2, cp4):
@@ -72,7 +72,6 @@ def test_witten_reduction_prefactor_identity(cp2, cp4):
     # bare symmetric-power tower of the honest-rank complexified tangent
     from ellgen.bundleops import log_lambda_sum
     from ellgen.cohring import exp_nilpotent, integrate
-    from ellgen.genera import a_hat_class
     from ellgen.qseries import eta_like_product
 
     order = 10
@@ -85,7 +84,8 @@ def test_witten_reduction_prefactor_identity(cp2, cp4):
         roots = list(m.tangent_roots) + [-r for r in m.tangent_roots]
         bare_log = log_lambda_sum(zeros, -1, "integer", order, pres)
         bare_log = bare_log - log_lambda_sum(roots, -1, "integer", order, pres)
-        bare = integrate(a_hat_class(m, order) * exp_nilpotent(bare_log), m)
+        a_hat = exp_nilpotent(genera._a_hat_log(m, order))
+        bare = integrate(a_hat * exp_nilpotent(bare_log), m)
         prefactor = eta_like_product(-1, False, m.dimension, order)
         assert witten_genus(m, order) == bare * prefactor
 
@@ -560,32 +560,49 @@ def test_power_sum_log_equals_the_log_of_the_factor():
         assert theta.factor_log(kind, 6, 1).at_power_sums(sums) == expected
 
 
-def test_engines_disagree_under_a_mutated_inversion(cp2, cp4, monkeypatch):
-    # the theta engine builds each factor as the exp of its log and the
-    # definition engine inverts 2 sinh(z/2)/z for its A-hat class, so an
-    # inversion that does nothing moves the definition engine alone; pell is
-    # left out, since its theta-side bundle factor is an inverse too
+def test_engines_disagree_under_a_mutated_bernoulli_number(cp2, cp4, bernoulli_4_mutant,
+                                                          monkeypatch):
+    # the definition engine alone reads the Bernoulli numbers, through its A-hat log:
+    # B_4 + 1/7 moves its p_4 term, which CP4 has, and puts 7 into the denominators
     kinds = (GenusKind.PELL1, GenusKind.PELL2, GenusKind.PELL3)
-    monkeypatch.setattr(theta.FactorSeries, "invert", lambda self: self)
-    try:
-        for cache in ENGINE_CACHES:
-            cache.cache_clear()
-        for m in (cp2, cp4):
-            e = _twisted_rank2(m)
-            for kind in kinds:
-                theta_side = series_of(m, e, kind, THETA_PRODUCT, 12)
-                assert theta_side != series_of(m, e, kind, DEFINITION, 12)
-    finally:
-        monkeypatch.undo()
-        for cache in ENGINE_CACHES:
-            cache.cache_clear()
+    e = _twisted_rank2(cp4)
+    for kind in kinds:
+        definition = series_of(cp4, e, kind, DEFINITION, 12)
+        assert definition != series_of(cp4, e, kind, THETA_PRODUCT, 12)
+        assert definition.den % 7 == 0
+    monkeypatch.undo()
+    for cache in ENGINE_CACHES:
+        cache.cache_clear()
     for m in (cp2, cp4):
         e = _twisted_rank2(m)
         for kind in kinds:
             assert series_of(m, e, kind, order=12) == series_of(m, e, kind, DEFINITION, 12)
 
 
-def test_only_the_definition_engine_and_the_pell_factor_invert(cp4, monkeypatch):
+def test_engines_disagree_under_a_mutated_sinh_series(cp4, sinh_z4_mutant):
+    # the z^4 coefficient of 2 sinh(z/2)/z doubled moves the theta engine's odd factor
+    # alone, since the definition engine's A-hat is the exp of its Bernoulli log; pell2
+    # and pell3 read no THETA1 front, whose cosh(z/2) the fault moves too
+    e = _twisted_rank2(cp4)
+    for kind in (GenusKind.PELL2, GenusKind.PELL3):
+        theta_side = series_of(cp4, e, kind, THETA_PRODUCT, 12)
+        assert theta_side != series_of(cp4, e, kind, DEFINITION, 12)
+
+
+def test_bernoulli_numbers_from_the_recurrence():
+    import sympy
+
+    b = genera._bernoulli(20)
+    assert b[:3] == [1, Fraction(-1, 2), Fraction(1, 6)]
+    assert b[4::2] == [Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+                       Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+                       Fraction(43867, 798), Fraction(-174611, 330)]
+    assert not any(b[3::2])
+    # sympy takes B_1 = +1/2, so the even indices only
+    assert all(b[j] == Fraction(str(sympy.bernoulli(j))) for j in range(0, 21, 2))
+
+
+def test_only_the_pell_factor_inverts(cp4, monkeypatch):
     from ellgen.cohring import CohElement
 
     calls = []
@@ -602,7 +619,7 @@ def test_only_the_definition_engine_and_the_pell_factor_invert(cp4, monkeypatch)
     try:
         assert cold_inversions(lambda: genera._tangent_core(cp4, 12)) == 0
         assert cold_inversions(lambda: cancellation12_check(2)) == 0
-        assert cold_inversions(lambda: genera.a_hat_class(cp4, 12)) == 1
+        assert cold_inversions(lambda: genera._definition_tangent_part(cp4, 12)) == 0
         e = _twisted_rank2(cp4)
         assert cold_inversions(lambda: [series_of(cp4, e, kind, order=12)
                                         for kind in TWISTED_KINDS]) == 1

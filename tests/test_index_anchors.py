@@ -39,6 +39,7 @@ from ellgen import genera
 from ellgen.bundleops import ProjBundle
 from ellgen.cohring import LinearClass, Manifold, RingPresentation, builtin_manifold, integrate
 from ellgen.genera import DEFINITION, THETA_PRODUCT, GenusKind, pell
+from ellgen.qseries import HalfQSeries
 from ellgen.theta import FactorSeries, ThetaKind
 
 METHODS = (THETA_PRODUCT, DEFINITION)
@@ -123,12 +124,17 @@ def z2_flipped(series: FactorSeries) -> FactorSeries:
 
 def flip_a_hat(monkeypatch):
     """The A-hat z^2 coefficient with its sign flipped, in both engines: the z^2
-    coefficient of the odd factor's log (theta product) and of the A-hat series
-    (definition)."""
-    factor_log, a_hat = genera.factor_log, genera.a_hat_factor_series
+    coefficient of the odd factor's log (theta product) and the p_2 term of the
+    A-hat log (definition), -p_2/24 made +p_2/24."""
+    factor_log, a_hat_log = genera.factor_log, genera._a_hat_log
     monkeypatch.setattr(genera, "factor_log", lambda kind, d, n: z2_flipped(
         factor_log(kind, d, n)) if kind is ThetaKind.THETA else factor_log(kind, d, n))
-    monkeypatch.setattr(genera, "a_hat_factor_series", lambda d, n: z2_flipped(a_hat(d, n)))
+
+    def flipped(m, n):  # plus p_2/12
+        p2 = m.tangent_power_sums[2]
+        return a_hat_log(m, n) + p2.scaled(HalfQSeries.constant(Fraction(1, 12), n))
+
+    monkeypatch.setattr(genera, "_a_hat_log", flipped)
 
 
 def double_the_shifted_roots(monkeypatch):

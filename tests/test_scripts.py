@@ -174,6 +174,15 @@ def test_bench_kernels_times_the_graded_character_alone(monkeypatch, capsys):
     assert all(value > 0 for value in record["kernels"].values())
 
 
+@pytest.mark.parametrize("name", ["genera.a_hat_integral.CP8.cold",
+                                  "genera.definition_tangent_part.CP4.N20.cold"])
+def test_bench_kernels_times_the_definition_engine_a_hat_alone(name, monkeypatch, capsys):
+    status, record = bench_kernels_record(monkeypatch, capsys, name)
+    assert status == 0
+    assert list(record["kernels"]) == [name]
+    assert record["kernels"][name] > 0
+
+
 def test_bench_kernels_times_the_weight_tables_alone(monkeypatch, capsys):
     status, record = bench_kernels_record(monkeypatch, capsys, "bundleops.graded_decompose")
     assert status == 0

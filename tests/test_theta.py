@@ -11,7 +11,6 @@ from ellgen.theta import (
     DEFAULT_LAW_SAMPLES,
     InvalidTau,
     ThetaKind,
-    a_hat_factor_series,
     elliptic_factor,
     jacobi_identity_exact,
     product_tail,
@@ -214,8 +213,7 @@ def test_factor_series_z_shift_truncates():
 
 
 def test_a_hat_factor_is_reciprocal_of_sinh_series():
-    fs = a_hat_factor_series(6, 0)
-    inv = fs.invert()
+    inv = theta._half_argument_series(6, 0, 1)
     # 2 sinh(z/2)/z = 1 + z^2/24 + z^4/1920 + z^6/322560
     assert inv.coeffs[2].coefficient(0) == Fraction(1, 24)
     assert inv.coeffs[4].coefficient(0) == Fraction(1, 1920)
@@ -319,7 +317,7 @@ def _factor_by_products(kind, z_degree, order):
     the product's log, the odd front by inverting 2 sinh(z/2)/z."""
     log_part = theta.log_product_series(kind.sign, kind.half, z_degree, order)
     if kind is ThetaKind.THETA:
-        return a_hat_factor_series(z_degree, order) * (-log_part).exp()
+        return theta._half_argument_series(z_degree, order, 1).invert() * (-log_part).exp()
     if kind.half:
         return log_part.exp()
     return theta._half_argument_series(z_degree, order, 0) * log_part.exp()
